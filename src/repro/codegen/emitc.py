@@ -5,20 +5,28 @@ The numpy codegen (:mod:`repro.codegen.emitpy`) removed the plan
 per-call overhead — temporaries, broadcasting setup, dispatch — which
 dominates on small shapes, exactly the regime where fusion's locality win
 should show.  This module renders the same plan as a self-contained C
-translation unit with the identical module shape:
+translation unit that splits the plan the way the paper's Fig. 12/16 code
+does — *schedule as data, bodies as code*:
 
-* one function per processor phase (``_fused_p<i>`` / ``_peeled_p<i>``),
-  every fused box and peeled rectangle as literal ``for`` loops with the
-  plan's parameters folded into the bounds;
+* one function per (nest, hazard-verdict tuple),
+  ``static int nest_<k>_<mask>(double **A, const long *D, const long *b)``,
+  whose loop bounds are read from the box ``b`` it is handed, so ``cc``
+  compiles each loop body once however many processors or strips the
+  plan has;
+* two ``static const long`` schedule tables — fused rows and peeled rows,
+  each row a body index plus box bounds, with per-processor row offsets
+  (empty boxes are simply not rows; ``strip=`` tiles are rows, i.e. data);
 * the same exported metadata the Python module carries — signature,
   ``NPROCS``, per-processor iteration counts and the ``PEEL_DEPS``
   point-to-point sync map — as ``REPRO_*`` symbols, so a cold process can
   validate and run a cached ``.so`` without the ``.c`` or ``.py`` source;
 * ``long run_fused(long proc, double **arrays, const long *dims)`` /
-  ``run_peeled`` entry points (array pointers and concrete shapes are
-  runtime inputs: shapes are deliberately *not* part of the structural
-  plan signature, mirroring how the numpy module reads them off the
-  arrays it is handed).
+  ``run_peeled`` entry points that walk one processor's rows, and a
+  serial ``run_plan(arrays, dims)`` that walks every fused row, then
+  every peeled row (the Sec. 3.4 phase order) in one native call (array
+  pointers and concrete shapes are runtime inputs: shapes are
+  deliberately *not* part of the structural plan signature, mirroring how
+  the numpy module reads them off the arrays it is handed).
 
 Bit-identity with the interpreter is preserved by construction.  The
 numpy module executes each statement as "evaluate the RHS over the whole
@@ -29,11 +37,17 @@ emitter performs that hazard analysis per (statement, box): provably safe
 statements (identical subscripts, or a dimension with provably disjoint
 index ranges) become direct elementwise loops, anything else evaluates
 into a scratch buffer first and stores after — exactly numpy's
-semantics.  Scalar (non-vectorized) dimensions stay ordered outer loops
-in both tiers, so dependences they carry behave identically.  Arithmetic
-is plain IEEE-754 double with the same expression-tree shape numpy
-evaluates, compiled with ``-O2`` and **without** ``-ffast-math``, so
-every element's value is bit-identical.
+semantics.  The verdict can differ between boxes of one nest (a small
+strip can separate a read from the write that a whole block overlaps), so
+a nest gets one body per distinct verdict tuple and each table row names
+the body proved safe for its box.  Scalar (non-vectorized) dimensions stay
+ordered outer loops in both tiers, so dependences they carry behave
+identically; a direct statement's vector loops run in the order of its
+target's subscripts (last subscript innermost, i.e. unit stride over the
+row-major array) — with no overlap between what it reads and writes, any
+order stores the same bits.  Arithmetic is plain IEEE-754 double with the
+same expression-tree shape numpy evaluates, compiled with ``-O2`` and
+**without** ``-ffast-math``, so every element's value is bit-identical.
 
 The compiled ``.so`` is cached by :mod:`repro.runtime.plancache` next to
 the ``.py`` source, keyed by the structural plan signature *plus* a
@@ -45,6 +59,7 @@ counter (:func:`note_fallback`) — never an error.
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import math
 import os
@@ -93,6 +108,9 @@ class CJitCompileError(CJitError):
 
 class NativeUnavailable(CJitError):
     """No C compiler on this machine — callers fall back to ``jit``."""
+
+
+_NO_COMPILER = "no C compiler found (set $REPRO_CC or install cc)"
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +274,12 @@ def _array_layout(nests: Sequence[LoopNest]) -> _ArrayLayout:
                         dims_offset=dims_offset)
 
 
-class _CBoxCtx:
-    """Static rendering context for one (nest, box) pair, C flavour.
+class _NestCtx:
+    """Static rendering context for one nest, C flavour.
 
     Unlike :class:`emitpy._BoxCtx`, every dimension becomes a ``for``
-    loop; the vectorized/scalar split (the same
+    loop whose bounds are read from the box ``b`` at run time; the
+    vectorized/scalar split (the same
     :func:`~repro.runtime.fastexec.vector_dims` legality analysis) only
     drives the *ordering semantics*: scalar dims are outer ordered
     loops shared by all statements, and each statement iterates the
@@ -269,10 +288,9 @@ class _CBoxCtx:
     the whole RHS before storing; C must too, there).
     """
 
-    def __init__(self, nest: LoopNest, box, vdims: tuple[int, ...],
-                 params, layout: _ArrayLayout) -> None:
+    def __init__(self, nest: LoopNest, vdims: tuple[int, ...], params,
+                 layout: _ArrayLayout) -> None:
         self.nest = nest
-        self.box = box
         self.vdims = vdims
         self.params = params
         self.layout = layout
@@ -280,6 +298,7 @@ class _CBoxCtx:
         self.svars = {
             nest.loops[d].var for d in range(nest.depth) if d not in vdims
         }
+        self.hazards = [self._self_loads(stmt) for stmt in nest.body]
 
     def split(self, sub: Affine):
         """Fold ``sub`` into (const, scalar terms, vector-dim terms)."""
@@ -302,46 +321,60 @@ class _CBoxCtx:
 
     # -- hazard analysis ---------------------------------------------------
 
-    def _vrange(self, const: int, vds) -> tuple[int, int]:
+    def _self_loads(self, stmt) -> list[list[tuple]]:
+        """The box-independent half of the hazard analysis.
+
+        One entry per load of the statement's own target at subscripts
+        that differ from the write map: the dimensions that *could*
+        separate the read region from the write region, each as
+        ``((wconst, wvds), (rconst, rvds))``.  A dimension whose scalar
+        offsets differ cannot (they do not cancel); whether a remaining
+        one does depends on the box — :meth:`verdict`.
+        """
+        out = []
+        for ref in stmt.rhs.loads():
+            if (ref.array != stmt.target.array
+                    or ref.subscripts == stmt.target.subscripts):
+                continue  # another array, or the element reads itself
+            dims = []
+            for write, read in zip(stmt.target.subscripts, ref.subscripts):
+                wc, wt, wv = self.split(write)
+                rc, rt, rv = self.split(read)
+                if wt == rt:
+                    dims.append(((wc, wv), (rc, rv)))
+            out.append(dims)
+        return out
+
+    @staticmethod
+    def _vrange(box, const: int, vds) -> tuple[int, int]:
         """Value interval of ``const + sum(c * v_d)`` over the box."""
         lo = hi = const
         for d, coeff in vds:
-            blo, bhi = self.box[d]
+            blo, bhi = box[d]
             a, b = coeff * blo, coeff * bhi
             lo += min(a, b)
             hi += max(a, b)
         return lo, hi
 
-    def _dim_disjoint(self, write: Affine, read: Affine) -> bool:
-        """True when this dimension provably separates the write region
-        from the read region for every fixed scalar iteration."""
-        wc, wt, wv = self.split(write)
-        rc, rt, rv = self.split(read)
-        if wt != rt:
-            return False  # scalar offsets differ: cannot cancel them
-        wlo, whi = self._vrange(wc, wv)
-        rlo, rhi = self._vrange(rc, rv)
-        return whi < rlo or rhi < wlo
-
-    def stmt_needs_buffer(self, stmt) -> bool:
-        """Does numpy's evaluate-all-then-store order matter here?
+    def verdict(self, box) -> tuple[bool, ...]:
+        """Per statement: does numpy's evaluate-all-then-store order
+        matter in ``box``?
 
         Only when the statement loads its own target array at subscripts
-        that are neither identical to the write map nor provably
-        disjoint from it inside the vector sub-box.  Dependences carried
-        by scalar dimensions are executed in the same order by both
-        tiers and need no buffering.
+        that are neither identical to the write map nor, in some
+        dimension, provably disjoint from it inside the vector sub-box.
+        Dependences carried by scalar dimensions are executed in the same
+        order by both tiers and need no buffering.
         """
-        for ref in stmt.rhs.loads():
-            if ref.array != stmt.target.array:
-                continue
-            if ref.subscripts == stmt.target.subscripts:
-                continue  # element reads exactly itself
-            if any(self._dim_disjoint(w, r) for w, r in
-                   zip(stmt.target.subscripts, ref.subscripts)):
-                continue
-            return True
-        return False
+        def disjoint(write, read) -> bool:
+            wlo, whi = self._vrange(box, *write)
+            rlo, rhi = self._vrange(box, *read)
+            return whi < rlo or rhi < wlo
+
+        return tuple(
+            any(not any(disjoint(w, r) for w, r in dims) for dims in loads)
+            for loads in self.hazards
+        )
 
     # -- source fragments --------------------------------------------------
 
@@ -379,85 +412,68 @@ class _CBoxCtx:
             return f"(-{self.expr_c(expr.operand)})"
         raise CJitEmitError(f"cannot lower expression {expr!r}")
 
-    def _vloops(self, depth: int) -> tuple[list[str], int]:
+    def _loops(self, dims, depth: int, inner: list[str]) -> list[str]:
+        """``inner`` (unindented lines) wrapped in one loop per dim."""
         lines = []
-        for d in self.vdims:
-            lo, hi = self.box[d]
+        for level, d in enumerate(dims, depth):
             var = f"v_{self.nest.loops[d].var}"
             lines.append(
-                f"{IND * depth}for (long {var} = {lo}; {var} <= {hi}; "
-                f"{var}++) {{"
+                f"{IND * level}for (long {var} = b[{2 * d}]; "
+                f"{var} <= b[{2 * d + 1}]; {var}++) {{"
             )
-            depth += 1
-        return lines, depth
+        lines.extend(f"{IND * (depth + len(dims))}{line}" for line in inner)
+        for level in range(depth + len(dims) - 1, depth - 1, -1):
+            lines.append(f"{IND * level}}}")
+        return lines
 
-    def stmt_lines(self, stmt, depth: int) -> tuple[list[str], int]:
-        """C lines executing ``stmt`` over the vector sub-box at
-        ``depth``; returns (lines, scratch doubles needed)."""
+    def _store_order(self, stmt) -> list[int]:
+        """Vector dims ordered by where their variable sits in the
+        target's subscripts, last subscript innermost."""
+        def position(d: int) -> int:
+            var = self.nest.loops[d].var
+            return max((pos for pos, sub in enumerate(stmt.target.subscripts)
+                        if sub.coeff(var)), default=-1)
+
+        return sorted(self.vdims, key=lambda d: (position(d), d))
+
+    def stmt_lines(self, stmt, buffered: bool) -> list[str]:
+        """C lines (unindented) executing ``stmt`` over the vector
+        sub-box."""
         store = f"a_{stmt.target.array}[{self.addr_c(stmt.target)}]"
         rhs = self.expr_c(stmt.rhs)
-        vbox_volume = 1
-        for d in self.vdims:
-            lo, hi = self.box[d]
-            vbox_volume *= max(0, hi - lo + 1)
-        if not self.stmt_needs_buffer(stmt):
-            lines, inner = self._vloops(depth)
-            lines.append(f"{IND * inner}{store} = {rhs};")
-            for level in range(inner - 1, depth - 1, -1):
-                lines.append(f"{IND * level}}}")
-            return lines, 0
+        if not buffered:
+            return self._loops(self._store_order(stmt), 0,
+                               [f"{store} = {rhs};"])
         # Buffered store: evaluate the whole RHS first (numpy semantics),
         # then copy it into place in the same traversal order.
-        lines = [f"{IND * depth}{{ long _k = 0;"]
-        loops, inner = self._vloops(depth + 1)
-        lines.extend(loops)
-        lines.append(f"{IND * inner}_buf[_k++] = {rhs};")
-        for level in range(inner - 1, depth, -1):
-            lines.append(f"{IND * level}}}")
-        lines.append(f"{IND * (depth + 1)}_k = 0;")
-        loops, inner = self._vloops(depth + 1)
-        lines.extend(loops)
-        lines.append(f"{IND * inner}{store} = _buf[_k++];")
-        for level in range(inner - 1, depth, -1):
-            lines.append(f"{IND * level}}}")
-        lines.append(f"{IND * depth}}}")
-        return lines, vbox_volume
+        fill = self._loops(self.vdims, 1, [f"_buf[_k++] = {rhs};"])
+        drain = self._loops(self.vdims, 1, [f"{store} = _buf[_k++];"])
+        return ["{ long _k = 0;", *fill, f"{IND}_k = 0;", *drain, "}"]
 
-
-def emit_box_c(nest: LoopNest, box, params, layout: _ArrayLayout,
-               vdims: Optional[tuple[int, ...]] = None
-               ) -> tuple[list[str], int]:
-    """C lines executing every iteration of ``nest`` inside ``box``.
-
-    Returns (lines, scratch doubles needed).  Empty boxes produce no
-    code, like :func:`emitpy.emit_box`.
-    """
-    if any(hi < lo for lo, hi in box):
-        return [], 0
-    if vdims is None:
-        from ..runtime.fastexec import vector_dims
-
-        vdims = vector_dims(nest)
-    sdims = [d for d in range(nest.depth) if d not in vdims]
-    ctx = _CBoxCtx(nest, box, vdims, params, layout)
-    out: list[str] = ["{"]
-    depth = 1
-    for d in sdims:
-        lo, hi = box[d]
-        var = f"v_{nest.loops[d].var}"
-        out.append(
-            f"{IND * depth}for (long {var} = {lo}; {var} <= {hi}; {var}++) {{"
-        )
-        depth += 1
-    scratch = 0
-    for stmt in nest.body:
-        lines, need = ctx.stmt_lines(stmt, depth)
-        out.extend(lines)
-        scratch = max(scratch, need)
-    for level in range(depth - 1, 0, -1):
-        out.append(f"{IND * level}}}")
-    out.append("}")
-    return out, scratch
+    def body_lines(self, name: str, verdict: tuple[bool, ...]) -> list[str]:
+        """The function executing every iteration of the nest inside the
+        box ``b`` (``lo, hi`` per dimension), with the statements
+        ``verdict`` marks stored through a scratch buffer sized from ``b``.
+        Returns 0, or 1 when the scratch allocation failed."""
+        nest = self.nest
+        out = [f"static int {name}(double **A, const long *D, "
+               f"const long *b) {{"]
+        out.extend(_stride_lines(nest.arrays(), self.layout))
+        if any(verdict):
+            volume = " * ".join(
+                f"(b[{2 * d + 1}] - b[{2 * d}] + 1)" for d in self.vdims
+            ) or "1"
+            out.append(f"{IND}double *_buf = (double *)malloc({volume} * "
+                       f"sizeof(double));")
+            out.append(f"{IND}if (!_buf) return 1;")
+        sdims = [d for d in range(nest.depth) if d not in self.vdims]
+        inner: list[str] = []
+        for stmt, buffered in zip(nest.body, verdict):
+            inner.extend(self.stmt_lines(stmt, buffered))
+        out.extend(self._loops(sdims, 1, inner))
+        if any(verdict):
+            out.append(f"{IND}free(_buf);")
+        return out + [f"{IND}return 0;", "}"]
 
 
 # ---------------------------------------------------------------------------
@@ -480,72 +496,83 @@ def _stride_lines(arrays: set[str], layout: _ArrayLayout) -> list[str]:
     return lines
 
 
-def _phase_function_c(name: str, chunks, params, nest_vdims,
-                      layout: _ArrayLayout) -> tuple[list[str], int]:
-    """One processor-phase function from (nest_idx, nest, box) chunks.
-
-    Returns (lines, iteration count).  Phase functions return 0 on
-    success, nonzero on scratch-allocation failure.
-    """
-    body: list[str] = []
-    count = 0
-    arrays: set[str] = set()
-    scratch = 0
-    for nest_idx, nest, box in chunks:
-        lines, need = emit_box_c(nest, box, params, layout,
-                                 vdims=nest_vdims[nest_idx])
-        if not lines:
-            continue
-        count += _box_volume(box)
-        scratch = max(scratch, need)
-        arrays |= nest.arrays()
-        body.append(f"{IND}/* nest {nest_idx} box={box} */")
-        body.extend(f"{IND}{line}" for line in lines)
-    out = [f"static int {name}(double **A, const long *D) {{"]
-    if body:
-        out.append(f"{IND}(void)A; (void)D;")
-        out.extend(_stride_lines(arrays, layout))
-        if scratch:
-            out.append(
-                f"{IND}double *_buf = (double *)malloc({scratch} * "
-                f"sizeof(double));"
-            )
-            out.append(f"{IND}if (!_buf) return 1;")
-        out.extend(body)
-        if scratch:
-            out.append(f"{IND}free(_buf);")
-    else:
-        out.append(f"{IND}(void)A; (void)D;")
-    out.append(f"{IND}return 0;")
-    out.append("}")
-    return out, count
-
-
 def _long_array(name: str, values: Sequence[int]) -> str:
     vals = ", ".join(str(v) for v in values) if values else "0"
     return f"const long {name}[] = {{{vals}}};"
+
+
+def _table_lines(name: str, per_proc: Sequence[Sequence[Sequence[int]]]
+                 ) -> list[str]:
+    """One phase's schedule: ``<name>_ROWS`` (row = body index, then
+    ``lo, hi`` per dimension) and ``<name>_OFF`` (processor ``p`` owns
+    rows ``OFF[p] .. OFF[p+1]``)."""
+    lines = [f"static const long {name}_ROWS[] = {{"]
+    offsets = [0]
+    for p, rows in enumerate(per_proc):
+        lines.append(f"/* proc {p} */")
+        lines.extend(f"{','.join(map(str, row))}," for row in rows)
+        offsets.append(offsets[-1] + len(rows))
+    lines.append("0};")
+    lines.append("static " + _long_array(f"{name}_OFF", offsets))
+    return lines
 
 
 def emit_plan_c_source(exec_plan: ExecutionPlan,
                        strip: Optional[int] = None) -> str:
     """Render ``exec_plan`` as a self-contained C translation unit.
 
-    Same module shape as :func:`emitpy.emit_plan_source`: per-processor
-    fused functions, a barrier comment, per-processor peeled functions,
-    then the exported metadata and the two entry points the worker pool
-    (and the serial ``run`` wrapper) call.
+    Same schedule as :func:`emitpy.emit_plan_source` — per processor the
+    fused boxes (``strip`` tiles in the interpreter's order), a barrier,
+    the peeled rectangles — but held as two row tables; the code is one
+    body per (nest, hazard verdict), the exported metadata and the entry
+    points the worker pool (``run_fused``/``run_peeled``) and the serial
+    ``run`` wrapper (``run_plan``) call.
     """
-    from ..core.syncdeps import peel_predecessors
     from ..runtime.fastexec import _sorted_rects, vector_dims
     from ..runtime.parallel import fused_tile_boxes
 
     plan = exec_plan.plan
     nests = list(plan.seq)
-    params = exec_plan.params
-    nest_vdims = [vector_dims(nest) for nest in nests]
     layout = _array_layout(nests)
+    ctxs = [_NestCtx(nest, vector_dims(nest), exec_plan.params, layout)
+            for nest in nests]
     signature = exec_plan.signature(strip=strip)
     nprocs = len(exec_plan.processors)
+    width = 1 + 2 * max(nest.depth for nest in nests)
+    bodies: dict[tuple[int, tuple[bool, ...]], int] = {}
+
+    def phase(chunks) -> tuple[list[list[int]], int]:
+        """Table rows and iteration count of (nest_idx, box) chunks."""
+        rows, count = [], 0
+        for k, box in chunks:
+            volume = _box_volume(box)
+            if not volume:
+                continue
+            key = (k, ctxs[k].verdict(box))
+            row = [bodies.setdefault(key, len(bodies))]
+            for bounds in box:
+                row.extend(bounds)
+            row.extend([0] * (width - len(row)))
+            rows.append(row)
+            count += volume
+        return rows, count
+
+    fused, peeled = [], []
+    for proc in exec_plan.processors:
+        if strip is None:
+            chunks = [(k, tuple(proc.fused[k])) for k in range(len(nests))]
+        else:
+            chunks = fused_tile_boxes(proc, plan.depth, nests, plan.shift,
+                                      strip)
+        fused.append(phase(chunks))
+        peeled.append(phase((rect.nest_idx, rect.ranges)
+                            for rect in _sorted_rects(proc)))
+
+    offsets = [0]
+    flat: list[int] = []
+    for preds in exec_plan.peel_deps:
+        flat.extend(preds)
+        offsets.append(len(flat))
 
     lines: list[str] = [
         "/* Generated by repro.codegen.emitc — do not edit. */",
@@ -556,77 +583,56 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
         f"const long REPRO_CODEGEN_VERSION = {CODEGEN_VERSION};",
         f"const long REPRO_NPROCS = {nprocs};",
         f'const char *REPRO_ARRAYS = "{layout.spec_string()}";',
+        _long_array("REPRO_FUSED_COUNTS", [count for _, count in fused]),
+        _long_array("REPRO_PEELED_COUNTS", [count for _, count in peeled]),
+        "/* Point-to-point sync map (see emitpy PEEL_DEPS): the",
+        "   predecessors of processor p occupy",
+        "   REPRO_PEEL_DEPS[REPRO_PEEL_DEPS_OFF[p] ..",
+        "   REPRO_PEEL_DEPS_OFF[p+1]). */",
+        _long_array("REPRO_PEEL_DEPS_OFF", offsets),
+        _long_array("REPRO_PEEL_DEPS", flat),
         "",
     ]
-    fused_names: list[str] = []
-    peeled_names: list[str] = []
-    fused_counts: list[int] = []
-    peeled_counts: list[int] = []
-    for p, proc in enumerate(exec_plan.processors):
-        if strip is None:
-            chunks = [(k, nests[k], tuple(proc.fused[k]))
-                      for k in range(len(nests))]
-        else:
-            chunks = [(k, nests[k], box)
-                      for k, box in fused_tile_boxes(proc, plan.depth, nests,
-                                                     plan.shift, strip)]
-        name = f"_fused_p{p}"
-        src, count = _phase_function_c(name, chunks, params, nest_vdims,
-                                       layout)
-        lines.extend(src)
+    names = []
+    for k, verdict in bodies:
+        mask = sum(1 << s for s, buffered in enumerate(verdict) if buffered)
+        names.append(f"nest_{k}_{mask}")
+        lines.append(f"/* nest {k} ({nests[k].name}), buffered statements: "
+                     f"{[s for s, v in enumerate(verdict) if v] or 'none'} */")
+        lines.extend(ctxs[k].body_lines(names[-1], verdict))
         lines.append("")
-        fused_names.append(name)
-        fused_counts.append(count)
-
-        rect_chunks = [(rect.nest_idx, nests[rect.nest_idx], rect.ranges)
-                       for rect in _sorted_rects(proc)]
-        name = f"_peeled_p{p}"
-        src, count = _phase_function_c(name, rect_chunks, params, nest_vdims,
-                                       layout)
-        lines.extend(src)
-        lines.append("")
-        peeled_names.append(name)
-        peeled_counts.append(count)
-
-    deps = peel_predecessors(exec_plan)
-    offsets = [0]
-    flat: list[int] = []
-    for preds in deps:
-        flat.extend(preds)
-        offsets.append(len(flat))
-
-    lines.append(_long_array("REPRO_FUSED_COUNTS", fused_counts))
-    lines.append(_long_array("REPRO_PEELED_COUNTS", peeled_counts))
-    lines.append("/* Point-to-point sync map (see emitpy PEEL_DEPS): the")
-    lines.append("   predecessors of processor p occupy")
-    lines.append("   REPRO_PEEL_DEPS[REPRO_PEEL_DEPS_OFF[p] ..")
-    lines.append("   REPRO_PEEL_DEPS_OFF[p+1]). */")
-    lines.append(_long_array("REPRO_PEEL_DEPS_OFF", offsets))
-    lines.append(_long_array("REPRO_PEEL_DEPS", flat))
+    lines.append("static int (*const BODIES[])(double **, const long *, "
+                 f"const long *) = {{{', '.join(names) or '0'}}};")
     lines.append("")
-    dispatch = ", ".join(fused_names)
-    lines.append(f"static int (*const _FUSED_FNS[])(double **, const long *) "
-                 f"= {{{dispatch}}};")
-    dispatch = ", ".join(peeled_names)
-    lines.append(f"static int (*const _PEELED_FNS[])(double **, const long *)"
-                 f" = {{{dispatch}}};")
-    lines.append("")
-    lines.append("long run_fused(long proc, double **arrays, "
-                 "const long *dims) {")
-    lines.append(f"{IND}if (proc < 0 || proc >= REPRO_NPROCS) return -1;")
-    lines.append(f"{IND}if (_FUSED_FNS[proc](arrays, dims)) return -1;")
-    lines.append(f"{IND}return REPRO_FUSED_COUNTS[proc];")
-    lines.append("}")
-    lines.append("")
-    lines.append("/* ---- barrier (Sec. 3.4) ---- */")
-    lines.append("")
-    lines.append("long run_peeled(long proc, double **arrays, "
-                 "const long *dims) {")
-    lines.append(f"{IND}if (proc < 0 || proc >= REPRO_NPROCS) return -1;")
-    lines.append(f"{IND}if (_PEELED_FNS[proc](arrays, dims)) return -1;")
-    lines.append(f"{IND}return REPRO_PEELED_COUNTS[proc];")
-    lines.append("}")
-    lines.append("")
+    lines.extend(_table_lines("FUSED", [rows for rows, _ in fused]))
+    lines.extend(_table_lines("PEELED", [rows for rows, _ in peeled]))
+    lines.append(f"""
+static int walk(const long *rows, long row, long end, double **A,
+                const long *D) {{
+    for (; row < end; row++) {{
+        const long *r = rows + row * {width};
+        if (BODIES[r[0]](A, D, r + 1)) return 1;
+    }}
+    return 0;
+}}""")
+    for entry, table in (("fused", "FUSED"), ("peeled", "PEELED")):
+        lines.append(f"""
+long run_{entry}(long proc, double **arrays, const long *dims) {{
+    if (proc < 0 || proc >= REPRO_NPROCS) return -1;
+    if (walk({table}_ROWS, {table}_OFF[proc], {table}_OFF[proc + 1], arrays,
+             dims))
+        return -1;
+    return REPRO_{table}_COUNTS[proc];
+}}""")
+    lines.append("""
+/* Serial schedule: every fused row, the barrier point (Sec. 3.4), then
+   every peeled row. */
+long run_plan(double **arrays, const long *dims) {
+    return walk(FUSED_ROWS, 0, FUSED_OFF[REPRO_NPROCS], arrays, dims)
+        || walk(PEELED_ROWS, 0, PEELED_OFF[REPRO_NPROCS], arrays, dims)
+        ? -1 : 0;
+}
+""")
     return "\n".join(lines)
 
 
@@ -642,8 +648,8 @@ class CJitModule:
     ``run``/``run_fused``/``run_peeled`` take the same arguments as the
     Python :class:`~repro.codegen.emitpy.JitModule` entry points (the
     pool calls them interchangeably); pointers and concrete shapes are
-    marshalled from the arrays dict on each call and memoized while the
-    arrays stay put.
+    marshalled from the arrays dict once per call — so once per ``run``
+    — and memoized while the arrays stay put.
     """
 
     signature: str
@@ -659,19 +665,14 @@ class CJitModule:
     _args_cache: tuple = field(default=None, repr=False)
 
     def _marshal(self, arrays: MutableMapping[str, np.ndarray]):
-        key = tuple(
-            (name, arrays[name].ctypes.data, arrays[name].shape)
-            for name, _ in self.array_spec
-        )
+        try:
+            arrs = [arrays[name] for name, _ in self.array_spec]
+        except KeyError as exc:
+            raise CJitError(f"missing array {exc.args[0]!r}") from None
+        key = [(arr.ctypes.data, arr.shape) for arr in arrs]
         if self._args_cache is not None and self._args_cache[0] == key:
-            return self._args_cache[1], self._args_cache[2]
-        ptrs = (ctypes.POINTER(ctypes.c_double) * len(self.array_spec))()
-        dims: list[int] = []
-        for k, (name, ndim) in enumerate(self.array_spec):
-            try:
-                arr = arrays[name]
-            except KeyError:
-                raise CJitError(f"missing array {name!r}") from None
+            return self._args_cache[1:]
+        for arr, (name, ndim) in zip(arrs, self.array_spec):
             if arr.dtype != np.float64 or not arr.flags.c_contiguous:
                 raise CJitError(
                     f"array {name!r} must be C-contiguous float64 for the "
@@ -681,41 +682,33 @@ class CJitModule:
                 raise CJitError(
                     f"array {name!r} has rank {arr.ndim}, plan expects {ndim}"
                 )
-            ptrs[k] = arr.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-            dims.extend(int(d) for d in arr.shape)
+        ptrs = (ctypes.c_void_p * len(key))(*(addr for addr, _ in key))
+        dims = [d for _, shape in key for d in shape]
         dims_arr = (ctypes.c_long * max(1, len(dims)))(*dims)
         self._args_cache = (key, ptrs, dims_arr)
         return ptrs, dims_arr
 
     def run_fused(self, proc: int,
                   arrays: MutableMapping[str, np.ndarray]) -> int:
-        ptrs, dims = self._marshal(arrays)
-        count = self._lib.run_fused(proc, ptrs, dims)
+        count = self._lib.run_fused(proc, *self._marshal(arrays))
         if count < 0:
             raise CJitError(f"native run_fused({proc}) failed")
         return count
 
     def run_peeled(self, proc: int,
                    arrays: MutableMapping[str, np.ndarray]) -> int:
-        ptrs, dims = self._marshal(arrays)
-        count = self._lib.run_peeled(proc, ptrs, dims)
+        count = self._lib.run_peeled(proc, *self._marshal(arrays))
         if count < 0:
             raise CJitError(f"native run_peeled({proc}) failed")
         return count
 
     def run(self, arrays: MutableMapping[str, np.ndarray]) -> dict:
-        fused = 0
-        for proc in range(self.nprocs):
-            fused += self.run_fused(proc, arrays)
-        # ---- barrier (Sec. 3.4) ----
-        peeled = 0
-        for proc in range(self.nprocs):
-            peeled += self.run_peeled(proc, arrays)
-        return {"fused_iterations": fused, "peeled_iterations": peeled}
-
-
-def _read_long(lib, name: str) -> int:
-    return int(ctypes.c_long.in_dll(lib, name).value)
+        """The whole serial schedule in one native call: the arrays are
+        marshalled once, ``run_plan`` walks both tables."""
+        if self._lib.run_plan(*self._marshal(arrays)) < 0:
+            raise CJitError("native run_plan failed")
+        return {"fused_iterations": sum(self.fused_counts),
+                "peeled_iterations": sum(self.peeled_counts)}
 
 
 def _read_longs(lib, name: str, count: int) -> tuple[int, ...]:
@@ -728,7 +721,9 @@ def load_native(path, expected_signature: Optional[str] = None,
 
     Raises :class:`CJitCompileError` for anything suspect — unloadable
     file, missing symbols, stale codegen version or signature mismatch —
-    so callers can quarantine the entry and recompile.
+    so callers can quarantine the entry and recompile.  A rejected object
+    is unmapped again: glibc dedupes ``dlopen`` by pathname, so a stale
+    mapping left open would shadow the object recompiled to that path.
     """
     path = Path(path)
     try:
@@ -736,10 +731,24 @@ def load_native(path, expected_signature: Optional[str] = None,
     except OSError as exc:
         raise CJitCompileError(f"cannot load {path.name}: {exc}") from exc
     try:
+        return _validated_module(lib, path, expected_signature, source)
+    except CJitCompileError:
+        _ctypes.dlclose(lib._handle)
+        raise
+
+
+def _validated_module(lib, path: Path, expected_signature: Optional[str],
+                      source: str) -> CJitModule:
+    try:
         signature = ctypes.c_char_p.in_dll(lib, "REPRO_SIGNATURE").value
         signature = signature.decode() if signature else ""
-        version = _read_long(lib, "REPRO_CODEGEN_VERSION")
-        nprocs = _read_long(lib, "REPRO_NPROCS")
+        version, = _read_longs(lib, "REPRO_CODEGEN_VERSION", 1)
+        if version != CODEGEN_VERSION:
+            raise CJitCompileError(
+                f"stale native module: codegen v{version}, expected "
+                f"v{CODEGEN_VERSION}"
+            )
+        nprocs, = _read_longs(lib, "REPRO_NPROCS", 1)
         spec_raw = ctypes.c_char_p.in_dll(lib, "REPRO_ARRAYS").value
         spec_raw = spec_raw.decode() if spec_raw else ""
         if nprocs <= 0:
@@ -749,35 +758,29 @@ def load_native(path, expected_signature: Optional[str] = None,
         offsets = _read_longs(lib, "REPRO_PEEL_DEPS_OFF", nprocs + 1)
         flat = _read_longs(lib, "REPRO_PEEL_DEPS", max(1, offsets[-1]))
         lib.run_fused.argtypes = [
-            ctypes.c_long, ctypes.POINTER(ctypes.POINTER(ctypes.c_double)),
+            ctypes.c_long, ctypes.POINTER(ctypes.c_void_p),
             ctypes.POINTER(ctypes.c_long),
         ]
         lib.run_fused.restype = ctypes.c_long
         lib.run_peeled.argtypes = lib.run_fused.argtypes
         lib.run_peeled.restype = ctypes.c_long
-    except CJitCompileError:
-        raise
+        lib.run_plan.argtypes = lib.run_fused.argtypes[1:]
+        lib.run_plan.restype = ctypes.c_long
     except (ValueError, AttributeError) as exc:
         raise CJitCompileError(
             f"{path.name} lacks the native entry points/metadata "
             f"(produced by an older codegen?): {exc}"
         ) from exc
-    if version != CODEGEN_VERSION:
-        raise CJitCompileError(
-            f"stale native module: codegen v{version}, expected "
-            f"v{CODEGEN_VERSION}"
-        )
     if expected_signature is not None and signature != expected_signature:
         raise CJitCompileError(
             f"stale native module: signature {signature[:12]}... does not "
             f"match expected {expected_signature[:12]}..."
         )
-    array_spec = []
     try:
-        if spec_raw:
-            for item in spec_raw.split(","):
-                name, ndim = item.split(":")
-                array_spec.append((name, int(ndim)))
+        array_spec = tuple(
+            (name, int(ndim)) for name, ndim in
+            (item.split(":") for item in spec_raw.split(",") if item)
+        )
     except ValueError as exc:
         raise CJitCompileError(
             f"{path.name}: bad REPRO_ARRAYS {spec_raw!r}"
@@ -788,8 +791,7 @@ def load_native(path, expected_signature: Optional[str] = None,
     return CJitModule(
         signature=signature, source=source, path=str(path), nprocs=nprocs,
         peel_deps=peel_deps, fused_counts=fused_counts,
-        peeled_counts=peeled_counts, array_spec=tuple(array_spec),
-        _lib=lib,
+        peeled_counts=peeled_counts, array_spec=array_spec, _lib=lib,
     )
 
 
@@ -800,12 +802,9 @@ def compile_c(source: str, so_path, compiler: Optional[str] = None,
     ``c_path`` optionally persists the intermediate ``.c`` next to the
     object for post-mortem reading; otherwise a scratch file is used.
     """
+    compiler = compiler or find_compiler()
     if compiler is None:
-        compiler = find_compiler()
-    if compiler is None:
-        raise NativeUnavailable(
-            "no C compiler found (set $REPRO_CC or install cc)"
-        )
+        raise NativeUnavailable(_NO_COMPILER)
     so_path = Path(so_path)
     so_path.parent.mkdir(parents=True, exist_ok=True)
     scratch = None
@@ -825,26 +824,24 @@ def compile_c(source: str, so_path, compiler: Optional[str] = None,
     tmp_so = so_path.with_suffix(f".sotmp{os.getpid()}")
     cmd = [compiler, *CFLAGS, "-o", str(tmp_so), str(c_path)]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=COMPILE_TIMEOUT)
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise CJitCompileError(f"{compiler} failed to run: {exc}") from exc
-    finally:
-        if scratch is not None:
-            try:
-                os.unlink(scratch.name)
-            except OSError:
-                pass
-    if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip()[-500:]
         try:
-            tmp_so.unlink()
-        except OSError:
-            pass
-        raise CJitCompileError(
-            f"{compiler} exited {proc.returncode}: {tail}"
-        )
-    os.replace(tmp_so, so_path)
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  timeout=COMPILE_TIMEOUT)
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise CJitCompileError(
+                f"{compiler} failed to run: {exc}") from exc
+        if proc.returncode != 0:
+            tail = (proc.stderr or proc.stdout or "").strip()[-500:]
+            raise CJitCompileError(
+                f"{compiler} exited {proc.returncode}: {tail}"
+            )
+        os.replace(tmp_so, so_path)
+    finally:
+        # on every failure path (timeout, unrunnable compiler, nonzero
+        # exit) the half-written object goes; the scratch source always
+        tmp_so.unlink(missing_ok=True)
+        if scratch is not None:
+            c_path.unlink(missing_ok=True)
     return so_path
 
 
@@ -857,12 +854,9 @@ def compile_plan_native(exec_plan: ExecutionPlan,
     :class:`CJitCompileError` when compilation fails — the ``cjit``
     backend converts both into a counted fallback to ``jit``.
     """
+    compiler = compiler or find_compiler()
     if compiler is None:
-        compiler = find_compiler()
-    if compiler is None:
-        raise NativeUnavailable(
-            "no C compiler found (set $REPRO_CC or install cc)"
-        )
+        raise NativeUnavailable(_NO_COMPILER)
     signature = exec_plan.signature(strip=strip)
     source = emit_plan_c_source(exec_plan, strip=strip)
     with tempfile.TemporaryDirectory(prefix="repro-cjit-") as workdir:

@@ -45,7 +45,10 @@ from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 #: signature's on-disk directory name so stale cache trees are never read.
 #: v3: modules additionally carry ``PEEL_DEPS`` — the per-processor
 #: point-to-point predecessor map consumed by the mpjit pool.
-CODEGEN_VERSION = 3
+#: v4: native objects are table-driven (one body per nest, schedule tables,
+#: a ``run_plan`` entry); the numpy modules are unchanged but share the
+#: version directory, so v3 objects are never loaded as v4.
+CODEGEN_VERSION = 4
 
 IND = "    "
 
@@ -409,14 +412,12 @@ def emit_plan_source(exec_plan: ExecutionPlan,
         peeled_names.append(name)
         peeled_counts.append(count)
 
-    from ..core.syncdeps import peel_predecessors
-
     lines.append(f"NPROCS = {len(exec_plan.processors)}")
     lines.append("# Point-to-point sync map: PEEL_DEPS[p] lists the")
     lines.append("# processors whose fused phase must complete before")
     lines.append("# processor p's peeled phase may start (flow, anti and")
     lines.append("# output dependences across the barrier point).")
-    lines.append(f"PEEL_DEPS = {peel_predecessors(exec_plan)!r}")
+    lines.append(f"PEEL_DEPS = {exec_plan.peel_deps!r}")
     lines.append(f"FUSED_COUNTS = {tuple(fused_counts)!r}")
     lines.append(f"PEELED_COUNTS = {tuple(peeled_counts)!r}")
     lines.append(f"FUSED_ITERATIONS = {sum(fused_counts)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .derive import ShiftPeelPlan
@@ -105,6 +106,15 @@ class ExecutionPlan:
             for p in self.processors
             for k in range(self.plan.num_nests)
         )
+
+    @cached_property
+    def peel_deps(self) -> tuple[tuple[int, ...], ...]:
+        """:func:`~repro.core.syncdeps.peel_predecessors` of this plan,
+        computed once: both emitters embed it in every module they render
+        (the plan is frozen, so the answer cannot change)."""
+        from .syncdeps import peel_predecessors
+
+        return peel_predecessors(self)
 
     def signature(self, strip: Optional[int] = None) -> str:
         """Structural sha256 of everything execution depends on.

@@ -34,9 +34,10 @@ extra waiting, never to a race.  For the paper's uniform-dependence
 kernels the footprints are exact and the predecessor sets collapse to
 the geometric neighbors.
 
-The map is consumed twice: :mod:`repro.codegen.emitpy` embeds it in
+Consumers read it through the memoised ``ExecutionPlan.peel_deps``
+(:func:`peel_predecessors` itself stays pure): both emitters embed it in
 generated modules as ``PEEL_DEPS`` (the ``mpjit`` pool reads it there),
-and :func:`repro.runtime.fastexec.run_mp` computes it directly.
+and :func:`repro.runtime.fastexec.run_mp` waits on it directly.
 """
 
 from __future__ import annotations

@@ -743,9 +743,7 @@ def run_mp(
     try:
         segments, specs = export_arrays(arrays)
         if sync == "p2p":
-            from ..core.syncdeps import peel_predecessors
-
-            deps = peel_predecessors(exec_plan)
+            deps = exec_plan.peel_deps
             sync_obj = P2PSync([ctx.Event() for _ in range(nprocs)],
                                ctx.Event())
         else:

@@ -119,6 +119,38 @@ def jacobi_sequence():
     return jacobi.program().sequences[0]
 
 
+def kernel_plans(kernel, n, procs):
+    """``(program, params, plans)``: one execution plan per sequence of
+    ``kernel`` at size ``n`` on up to ``procs`` processors.
+
+    The processor count is clamped to the Theorem-1 maximum; a sequence
+    whose plan is illegal even on one processor at this size is left
+    out (other sequences still run)."""
+    from repro.core import (
+        FusionLegalityError,
+        build_execution_plan,
+        derive_shift_peel,
+        max_processors,
+    )
+    from repro.kernels import get_kernel
+
+    program = get_kernel(kernel).program()
+    params = {p: n for p in program.params}
+    if "p" in params:
+        params["p"] = 4
+    plans = []
+    for seq in program.sequences:
+        plan = derive_shift_peel(seq, tuple(program.params), seq.fusable_depth())
+        legal = max_processors(plan, params)[0]
+        for nprocs in (min(procs, legal), 1):
+            try:
+                plans.append(build_execution_plan(plan, params, num_procs=nprocs))
+                break
+            except FusionLegalityError:
+                continue
+    return program, params, plans
+
+
 def alloc_1d(names, size, seed=0):
     rng = np.random.default_rng(seed)
     return {name: rng.random(size) + 0.5 for name in names}

@@ -20,14 +20,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import copy_arrays
+from conftest import copy_arrays, kernel_plans
 
-from repro.core import (
-    FusionLegalityError,
-    build_execution_plan,
-    derive_shift_peel,
-    max_processors,
-)
+from repro.core import build_execution_plan, derive_shift_peel
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.kernels import all_kernels, get_kernel
 from repro.runtime import (
@@ -47,30 +42,14 @@ KERNEL_NAMES = sorted(info.name for info in all_kernels())
 
 def _setup(kernel, n, procs):
     """Build per-sequence execution plans and seeded arrays for a kernel."""
-    info = get_kernel(kernel)
-    program = info.program()
-    params = {p: n for p in program.params}
-    if "p" in params:
-        params["p"] = 4
+    program, params, plans = kernel_plans(kernel, n, procs)
+    if not plans:
+        pytest.skip(f"{kernel}: no sequence legal at n={n}")
     rng = np.random.default_rng(3)
     base = {
         d.name: rng.random(d.concrete_shape(params)) + 1.0
         for d in program.arrays
     }
-    plans = []
-    for seq in program.sequences:
-        plan = derive_shift_peel(seq, tuple(program.params), seq.fusable_depth())
-        legal = max_processors(plan, params)[0]
-        for nprocs in (min(procs, legal), 1):
-            try:
-                plans.append(build_execution_plan(plan, params, num_procs=nprocs))
-                break
-            except FusionLegalityError:
-                continue
-        # A sequence whose plan is illegal even on one processor at this
-        # problem size (Theorem 1) is skipped; other sequences still run.
-    if not plans:
-        pytest.skip(f"{kernel}: no sequence legal at n={n}")
     return base, plans
 
 
@@ -109,6 +88,23 @@ class TestAllKernelsAllBackends:
                                       **extra)
                 _assert_identical(ref, got, (backend, kernel, n, procs, strip))
                 assert counts == ref_counts, (backend, kernel, n, procs, strip)
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("procs", [1, 2, 3, 4, 6])
+    def test_cjit_matches_interp_every_grid_and_strip(self, kernel, procs):
+        """The native tier's schedule is data: the same compiled bodies
+        must serve every processor count and every strip (whole boxes,
+        4-wide tiles, single-iteration tiles) with the interpreter's
+        bits and counts."""
+        # filter's ten nests are not legal to fuse below n=21 (Theorem 1)
+        base, plans = _setup(kernel, 21 if kernel == "filter" else 13, procs)
+        ref = copy_arrays(base)
+        ref_counts = _run_backend(plans, ref, "interp")
+        for strip in (None, 1, 4):
+            got = copy_arrays(base)
+            counts = _run_backend(plans, got, "cjit", strip=strip)
+            _assert_identical(ref, got, (kernel, procs, strip))
+            assert counts == ref_counts, (kernel, procs, strip)
 
     @pytest.mark.parametrize("kernel", ["jacobi", "ll18"])
     def test_mp_matches_interp(self, kernel):

@@ -8,16 +8,23 @@ signature+fingerprint ``.so`` cache levels, the pool worker's
 native-before-source resolution, the jit fallback when no compiler
 exists (checksums must not move, the counter must), and the quarantine
 coupling: a corrupt ``.py`` source takes its ``.so``/``.c`` siblings
-with it, and a corrupt ``.so`` is never re-dlopened.
+with it, and a corrupt ``.so`` is never re-dlopened — and the shape of
+the translation unit itself: one body per (nest, hazard verdict), the
+schedule in tables, so neither processors nor strips grow the code.
 """
+
+import os
+import stat
+import time
 
 import numpy as np
 import pytest
 
-from conftest import copy_arrays
+from conftest import copy_arrays, kernel_plans
 
 from repro.codegen import emitc
 from repro.core import build_execution_plan, derive_shift_peel
+from repro.core.execplan import PeeledRect
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.runtime.backend import checksum, get_backend
 from repro.runtime.plancache import PlanCache, default_cache
@@ -101,6 +108,163 @@ class TestNativeModule:
             native.run_fused(native.nprocs + 3, _arrays())
 
 
+def _parity_nest_plan():
+    """One processor running ``a[2i] = a[2i+1] + b[i]`` over a 3-iteration
+    fused box and a 1-iteration peeled rectangle.
+
+    The statement reads the array it writes; only the GCD test proves the
+    iterations independent.  The emitter's interval analysis cannot, so a
+    multi-iteration box stores through the scratch buffer — but a single
+    iteration is trivially disjoint from itself and stores directly: one
+    nest, two hazard verdicts in one plan."""
+    import dataclasses
+
+    i, n = Affine.var("i"), Affine.var("n")
+    seq = LoopSequence(
+        (
+            LoopNest((Loop.make("i", 1, n - 1),),
+                     (assign("a", 2 * i, load("a", 2 * i + 1) + load("b", i)),),
+                     name="L1"),
+            LoopNest((Loop.make("i", 1, n - 1),),
+                     (assign("c", i, load("a", 2 * i) + load("a", 2 * i - 2)),),
+                     name="L2"),
+        ),
+        name="parity",
+    )
+    ep = build_execution_plan(derive_shift_peel(seq, ("n",)), {"n": 12},
+                              num_procs=1)
+    proc = dataclasses.replace(
+        ep.processors[0],
+        fused=(((1, 3),), ((1, 2),)),
+        peeled=(PeeledRect(0, ((4, 4),)), PeeledRect(1, ((3, 4),))),
+    )
+    return dataclasses.replace(ep, processors=(proc,))
+
+
+@needs_cc
+class TestScheduleAsData:
+    """Bodies are code, the schedule is data (ISSUE 16)."""
+
+    @pytest.mark.parametrize("kernel", ["jacobi", "ll18", "calc", "filter"])
+    def test_code_size_independent_of_processor_count(self, kernel):
+        sizes = {}
+        for procs in (2, 8):
+            # n=129: the smallest benchmark-like size at which all four
+            # kernels are legal on 8 processors (filter stops at 5 at n=65)
+            _, _, plans = kernel_plans(kernel, 129, procs)
+            assert [len(ep.processors) for ep in plans] == [procs]
+            source = emitc.emit_plan_c_source(plans[0])
+            sizes[procs] = len(source)
+            # no kernel here has a self-overlapping statement: one verdict
+            # (all direct) per nest, so one body per nest
+            assert source.count("static int nest_") == len(plans[0].plan.seq)
+        assert sizes[8] <= 1.25 * sizes[2], sizes
+
+    def test_strip_tiles_are_rows_not_code(self):
+        """jacobi n=511 at strip=8 is 8192 tiles: a table, the same two
+        bodies, a sub-2-second compile (the per-tile emitter took 46 s at
+        strip=16), and the whole-box run's bits."""
+        _, params, (ep,) = kernel_plans("jacobi", 511, 4)
+        t0 = time.perf_counter()
+        tiled = emitc.compile_plan_native(ep, strip=8)
+        assert time.perf_counter() - t0 < 2.0
+        assert tiled.source.count("static int nest_") == 2
+        whole = emitc.compile_plan_native(ep)
+        rng = np.random.default_rng(7)
+        base = {name: rng.random((512, 512)) + 1.0 for name in "ab"}
+        got, ref = copy_arrays(base), copy_arrays(base)
+        assert tiled.run(got) == whole.run(ref)
+        assert checksum(got) == checksum(ref)
+
+    def test_hazard_verdict_differing_between_boxes_emits_both_bodies(self):
+        ep = _parity_nest_plan()
+        source = emitc.emit_plan_c_source(ep)
+        assert "static int nest_0_1(" in source  # buffered: the 3-wide box
+        assert "static int nest_0_0(" in source  # direct: the 1-wide rect
+        assert source.count("static int nest_") == 3
+        rng = np.random.default_rng(4)
+        base = {"a": rng.random(24) + 0.5, "b": rng.random(12) + 0.5,
+                "c": rng.random(12) + 0.5}
+        ref = copy_arrays(base)
+        ref_counts = get_backend("interp").run(ep, ref)
+        for strip in (None, 1, 2):
+            got = copy_arrays(base)
+            counts = emitc.compile_plan_native(ep, strip=strip).run(got)
+            assert counts == ref_counts
+            assert checksum(got) == checksum(ref), strip
+
+    def test_direct_stores_run_unit_stride(self):
+        """jacobi loops ``j`` outer / ``i`` inner over row-major
+        ``a[i, j]``: the direct stores put ``j`` (the last subscript)
+        innermost."""
+        _, _, (ep,) = kernel_plans("jacobi", 21, 2)
+        body = emitc.emit_plan_c_source(ep).split("static int nest_0_0")[1]
+        assert body.index("long v_i =") < body.index("long v_j =")
+
+    def test_run_marshals_once(self, monkeypatch):
+        native = emitc.compile_plan_native(_plan(procs=3))
+        calls = []
+        marshal = emitc.CJitModule._marshal
+        monkeypatch.setattr(
+            emitc.CJitModule, "_marshal",
+            lambda self, arrays: calls.append(1) or marshal(self, arrays))
+        arrays = _arrays()
+        native.run(arrays)
+        assert len(calls) == 1
+        native.run_fused(0, arrays)  # the pool's entry points still marshal
+        native.run_peeled(0, arrays)
+        assert len(calls) == 3
+
+    def test_peel_predecessors_computed_once_per_plan(self, monkeypatch):
+        from repro.codegen.emitpy import emit_plan_source
+        from repro.core import syncdeps
+
+        calls = []
+        pure = syncdeps.peel_predecessors
+        monkeypatch.setattr(
+            syncdeps, "peel_predecessors",
+            lambda ep: calls.append(1) or pure(ep))
+        ep = _plan(procs=3)
+        py_source = emit_plan_source(ep)
+        emitc.emit_plan_c_source(ep)
+        emitc.emit_plan_c_source(ep, strip=2)
+        assert len(calls) == 1
+        assert repr(pure(ep)) in py_source and ep.peel_deps == pure(ep)
+
+
+@needs_cc
+class TestCompileCleanup:
+    def _stub_compiler(self, tmp_path, body):
+        stub = tmp_path / "stubcc"
+        stub.write_text(f"#!/bin/sh\n{body}\n")
+        stub.chmod(stub.stat().st_mode | stat.S_IXUSR)
+        return str(stub)
+
+    def test_timeout_leaves_no_temporary_object(self, tmp_path, monkeypatch):
+        """A compiler that writes its output and then hangs past
+        ``COMPILE_TIMEOUT`` must not leave ``<sig>.sotmp<pid>`` behind."""
+        monkeypatch.setattr(emitc, "COMPILE_TIMEOUT", 0.2)
+        stub = self._stub_compiler(
+            tmp_path, 'while [ "$1" != "-o" ]; do shift; done\n'
+                      'echo partial > "$2"\nexec sleep 5')
+        out = tmp_path / "objs"
+        with pytest.raises(emitc.CJitCompileError, match="failed to run"):
+            emitc.compile_c("int x;", out / "sig.so", compiler=stub)
+        assert os.listdir(out) == []
+
+    def test_unrunnable_and_failing_compilers_leave_nothing(self, tmp_path):
+        out = tmp_path / "objs"
+        with pytest.raises(emitc.CJitCompileError, match="failed to run"):
+            emitc.compile_c("int x;", out / "sig.so",
+                            compiler=str(tmp_path / "missing-cc"))
+        failing = self._stub_compiler(
+            tmp_path, 'while [ "$1" != "-o" ]; do shift; done\n'
+                      'echo partial > "$2"\necho boom >&2\nexit 3')
+        with pytest.raises(emitc.CJitCompileError, match="exited 3: boom"):
+            emitc.compile_c("int x;", out / "sig.so", compiler=failing)
+        assert os.listdir(out) == []
+
+
 @needs_cc
 class TestNativeCacheLevels:
     def test_miss_then_memory_then_disk_hit(self):
@@ -150,6 +314,29 @@ class TestNativeCacheLevels:
         recompiled, reason = fresh.get_native(ep)
         assert recompiled is not None and reason is None
         assert fresh.stats.native_misses == 1
+
+    def test_v3_object_rejected_as_stale_and_recompiled(self):
+        """An object of the previous codegen (per-processor bodies, no
+        ``run_plan``) sitting at the cache path is never loaded as v4."""
+        cache = default_cache()
+        ep = _plan()
+        sig = ep.signature()
+        so = cache.native_path(sig, emitc.compiler_fingerprint())
+        v4 = f"REPRO_CODEGEN_VERSION = {emitc.CODEGEN_VERSION};"
+        source = emitc.emit_plan_c_source(ep)
+        assert v4 in source
+        emitc.compile_c(source.replace(v4, "REPRO_CODEGEN_VERSION = 3;"), so)
+        with pytest.raises(emitc.CJitCompileError, match="codegen v3"):
+            emitc.load_native(so, expected_signature=sig)
+        module, reason = cache.get_native(ep)
+        assert module is not None and reason is None
+        assert cache.stats.native_quarantined == 1
+        assert cache.stats.native_misses == 1
+        assert (so.parent / (so.name + ".bad")).exists()
+        got, ref = _arrays(), _arrays()
+        module.run(got)
+        cache.get(ep).run(ref)
+        assert checksum(got) == checksum(ref)
 
     def test_py_quarantine_takes_native_siblings(self):
         """Satellite: a corrupt ``.py`` source quarantines its ``.so``
