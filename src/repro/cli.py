@@ -8,7 +8,6 @@ Usage::
     python -m repro simulate KERNEL [--machine ksr2|convex] [--procs ...]
     python -m repro exec KERNEL [--backend interp|vector|mp|jit|mpjit|cjit]
                          [--n N] [--sync p2p|barrier] [--autotune]
-    python -m repro bench [--smoke] [--repeats R] [--run-dir DIR] [--trend]
     python -m repro serve [--port P | --socket PATH] [--max-queue Q]
     python -m repro loadgen [--concurrency N] [--duration S]
     python -m repro experiment NAME        # table1, table2, fig18..fig26
@@ -18,12 +17,11 @@ Usage::
 ``analyze`` prints the dependence summary, the derived shift/peel plan and
 a legality/profitability report; ``simulate`` runs a kernel on a simulated
 machine; ``exec`` really executes a kernel through one of the runtime
-backends and reports wall-clock time plus a checksum; ``bench`` runs the
-whole fastexec suite into an immutable ``results/<run_id>/`` telemetry
-directory; ``serve`` runs the long-lived compile-and-execute daemon
-(one shared plan cache and worker pool for all clients); ``loadgen``
-drives a running daemon and records service latency telemetry;
-``experiment`` regenerates one table/figure.
+backends and reports wall-clock time plus a checksum; ``serve`` runs
+the long-lived compile-and-execute daemon (one shared plan cache and
+worker pool for all clients); ``loadgen`` drives a running daemon and
+reports service latency telemetry; ``experiment`` regenerates one
+table/figure.  The repo's benchmark is ``benchmarks/e2e/run.py``.
 """
 
 from __future__ import annotations
@@ -218,37 +216,6 @@ def cmd_exec(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: run the fastexec suite into an immutable run dir."""
-    import json
-    from pathlib import Path
-
-    from .bench.harness import run_suite
-    from .bench.store import write_run
-
-    if args.trend:
-        from .bench.trend import render_trend
-
-        print(render_trend(Path(args.run_dir), markdown=args.markdown,
-                           last=args.last))
-        return 0
-    deadline = args.deadline_ms / 1000.0 if args.deadline_ms else None
-    payload = run_suite(smoke=args.smoke, repeat=args.repeats,
-                        deadline_seconds=deadline)
-    run_dir = write_run(payload, root=Path(args.run_dir))
-    print(f"run dir: {run_dir}")
-    print(f"  {len(payload['entries'])} entries x {args.repeats} repeats, "
-          f"calibration {payload['calibration_seconds']}s, "
-          f"git {payload.get('git_sha') or 'unknown'}")
-    if args.out:
-        stamped = json.loads((run_dir / "telemetry.json").read_text())
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(stamped, indent=2, sort_keys=True) + "\n")
-        print(f"  also wrote {out}")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve``: the long-lived compile-and-execute daemon."""
     import asyncio
@@ -308,16 +275,14 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     say = print if args.json != "-" else (
         lambda message: print(message, file=sys.stderr))
     try:
-        payload, _run_dir = run_loadgen(
+        payload = run_loadgen(
             kernel=args.kernel, n=args.n, procs=args.procs,
             backend=args.backend, strip=args.strip, sync=args.sync,
             max_workers=args.max_workers,
             host=args.host, port=args.port, socket_path=args.socket,
             concurrency=args.concurrency, duration=args.duration,
             deadline_ms=args.deadline_ms, tenants=args.tenants,
-            chaos=args.chaos,
-            results_root=None if args.no_store else Path(args.run_dir),
-            progress=say,
+            chaos=args.chaos, progress=say,
         )
     except (OSError, RuntimeError) as exc:
         print(f"loadgen failed: {exc}", file=sys.stderr)
@@ -464,31 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the record as JSON")
     p.set_defaults(fn=cmd_exec, autotune=False)
 
-    p = sub.add_parser("bench",
-                       help="run the fastexec benchmark suite into an "
-                            "immutable results/<run_id>/ directory")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny shapes only (the CI configuration)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="samples per config (all are recorded in the "
-                        "telemetry, the gate aggregates medians)")
-    p.add_argument("--run-dir", default="benchmarks/results",
-                   help="results root; each run creates an immutable "
-                        "<run_id>/ inside and appends to trajectory.jsonl")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="also write the flat telemetry JSON (the "
-                        "committed-baseline shape)")
-    p.add_argument("--deadline-ms", type=float, default=None,
-                   help="count repeats slower than this as deadline misses")
-    p.add_argument("--trend", action="store_true",
-                   help="render the recorded trajectory (per-config median "
-                        "and jitter across run ids) instead of benchmarking")
-    p.add_argument("--markdown", action="store_true",
-                   help="with --trend: emit a markdown table")
-    p.add_argument("--last", type=int, default=None, metavar="N",
-                   help="with --trend: only the N most recent runs")
-    p.set_defaults(fn=cmd_bench)
-
     p = sub.add_parser("serve",
                        help="run the compile-and-execute service daemon "
                             "(newline-delimited JSON over TCP or a unix "
@@ -547,10 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "hopeless requests, the report counts misses")
     p.add_argument("--tenants", type=int, default=1,
                    help="spread workers across this many tenant names")
-    p.add_argument("--run-dir", default="benchmarks/results",
-                   help="results root for the immutable service run dir")
-    p.add_argument("--no-store", action="store_true",
-                   help="skip writing the run dir")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="also write the telemetry payload ('-' for "
                         "stdout; progress then goes to stderr)")

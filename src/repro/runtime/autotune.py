@@ -11,9 +11,9 @@ with measured dynamic feedback.  This module closes that loop:
   parallel path only when there is more than one core to win with);
 * :func:`resolve_config` times each candidate on the real kernel (best
   of a few repeats, through the same
-  :func:`~repro.runtime.benchmarking.prepare_kernel` /
-  :func:`~repro.runtime.benchmarking.execute_prepared` path the
-  benchmarks use) and picks the fastest;
+  :func:`~repro.runtime.execute.prepare_kernel` /
+  :func:`~repro.runtime.execute.execute_prepared` path ``repro exec``,
+  ``repro serve`` and the e2e benchmark use) and picks the fastest;
 * the winner is **persisted** next to the jit plan cache
   (``<cache>/v<CODEGEN_VERSION>/autotune/<key>.json``, see
   :attr:`repro.runtime.plancache.PlanCache.tuner_dir`), keyed by the
@@ -22,8 +22,8 @@ with measured dynamic feedback.  This module closes that loop:
   replayed on another;
 * warm runs consult the store first: a hit returns the winner without
   timing anything, and hit/miss/store counters
-  (:class:`TunerStats`) are surfaced through
-  :func:`repro.runtime.benchmarking.measure_kernel` telemetry and the
+  (:class:`TunerStats`) are surfaced in the
+  :func:`repro.runtime.benchmarking.measure_kernel` record and by the
   ``repro exec --autotune`` CLI.
 
 Entries embed a schema tag and are validated on read; a corrupt or
@@ -225,7 +225,7 @@ def resolve_config(
     counters.  A hit costs one JSON read — no candidate executes.
     """
     from ..kernels import get_kernel
-    from .benchmarking import execute_prepared, prepare_kernel, resolve_params
+    from .execute import execute_prepared, prepare_kernel, resolve_params
 
     if tuner is None:
         tuner = default_tuner()

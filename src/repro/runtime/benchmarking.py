@@ -1,333 +1,73 @@
 """Wall-clock measurement of execution backends on the paper's kernels.
 
-This is the machinery behind ``python -m repro exec`` and
-``benchmarks/bench_fastexec.py``: build the shift-and-peel plans for every
-sequence of a kernel, allocate seeded arrays, execute them through a named
-backend (:mod:`repro.runtime.backend`) and report seconds, iteration
-counts and a machine-independent checksum.  Records are plain dicts so
-they serialize straight into ``BENCH_fastexec.json``.
+This is the machinery behind ``python -m repro exec``: prepare a kernel
+and run it repeatedly through :mod:`repro.runtime.execute`, then report
+seconds, per-repeat samples and their statistics, iteration counts and a
+machine-independent checksum as one plain-dict record.  The repo's
+benchmark is ``benchmarks/e2e`` (see its README); this module only
+measures one kernel × backend on request.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from ..bench.telemetry import summarize_samples
-from ..core import build_execution_plan, derive_shift_peel, max_processors
-from ..core.execplan import ExecutionPlan
-from ..ir.sequence import Program
-from ..kernels import get_kernel
-from .backend import checksum, get_backend
-from .plancache import default_cache, program_signature
+from .execute import execute_prepared, execute_resilient, prepare_kernel
 
 
-def resolve_params(
-    info,
-    program: Program,
-    params: Optional[Mapping[str, int]] = None,
-    n: Optional[int] = None,
-) -> dict[str, int]:
-    """The concrete parameter binding a kernel runs at."""
-    run_params = dict(info.default_params) or {p: 128 for p in program.params}
-    if params:
-        run_params.update(params)
-    if n is not None:
-        run_params["n"] = n
-        if "m" in run_params:
-            run_params["m"] = n
-    return run_params
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0..100) with linear interpolation.
 
-
-@dataclass
-class PreparedKernel:
-    """Everything needed to execute one kernel repeatably.
-
-    For the jit backend with a warm program alias, ``modules`` holds the
-    compiled plan modules and ``plans`` stays empty — planning was skipped
-    entirely.  For ``cjit``, ``native_modules`` holds the dlopen'd
-    :class:`~repro.codegen.emitc.CJitModule` per plan when the native tier
-    is live, and ``native_reason`` records why it is not (the run falls
-    back to the numpy ``modules``).  ``plan_seconds``/``compile_seconds``
-    record what preparation actually cost so callers can report overhead
-    honestly.
+    Matches numpy's default method without requiring numpy here.
     """
-
-    name: str
-    program: Program
-    params: dict[str, int]
-    plans: list[ExecutionPlan]
-    procs: int
-    seed: int
-    modules: Optional[list] = None
-    native_modules: Optional[list] = None
-    native_reason: Optional[str] = None
-    plan_seconds: float = 0.0
-    compile_seconds: float = 0.0
-    cache_stats: dict = field(default_factory=dict)
-
-    def alloc(self) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(self.seed)
-        return {
-            d.name: rng.random(d.concrete_shape(self.params)) + 1.0
-            for d in self.program.arrays
-        }
-
-    @property
-    def shape(self) -> str:
-        return ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+    if not values:
+        raise ValueError("percentile of empty sequence")
+    data = sorted(values)
+    if len(data) == 1:
+        return data[0]
+    pos = (q / 100.0) * (len(data) - 1)
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return data[lo]
+    return data[lo] + (data[hi] - data[lo]) * (pos - lo)
 
 
-def prepare_kernel(
-    kernel: str,
-    params: Optional[Mapping[str, int]] = None,
-    n: Optional[int] = None,
-    procs: int = 4,
-    seed: int = 7,
-    backend: Optional[str] = None,
-    strip: Optional[int] = None,
-    use_cache: bool = True,
-    need_plans: bool = False,
-) -> PreparedKernel:
-    """Fuse every sequence of ``kernel`` and build its execution plans.
+def summarize_samples(
+    seconds: Sequence[float],
+    deadline_seconds: Optional[float] = None,
+) -> dict:
+    """Aggregate per-repeat wall-clock samples into record statistics.
 
-    ``procs`` is clamped per sequence to the legal maximum (Theorem 1); the
-    reported processor count is the request, each plan carries its own
-    clamped grid.
-
-    For ``backend='jit'`` (and ``'mpjit'``, which executes the same
-    compiled modules through the worker pool) with ``use_cache=True`` the
-    plan cache is consulted first: a warm program alias (same kernel IR,
-    params, procs and strip) yields the compiled modules without running
-    the analysis → derive → fuse → plan pipeline at all.  ``cjit`` rides
-    the same alias: when every aliased plan also has a cached ``.so`` the
-    native modules come back without planning or compiling anything;
-    a missing ``.so`` falls through to the planning path, which compiles
-    it (or records the fallback reason).  ``need_plans=True`` forces
-    planning regardless (``verify`` needs the plans for the interpreter
-    oracle).
+    ``seconds[0]`` is the cold run (preparation already paid separately);
+    the warm median is taken over the remaining samples when there are
+    any.  ``jitter`` is IQR/median and is ``None`` when fewer than two
+    samples make spread meaningless.  ``deadline_seconds`` (optional)
+    counts samples exceeding it as ``deadline_misses``.
     """
-    info = get_kernel(kernel)
-    program = info.program()
-    run_params = resolve_params(info, program, params=params, n=n)
-    jit_cached = backend in ("jit", "mpjit", "cjit") and use_cache
-    cache = default_cache() if jit_cached else None
-    alias_key = None
-    if jit_cached:
-        alias_key = program_signature(program, run_params, procs, strip)
-        if not need_plans:
-            before = cache.stats.snapshot()
-            modules = cache.lookup_alias(alias_key)
-            if modules is not None:
-                natives = None
-                if backend == "cjit":
-                    natives = [cache.peek_native(m.signature)
-                               for m in modules]
-                    if not all(natives):
-                        natives = None  # compile on the planning path
-                if backend != "cjit" or natives is not None:
-                    return PreparedKernel(
-                        name=kernel, program=program, params=run_params,
-                        plans=[], procs=procs, seed=seed, modules=modules,
-                        native_modules=natives,
-                        cache_stats=cache.stats.delta(before),
-                    )
-    t0 = time.perf_counter()
-    plans = []
-    for seq in program.sequences:
-        plan = derive_shift_peel(seq, tuple(program.params), seq.fusable_depth())
-        legal = max_processors(plan, run_params)[0]
-        plans.append(
-            build_execution_plan(plan, run_params, num_procs=min(procs, legal))
-        )
-    plan_seconds = time.perf_counter() - t0
-    modules = None
-    native_modules = None
-    native_reason = None
-    compile_seconds = 0.0
-    cache_stats: dict = {}
-    if jit_cached:
-        before = cache.stats.snapshot()
-        modules = [cache.get(ep, strip=strip) for ep in plans]
-        cache.link_alias(alias_key, [m.signature for m in modules])
-        if backend == "cjit":
-            native_modules = []
-            for ep in plans:
-                native, reason = cache.get_native(ep, strip=strip)
-                if native is None:
-                    native_modules = None
-                    native_reason = reason
-                    break
-                native_modules.append(native)
-            if native_modules is None:
-                from ..codegen import emitc
-
-                emitc.note_fallback(
-                    native_reason or "native compilation unavailable")
-        cache_stats = cache.stats.delta(before)
-        compile_seconds = (cache_stats.get("compile_seconds", 0.0)
-                           + cache_stats.get("native_compile_seconds", 0.0))
-    return PreparedKernel(
-        name=kernel, program=program, params=run_params, plans=plans,
-        procs=procs, seed=seed, modules=modules,
-        native_modules=native_modules, native_reason=native_reason,
-        plan_seconds=plan_seconds, compile_seconds=compile_seconds,
-        cache_stats=cache_stats,
+    if not seconds:
+        raise ValueError("no samples to summarize")
+    med = percentile(seconds, 50)
+    iqr = percentile(seconds, 75) - percentile(seconds, 25)
+    warm = list(seconds[1:]) or list(seconds)
+    jitter = round(iqr / med, 4) if (med > 0 and len(seconds) >= 2) else None
+    misses = (
+        sum(1 for s in seconds if s > deadline_seconds)
+        if deadline_seconds is not None else 0
     )
-
-
-def execute_prepared(
-    prep: PreparedKernel,
-    backend: str,
-    strip: Optional[int] = None,
-    verify: bool = False,
-    no_cache: bool = False,
-    max_workers: Optional[int] = None,
-    sync: Optional[str] = None,
-) -> tuple[float, dict[str, int], str]:
-    """One timed execution of all sequences: (seconds, counters, checksum).
-
-    ``sync`` selects the phase synchronization for the mp/mpjit backends
-    (``"p2p"``/``"barrier"``; None keeps the runner's default, p2p).
-
-    Array allocation happens outside the timed region; the run itself —
-    including any backend setup such as shared-memory creation for ``mp``
-    and ``mpjit`` (and, on the first run, spawning the mpjit worker pool)
-    — is what the clock sees.  When ``prep`` carries precompiled jit
-    modules (and no interpreter verification is requested) they run
-    directly — serially for ``jit``, through the persistent pool for
-    ``mpjit``; otherwise execution goes through the backend registry.
-    """
-    arrays = prep.alloc()
-    totals = {"fused_iterations": 0, "peeled_iterations": 0}
-    if prep.modules is not None and not verify:
-        if backend == "mpjit":
-            from .pool import run_mpjit_module
-
-            cache = default_cache()
-            cache_root = str(cache.root) if cache.persist else None
-        run_modules = prep.modules
-        if backend == "cjit" and prep.native_modules is not None:
-            run_modules = prep.native_modules  # native tier; else jit fallback
-        t0 = time.perf_counter()
-        for module in run_modules:
-            if backend == "mpjit":
-                stats = run_mpjit_module(module, arrays,
-                                         max_workers=max_workers,
-                                         cache_root=cache_root,
-                                         sync=sync or "p2p")
-            else:
-                stats = module.run(arrays)
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        seconds = time.perf_counter() - t0
-        return seconds, totals, checksum(arrays)
-    be = get_backend(backend)
-    options: dict = {}
-    if backend in ("jit", "mpjit", "cjit") and no_cache:
-        options["no_cache"] = True
-    if backend in ("mp", "mpjit") and max_workers is not None:
-        options["max_workers"] = max_workers
-    if backend in ("mp", "mpjit") and sync is not None:
-        options["sync"] = sync
-    t0 = time.perf_counter()
-    for ep in prep.plans:
-        stats = be.run(ep, arrays, strip=strip, verify=verify, **options)
-        for key in totals:
-            totals[key] += stats.get(key, 0)
-    seconds = time.perf_counter() - t0
-    return seconds, totals, checksum(arrays)
-
-
-def _prep_signature(prep: PreparedKernel) -> str:
-    """Stable per-artifact key for the circuit breaker: the compiled
-    module signature when available, else the plan signature."""
-    if prep.modules:
-        return prep.modules[0].signature
-    if prep.plans:
-        return prep.plans[0].signature
-    return prep.name
-
-
-def execute_resilient(
-    prep: PreparedKernel,
-    backend: str,
-    strip: Optional[int] = None,
-    no_cache: bool = False,
-    max_workers: Optional[int] = None,
-    sync: Optional[str] = None,
-    policy=None,
-    breaker=None,
-    signature: Optional[str] = None,
-) -> tuple[float, dict[str, int], str, dict]:
-    """:func:`execute_prepared` with bounded retries and degradation.
-
-    Exec requests are idempotent (fresh arrays every attempt), so a
-    failed attempt is retried after a deterministic exponential backoff
-    (:class:`~repro.runtime.supervisor.RetryPolicy`), stepping down the
-    backend ladder ``mpjit → jit → vector`` — every rung bit-identical
-    by construction, so a degraded answer differs only in latency.  The
-    per-signature :class:`~repro.runtime.supervisor.CircuitBreaker`
-    remembers recent failures, so a poisoned artifact starts below
-    ``mpjit`` instead of rediscovering the failure on every request.
-
-    Returns ``(seconds, counters, checksum, recovery)`` where
-    ``recovery`` records ``retries``, ``backend_used``, ``degraded`` and
-    the per-attempt failure kinds.  Raises
-    :class:`~repro.runtime.supervisor.ExecError` carrying the last
-    classified failure once attempts are exhausted.
-
-    The zero-failure fast path costs one breaker dict lookup before the
-    run and one after — the retry machinery stays off the hot path.
-    """
-    from .fastexec import FastExecError
-    from .supervisor import (
-        ExecError,
-        RetryPolicy,
-        classify_failure,
-        default_breaker,
-        degrade_ladder,
-    )
-
-    policy = policy or RetryPolicy()
-    breaker = breaker or default_breaker()
-    if signature is None:
-        signature = _prep_signature(prep)
-    ladder = degrade_ladder(backend)
-    backend_now, _ = breaker.effective_backend(signature, backend)
-    attempts: list[dict] = []
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            seconds, counters, digest = execute_prepared(
-                prep, backend_now, strip=strip, no_cache=no_cache,
-                max_workers=max_workers, sync=sync,
-            )
-        except FastExecError as exc:
-            failure = classify_failure(exc)
-            breaker.record_failure(signature, backend)
-            attempts.append({"backend": backend_now, "kind": failure.kind})
-            if attempt >= policy.max_attempts or not failure.retryable:
-                if isinstance(exc, ExecError):
-                    raise
-                raise ExecError(failure) from exc
-            index = (ladder.index(backend_now)
-                     if backend_now in ladder else 0)
-            backend_now = ladder[min(index + 1, len(ladder) - 1)]
-            time.sleep(policy.delay(attempt))
-        else:
-            breaker.record_success(signature)
-            recovery = {
-                "retries": attempt - 1,
-                "requested_backend": backend,
-                "backend_used": backend_now,
-                "degraded": backend_now != backend,
-                "attempts": attempts,
-            }
-            return seconds, counters, digest, recovery
-    raise AssertionError("unreachable")  # pragma: no cover
+    return {
+        "median_seconds": round(med, 6),
+        "warm_median_seconds": round(percentile(warm, 50), 6),
+        "p50_seconds": round(med, 6),
+        "p95_seconds": round(percentile(seconds, 95), 6),
+        "p99_seconds": round(percentile(seconds, 99), 6),
+        "iqr_seconds": round(iqr, 6),
+        "jitter": jitter,
+        "deadline_seconds": deadline_seconds,
+        "deadline_misses": misses,
+    }
 
 
 def measure_kernel(
@@ -342,9 +82,7 @@ def measure_kernel(
     verify: bool = False,
     use_cache: bool = True,
     max_workers: Optional[int] = None,
-    deadline_seconds: Optional[float] = None,
     sync: Optional[str] = None,
-    label: Optional[str] = None,
     autotune: bool = False,
     tuner=None,
     retries: int = 0,
@@ -353,9 +91,7 @@ def measure_kernel(
 
     ``sync`` selects the mp/mpjit phase synchronization (``"p2p"`` is
     the runners' default, ``"barrier"`` the paper's global barrier); the
-    effective mode is recorded as ``record["sync"]``.  ``label``
-    overrides the reported backend name, so the bench harness can gate
-    variants like ``mpjit-barrier`` as their own entries.
+    effective mode is recorded as ``record["sync"]``.
 
     ``autotune=True`` consults the measured-cost auto-tuner
     (:mod:`repro.runtime.autotune`) first: the persisted winner for this
@@ -379,12 +115,10 @@ def measure_kernel(
     The aggregate fields are derived from the samples: the headline
     ``seconds`` is still the best run, ``median_seconds`` /
     ``warm_median_seconds`` / ``p50`` / ``p95`` / ``p99`` / ``iqr`` /
-    ``jitter`` (IQR/median) come from
-    :func:`repro.bench.telemetry.summarize_samples`, ``cold_seconds`` is
-    plan + compile + first run and ``warm_seconds`` the best run after
-    the first.  ``deadline_seconds`` (optional) counts repeats exceeding
-    it as ``deadline_misses`` — the service-benchmark semantics.
-    ``use_cache=False`` bypasses the plan cache completely.
+    ``jitter`` (IQR/median) come from :func:`summarize_samples`,
+    ``cold_seconds`` is plan + compile + first run and ``warm_seconds``
+    the best run after the first.  ``use_cache=False`` bypasses the plan
+    cache completely.
 
     For ``mpjit`` the record additionally reports pool totals:
     ``pool_spawn_seconds`` (forking the persistent workers, paid inside
@@ -466,7 +200,7 @@ def measure_kernel(
     warm_best = min(run_times[1:]) if len(run_times) > 1 else None
     record = {
         "kernel": kernel,
-        "backend": label or backend,
+        "backend": backend,
         "shape": prep.shape,
         "procs": procs,
         "seconds": round(min(run_times), 6),
@@ -483,8 +217,7 @@ def measure_kernel(
         ),
         "total_seconds": round(total_seconds, 6),
     }
-    record.update(summarize_samples(run_times,
-                                    deadline_seconds=deadline_seconds))
+    record.update(summarize_samples(run_times))
     if backend in ("mp", "mpjit"):
         record["sync"] = sync or "p2p"
     if tuner_info is not None:
@@ -520,17 +253,3 @@ def measure_kernel(
         record["pool_spawn_seconds"] = stats.get("spawn_seconds", 0.0)
         record["steady_seconds"] = record["warm_seconds"]
     return record
-
-
-def calibrate(loops: int = 2_000_000) -> float:
-    """Seconds for a fixed pure-Python workload — a proxy for interpreter
-    speed on this machine.  The regression checker scales committed
-    baseline times by the calibration ratio so wall-clock gates survive a
-    change of hardware."""
-    t0 = time.perf_counter()
-    acc = 0.0
-    for i in range(loops):
-        acc += i * 0.5
-    if acc < 0:  # pragma: no cover - keeps the loop from being optimized out
-        raise AssertionError
-    return time.perf_counter() - t0

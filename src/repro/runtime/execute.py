@@ -1,0 +1,351 @@
+"""Preparing and executing a kernel: the one entry point every caller uses.
+
+``repro exec`` (through :func:`repro.runtime.benchmarking.measure_kernel`),
+the ``repro serve`` daemon, the auto-tuner and the e2e benchmark all go
+through the same three steps: :func:`prepare_kernel` builds the
+shift-and-peel plans for every sequence of a kernel (or takes the compiled
+modules straight from a warm plan-cache alias), :func:`execute_prepared`
+allocates seeded arrays and runs them through a named backend
+(:mod:`repro.runtime.backend`), returning seconds, iteration counters and a
+machine-independent checksum, and :func:`execute_resilient` wraps that run
+in bounded retries down the degradation ladder.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
+
+import numpy as np
+
+from ..core import build_execution_plan, derive_shift_peel, max_processors
+from ..core.execplan import ExecutionPlan
+from ..ir.sequence import Program
+from ..kernels import get_kernel
+from .backend import checksum, get_backend
+from .plancache import default_cache, program_signature
+
+#: Backends that can run a prep's compiled modules directly; every other
+#: backend executes the prep's plans through the backend registry.
+MODULE_BACKENDS = ("jit", "mpjit", "cjit")
+
+
+def resolve_params(
+    info,
+    program: Program,
+    params: Optional[Mapping[str, int]] = None,
+    n: Optional[int] = None,
+) -> dict[str, int]:
+    """The concrete parameter binding a kernel runs at."""
+    run_params = dict(info.default_params) or {p: 128 for p in program.params}
+    if params:
+        run_params.update(params)
+    if n is not None:
+        run_params["n"] = n
+        if "m" in run_params:
+            run_params["m"] = n
+    return run_params
+
+
+@dataclass
+class PreparedKernel:
+    """Everything needed to execute one kernel repeatably.
+
+    For the jit backend with a warm program alias, ``modules`` holds the
+    compiled plan modules and ``plans`` stays empty — planning was skipped
+    entirely.  For ``cjit``, ``native_modules`` holds the dlopen'd
+    :class:`~repro.codegen.emitc.CJitModule` per plan when the native tier
+    is live, and ``native_reason`` records why it is not (the run falls
+    back to the numpy ``modules``).  ``plan_seconds``/``compile_seconds``
+    record what preparation actually cost so callers can report overhead
+    honestly.
+    """
+
+    name: str
+    program: Program
+    params: dict[str, int]
+    plans: list[ExecutionPlan]
+    procs: int
+    seed: int
+    modules: Optional[list] = None
+    native_modules: Optional[list] = None
+    native_reason: Optional[str] = None
+    plan_seconds: float = 0.0
+    compile_seconds: float = 0.0
+    cache_stats: dict = field(default_factory=dict)
+
+    def alloc(self) -> dict[str, np.ndarray]:
+        rng = np.random.default_rng(self.seed)
+        return {
+            d.name: rng.random(d.concrete_shape(self.params)) + 1.0
+            for d in self.program.arrays
+        }
+
+    @property
+    def shape(self) -> str:
+        return ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
+
+
+def prepare_kernel(
+    kernel: str,
+    params: Optional[Mapping[str, int]] = None,
+    n: Optional[int] = None,
+    procs: int = 4,
+    seed: int = 7,
+    backend: Optional[str] = None,
+    strip: Optional[int] = None,
+    use_cache: bool = True,
+    need_plans: bool = False,
+) -> PreparedKernel:
+    """Fuse every sequence of ``kernel`` and build its execution plans.
+
+    ``procs`` is clamped per sequence to the legal maximum (Theorem 1); the
+    reported processor count is the request, each plan carries its own
+    clamped grid.
+
+    For ``backend='jit'`` (and ``'mpjit'``, which executes the same
+    compiled modules through the worker pool) with ``use_cache=True`` the
+    plan cache is consulted first: a warm program alias (same kernel IR,
+    params, procs and strip) yields the compiled modules without running
+    the analysis → derive → fuse → plan pipeline at all.  ``cjit`` rides
+    the same alias: when every aliased plan also has a cached ``.so`` the
+    native modules come back without planning or compiling anything;
+    a missing ``.so`` falls through to the planning path, which compiles
+    it (or records the fallback reason).  ``need_plans=True`` forces
+    planning regardless (``verify`` needs the plans for the interpreter
+    oracle).
+    """
+    info = get_kernel(kernel)
+    program = info.program()
+    run_params = resolve_params(info, program, params=params, n=n)
+    jit_cached = backend in MODULE_BACKENDS and use_cache
+    cache = default_cache() if jit_cached else None
+    alias_key = None
+    if jit_cached:
+        alias_key = program_signature(program, run_params, procs, strip)
+        if not need_plans:
+            before = cache.stats.snapshot()
+            modules = cache.lookup_alias(alias_key)
+            if modules is not None:
+                natives = None
+                if backend == "cjit":
+                    natives = [cache.peek_native(m.signature)
+                               for m in modules]
+                    if not all(natives):
+                        natives = None  # compile on the planning path
+                if backend != "cjit" or natives is not None:
+                    return PreparedKernel(
+                        name=kernel, program=program, params=run_params,
+                        plans=[], procs=procs, seed=seed, modules=modules,
+                        native_modules=natives,
+                        cache_stats=cache.stats.delta(before),
+                    )
+    t0 = time.perf_counter()
+    plans = []
+    for seq in program.sequences:
+        plan = derive_shift_peel(seq, tuple(program.params), seq.fusable_depth())
+        legal = max_processors(plan, run_params)[0]
+        plans.append(
+            build_execution_plan(plan, run_params, num_procs=min(procs, legal))
+        )
+    plan_seconds = time.perf_counter() - t0
+    modules = None
+    native_modules = None
+    native_reason = None
+    compile_seconds = 0.0
+    cache_stats: dict = {}
+    if jit_cached:
+        before = cache.stats.snapshot()
+        modules = [cache.get(ep, strip=strip) for ep in plans]
+        cache.link_alias(alias_key, [m.signature for m in modules])
+        if backend == "cjit":
+            native_modules = []
+            for ep in plans:
+                native, reason = cache.get_native(ep, strip=strip)
+                if native is None:
+                    native_modules = None
+                    native_reason = reason
+                    break
+                native_modules.append(native)
+            if native_modules is None:
+                from ..codegen import emitc
+
+                emitc.note_fallback(
+                    native_reason or "native compilation unavailable")
+        cache_stats = cache.stats.delta(before)
+        compile_seconds = (cache_stats.get("compile_seconds", 0.0)
+                           + cache_stats.get("native_compile_seconds", 0.0))
+    return PreparedKernel(
+        name=kernel, program=program, params=run_params, plans=plans,
+        procs=procs, seed=seed, modules=modules,
+        native_modules=native_modules, native_reason=native_reason,
+        plan_seconds=plan_seconds, compile_seconds=compile_seconds,
+        cache_stats=cache_stats,
+    )
+
+
+def execute_prepared(
+    prep: PreparedKernel,
+    backend: str,
+    strip: Optional[int] = None,
+    verify: bool = False,
+    no_cache: bool = False,
+    max_workers: Optional[int] = None,
+    sync: Optional[str] = None,
+) -> tuple[float, dict[str, int], str]:
+    """One timed execution of all sequences: (seconds, counters, checksum).
+
+    ``sync`` selects the phase synchronization for the mp/mpjit backends
+    (``"p2p"``/``"barrier"``; None keeps the runner's default, p2p).
+
+    Array allocation happens outside the timed region; the run itself —
+    including any backend setup such as shared-memory creation for ``mp``
+    and ``mpjit`` (and, on the first run, spawning the mpjit worker pool)
+    — is what the clock sees.  When ``prep`` carries precompiled jit
+    modules, ``backend`` is one of :data:`MODULE_BACKENDS` and no
+    interpreter verification is requested, the modules run directly —
+    serially for ``jit``/``cjit``, through the persistent pool for
+    ``mpjit``; otherwise the plans execute through the backend registry.
+    A prep without plans (a warm alias hit) cannot run on any other
+    backend and raises ``ValueError``.
+    """
+    arrays = prep.alloc()
+    totals = {"fused_iterations": 0, "peeled_iterations": 0}
+    if (prep.modules is not None and not verify
+            and backend in MODULE_BACKENDS):
+        if backend == "mpjit":
+            from .pool import run_mpjit_module
+
+            cache = default_cache()
+            cache_root = str(cache.root) if cache.persist else None
+        run_modules = prep.modules
+        if backend == "cjit" and prep.native_modules is not None:
+            run_modules = prep.native_modules  # native tier; else jit fallback
+        t0 = time.perf_counter()
+        for module in run_modules:
+            if backend == "mpjit":
+                stats = run_mpjit_module(module, arrays,
+                                         max_workers=max_workers,
+                                         cache_root=cache_root,
+                                         sync=sync or "p2p")
+            else:
+                stats = module.run(arrays)
+            for key in totals:
+                totals[key] += stats.get(key, 0)
+        seconds = time.perf_counter() - t0
+        return seconds, totals, checksum(arrays)
+    if not prep.plans:
+        raise ValueError(
+            f"{prep.name} was prepared without plans (a warm plan-cache "
+            f"alias) and cannot run on backend {backend!r}; prepare it "
+            f"for {backend!r}")
+    be = get_backend(backend)
+    options: dict = {}
+    if backend in MODULE_BACKENDS and no_cache:
+        options["no_cache"] = True
+    if backend in ("mp", "mpjit") and max_workers is not None:
+        options["max_workers"] = max_workers
+    if backend in ("mp", "mpjit") and sync is not None:
+        options["sync"] = sync
+    t0 = time.perf_counter()
+    for ep in prep.plans:
+        stats = be.run(ep, arrays, strip=strip, verify=verify, **options)
+        for key in totals:
+            totals[key] += stats.get(key, 0)
+    seconds = time.perf_counter() - t0
+    return seconds, totals, checksum(arrays)
+
+
+def _prep_signature(prep: PreparedKernel) -> str:
+    """Stable per-artifact key for the circuit breaker: the compiled
+    module signature when available, else the plan signature."""
+    if prep.modules:
+        return prep.modules[0].signature
+    if prep.plans:
+        return prep.plans[0].signature
+    return prep.name
+
+
+def execute_resilient(
+    prep: PreparedKernel,
+    backend: str,
+    strip: Optional[int] = None,
+    no_cache: bool = False,
+    max_workers: Optional[int] = None,
+    sync: Optional[str] = None,
+    policy=None,
+    breaker=None,
+    signature: Optional[str] = None,
+) -> tuple[float, dict[str, int], str, dict]:
+    """:func:`execute_prepared` with bounded retries and degradation.
+
+    Exec requests are idempotent (fresh arrays every attempt), so a
+    failed attempt is retried after a deterministic exponential backoff
+    (:class:`~repro.runtime.supervisor.RetryPolicy`), stepping down the
+    backend ladder ``mpjit → jit → vector`` — every rung bit-identical
+    by construction, so a degraded answer differs only in latency.  The
+    per-signature :class:`~repro.runtime.supervisor.CircuitBreaker`
+    remembers recent failures, so a poisoned artifact starts below
+    ``mpjit`` instead of rediscovering the failure on every request.
+    A rung that cannot run ``prep``'s compiled modules (``vector`` on a
+    plan-less alias hit) gets the kernel re-prepared for it, once.
+
+    Returns ``(seconds, counters, checksum, recovery)`` where
+    ``recovery`` records ``retries``, ``backend_used``, ``degraded`` and
+    the per-attempt failure kinds.  Raises
+    :class:`~repro.runtime.supervisor.ExecError` carrying the last
+    classified failure once attempts are exhausted.
+
+    The zero-failure fast path costs one breaker dict lookup before the
+    run and one after — the retry machinery stays off the hot path.
+    """
+    from .fastexec import FastExecError
+    from .supervisor import (
+        ExecError,
+        RetryPolicy,
+        classify_failure,
+        default_breaker,
+        degrade_ladder,
+    )
+
+    policy = policy or RetryPolicy()
+    breaker = breaker or default_breaker()
+    if signature is None:
+        signature = _prep_signature(prep)
+    ladder = degrade_ladder(backend)
+    backend_now, _ = breaker.effective_backend(signature, backend)
+    attempts: list[dict] = []
+    for attempt in range(1, policy.max_attempts + 1):
+        if backend_now not in MODULE_BACKENDS and not prep.plans:
+            prep = prepare_kernel(prep.name, params=prep.params,
+                                  procs=prep.procs, seed=prep.seed,
+                                  backend=backend_now)
+        try:
+            seconds, counters, digest = execute_prepared(
+                prep, backend_now, strip=strip, no_cache=no_cache,
+                max_workers=max_workers, sync=sync,
+            )
+        except FastExecError as exc:
+            failure = classify_failure(exc)
+            breaker.record_failure(signature, backend)
+            attempts.append({"backend": backend_now, "kind": failure.kind})
+            if attempt >= policy.max_attempts or not failure.retryable:
+                if isinstance(exc, ExecError):
+                    raise
+                raise ExecError(failure) from exc
+            index = (ladder.index(backend_now)
+                     if backend_now in ladder else 0)
+            backend_now = ladder[min(index + 1, len(ladder) - 1)]
+            time.sleep(policy.delay(attempt))
+        else:
+            breaker.record_success(signature)
+            recovery = {
+                "retries": attempt - 1,
+                "requested_backend": backend,
+                "backend_used": backend_now,
+                "degraded": backend_now != backend,
+                "attempts": attempts,
+            }
+            return seconds, counters, digest, recovery
+    raise AssertionError("unreachable")  # pragma: no cover

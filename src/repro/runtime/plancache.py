@@ -396,7 +396,7 @@ class PlanCache:
 def program_signature(program, params: Mapping[str, int], procs: int,
                       strip: Optional[int] = None) -> str:
     """Structural key of (program IR, params, procs, strip) — everything
-    :func:`~repro.runtime.benchmarking.prepare_kernel` needs to produce a
+    :func:`~repro.runtime.execute.prepare_kernel` needs to produce a
     deterministic set of execution plans, hashable *without* running the
     planning pipeline.  Mutating any kernel body changes it."""
     import hashlib

@@ -19,8 +19,8 @@ This package puts a long-running service in front of the stack:
 * :mod:`.client` — a small blocking client used by the load generator,
   the tests and external tooling;
 * :mod:`.loadgen` — ``repro loadgen``: a closed-loop load generator
-  recording sustained req/s and p50/p95/p99 + deadline-miss latency
-  into the immutable benchmark trajectory store.
+  reporting sustained req/s and p50/p95/p99 + deadline-miss latency,
+  cross-checking every checksum against direct execution.
 
 Everything is stdlib + numpy — no new dependencies.
 """

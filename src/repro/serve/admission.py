@@ -77,7 +77,7 @@ class CostModel:
             try:
                 from ..kernels import get_kernel
                 from ..runtime.autotune import tuning_key
-                from ..runtime.benchmarking import resolve_params
+                from ..runtime.execute import resolve_params
 
                 info = get_kernel(key.kernel)
                 program = info.program()

@@ -11,28 +11,25 @@ What it proves, in one run:
   against a direct in-process execution of the same kernel/shape (the
   backends are bit-identical by construction, so the reference uses
   the plain vector backend); any mismatch is a hard failure;
-* **tail latency** — per-request latencies aggregate through the same
-  :func:`repro.bench.telemetry.summarize_samples` the offline suite
-  uses, yielding p50/p95/p99 and deadline-miss counts;
+* **tail latency** — per-request latencies aggregate through
+  :func:`repro.runtime.benchmarking.summarize_samples` (the statistics
+  ``repro exec`` records), yielding p50/p95/p99 and deadline-miss counts;
 * **batching and shedding** — the daemon's ``status`` op is sampled at
   the end, recording ``batched_requests``, shed counts and per-tenant
   service shares next to the client-side numbers.
 
-The run is persisted as a normal immutable benchmark run directory
-(``benchmarks/results/<run_id>/`` with ``telemetry.json`` +
-``summary.csv`` and a trajectory line), so ``repro bench --trend`` and
-``check_bench_regression.py --compare`` work on service runs unchanged
-— this is the ROADMAP item 5 wiring for deadline-miss telemetry.
+The payload comes back to the caller (``repro loadgen --json PATH|-``
+writes it out); nothing is stored.  The repo's latency benchmark is the
+``serve-mix`` workload of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from pathlib import Path
 from typing import Callable, Optional
 
-from ..bench.telemetry import machine_snapshot, summarize_samples
+from ..runtime.benchmarking import summarize_samples
 from .client import ServeClient, ServeClientError
 from .protocol import STATUS_DRAINING, STATUS_OK, STATUS_OVERLOADED
 
@@ -116,7 +113,7 @@ def reference_checksum(kernel: str, n: Optional[int], procs: int) -> str:
     every backend is proven bit-identical to it, so its checksum is the
     ground truth any service response must reproduce.
     """
-    from ..runtime.benchmarking import execute_prepared, prepare_kernel
+    from ..runtime.execute import execute_prepared, prepare_kernel
 
     prep = prepare_kernel(kernel, n=n, procs=procs, backend="vector")
     _seconds, _counters, digest = execute_prepared(prep, "vector")
@@ -139,14 +136,10 @@ def run_loadgen(
     deadline_ms: Optional[float] = None,
     tenants: int = 1,
     chaos: Optional[str] = None,
-    results_root: Optional[Path] = None,
     progress: Optional[Callable[[str], None]] = print,
-) -> tuple[dict, Optional[Path]]:
-    """Drive the daemon; returns ``(payload, run_dir)``.
-
-    ``payload`` is a standard telemetry payload whose single entry is
-    the service run (samples = per-request latencies); ``run_dir`` is
-    the immutable results directory (None when ``results_root`` is).
+) -> dict:
+    """Drive the daemon; returns the telemetry payload, whose single
+    entry is the service run (samples = per-request latencies).
 
     When ``chaos`` is set, the spec is installed on the daemon via the
     ``chaos`` op *after* the warm-up request (so the plan's run/exec
@@ -266,8 +259,7 @@ def run_loadgen(
             latencies,
             deadline_seconds=(deadline_ms / 1000.0
                               if deadline_ms is not None else None)))
-    payload = machine_snapshot()
-    payload.update({
+    payload = {
         "suite": {
             "service": True,
             "kernel": kernel, "n": n, "procs": procs, "backend": backend,
@@ -278,13 +270,7 @@ def run_loadgen(
         "server": server_stats,
         "health": server_health,
         "entries": [entry],
-    })
-    run_dir = None
-    if results_root is not None:
-        from ..bench.store import write_run
-
-        run_dir = write_run(payload, root=Path(results_root))
-        payload["run_id"] = run_dir.name
+    }
     if latencies:
         say(f"  {counts['ok']} ok ({rps:.1f} req/s sustained), "
             f"{counts['overloaded']} overloaded, "
@@ -309,6 +295,4 @@ def run_loadgen(
             f"(max batch {admission.get('max_batch_size', 0)}), "
             f"{admission.get('shed_queue_full', 0)} shed on queue, "
             f"{admission.get('shed_deadline', 0)} shed on deadline")
-    if run_dir is not None:
-        say(f"  run dir: {run_dir}")
-    return payload, run_dir
+    return payload

@@ -13,7 +13,7 @@ mpjit worker pool for every client:
   loop keeps accepting, answering ``status`` and shedding load;
 * plan preparation (analysis → fuse → plan → compile) happens at most
   once per signature per daemon lifetime: a small LRU of
-  :class:`~repro.runtime.benchmarking.PreparedKernel` sits on top of
+  :class:`~repro.runtime.execute.PreparedKernel` sits on top of
   the process-wide plan cache, so a batch of identical requests pays
   one compile and N executions;
 * every observed execution feeds the admission cost model
@@ -153,7 +153,7 @@ class FusionServer:
         base = self._sig_cache.get(key)
         if base is None:
             from ..kernels import get_kernel
-            from ..runtime.benchmarking import resolve_params
+            from ..runtime.execute import resolve_params
             from ..runtime.plancache import program_signature
 
             info = get_kernel(key.kernel)
@@ -168,7 +168,7 @@ class FusionServer:
 
     def _prepare(self, signature: str, key: ExecKey):
         """PreparedKernel for ``key``, LRU-cached (executor thread only)."""
-        from ..runtime.benchmarking import prepare_kernel
+        from ..runtime.execute import prepare_kernel
 
         prep = self._prepared.get(signature)
         if prep is not None:
@@ -210,7 +210,7 @@ class FusionServer:
         members are retried individually with backend degradation, so a
         poisoned request fails alone instead of taking its riders down.
         """
-        from ..runtime.benchmarking import execute_resilient
+        from ..runtime.execute import execute_resilient
         from ..runtime.fastexec import FastExecError
         from ..runtime.supervisor import classify_failure
 

@@ -23,7 +23,8 @@ from repro.runtime.autotune import (
     resolve_config,
     tuning_key,
 )
-from repro.runtime.benchmarking import measure_kernel, resolve_params
+from repro.runtime.benchmarking import measure_kernel
+from repro.runtime.execute import resolve_params
 
 
 def _key(kernel="jacobi", n=21, procs=4):
@@ -196,11 +197,10 @@ class TestMeasureKernelIntegration:
         assert record2["autotune"]["stats"]["hits"] == 1
         assert record2["checksum"] == record["checksum"]
 
-    def test_label_overrides_reported_backend(self):
+    def test_sync_mode_recorded(self):
         record = measure_kernel("jacobi", "mpjit", n=21, procs=4, repeat=2,
-                                max_workers=2, sync="barrier",
-                                label="mpjit-barrier")
-        assert record["backend"] == "mpjit-barrier"
+                                max_workers=2, sync="barrier")
+        assert record["backend"] == "mpjit"
         assert record["sync"] == "barrier"
         plain = measure_kernel("jacobi", "mpjit", n=21, procs=4, repeat=2,
                                max_workers=2)

@@ -447,7 +447,7 @@ class TestBenchIntegration:
     def test_warm_alias_reuses_cached_so(self):
         """Second prepare in the same cache: program alias plus cached
         ``.so`` — no planning, no compiling, native modules live."""
-        from repro.runtime.benchmarking import (
+        from repro.runtime.execute import (
             execute_prepared,
             prepare_kernel,
         )

@@ -4,6 +4,9 @@ Full-size regeneration lives in benchmarks/; these tests run reduced
 sweeps and assert the paper's *qualitative* claims hold.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -24,6 +27,18 @@ from repro.experiments import (
 )
 from repro.kernels import get_kernel
 from repro.machine import convex_spp1000, ksr2
+
+
+def _load_bench_common():
+    """``benchmarks/_common.py``, the figure benchmarks' shared helpers."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "_common.py"
+    spec = importlib.util.spec_from_file_location("bench_common", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_common = _load_bench_common()
 
 
 class TestTables:
@@ -162,3 +177,39 @@ class TestSetupHelpers:
         exp = setup_application("tomcatv", convex_spp1000(), 4)
         assert len(exp.fusions) == 1
         assert exp.machine.cache.capacity_bytes == 64 * 1024
+
+
+class TestFormatResult:
+    def test_uses_format_method(self):
+        class Table:
+            def format(self):
+                return "| a | b |"
+
+        assert bench_common.format_result(Table()) == "| a | b |"
+
+    def test_falls_back_to_str(self):
+        assert bench_common.format_result({"rows": 3}) == "{'rows': 3}"
+        assert bench_common.format_result(1.5) == "1.5"
+        assert bench_common.format_result("already text") == "already text"
+
+    def test_non_callable_format_attribute(self):
+        class Weird:
+            format = "not a method"
+
+            def __str__(self):
+                return "weird"
+
+        assert bench_common.format_result(Weird()) == "weird"
+
+    def test_run_figure_archives_str_fallback(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench_common, "OUT_DIR", tmp_path)
+
+        class FakeBenchmark:
+            def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1):
+                return fn(*args, **(kwargs or {}))
+
+        result = bench_common.run_figure(
+            FakeBenchmark(), lambda x: {"value": x}, "fake_fig", 42
+        )
+        assert result == {"value": 42}
+        assert (tmp_path / "fake_fig.txt").read_text() == "{'value': 42}\n"

@@ -11,10 +11,13 @@ an injected worker crash by degrading one rung down the ladder while
 still producing the reference bits.
 """
 
+import dataclasses
 import multiprocessing as mp
 
 import pytest
 
+from repro.codegen import emitc
+from repro.runtime import backend as backend_mod
 from repro.runtime import faults
 from repro.runtime.faults import FaultPlan, FaultSpecError, _parse_indices
 from repro.runtime.supervisor import (
@@ -30,6 +33,23 @@ needs_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
     reason="crash injection relies on fork inheritance",
 )
+HAVE_CC = emitc.find_compiler() is not None
+
+
+@pytest.fixture
+def vector_calls(monkeypatch):
+    """The plans the registry's ``vector`` backend runs, recorded by a spy
+    around the real runner."""
+    vector = backend_mod.get_backend("vector")
+    calls = []
+
+    def spy(exec_plan, *args, **kwargs):
+        calls.append(exec_plan)
+        return vector.runner(exec_plan, *args, **kwargs)
+
+    monkeypatch.setitem(backend_mod._REGISTRY, "vector",
+                        dataclasses.replace(vector, runner=spy))
+    return calls
 
 
 class TestIndexParsing:
@@ -246,7 +266,7 @@ class TestExecuteResilient:
     def test_crash_degrades_one_rung_and_matches_reference(self):
         """An injected worker crash on the first attempt: the retry runs
         ``jit`` and must produce the vector reference checksum."""
-        from repro.runtime.benchmarking import (
+        from repro.runtime.execute import (
             execute_prepared,
             execute_resilient,
             prepare_kernel,
@@ -275,7 +295,7 @@ class TestExecuteResilient:
 
     @needs_fork
     def test_exhausted_attempts_raise_structured_error(self):
-        from repro.runtime.benchmarking import (
+        from repro.runtime.execute import (
             execute_resilient,
             prepare_kernel,
         )
@@ -292,6 +312,133 @@ class TestExecuteResilient:
         finally:
             faults.install_plan(None)
             shutdown_pool()
+
+    def test_vector_rung_really_runs_vector(self, vector_calls):
+        """A jit failure injected twice on a warm alias hit (no plans):
+        mpjit and jit fail, the last rung re-prepares for ``vector`` and
+        really runs it — same bits, and ``backend_used`` tells the truth."""
+        from repro.runtime.execute import (
+            execute_prepared,
+            execute_resilient,
+            prepare_kernel,
+        )
+        from repro.runtime.fastexec import FastExecError
+
+        prepare_kernel("jacobi", n=33, procs=2, backend="mpjit")
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="mpjit")
+        assert prep.plans == [] and prep.modules
+        _s, _c, reference = execute_prepared(prep, "jit")
+
+        def boom(arrays):
+            raise FastExecError("injected jit failure")
+
+        prep = dataclasses.replace(prep, modules=[
+            dataclasses.replace(m, run=boom) for m in prep.modules])
+        # one worker: mpjit runs the module in-process, so both the mpjit
+        # and the jit rung hit the injected failure
+        _s, _c, digest, recovery = execute_resilient(
+            prep, "mpjit", max_workers=1,
+            policy=RetryPolicy(max_attempts=3), breaker=CircuitBreaker())
+        assert vector_calls, "the vector rung never called run_vector"
+        assert digest == reference
+        assert recovery["backend_used"] == "vector"
+        assert recovery["retries"] == 2
+        assert [a["backend"] for a in recovery["attempts"]] == ["mpjit", "jit"]
+
+    def test_requested_vector_reprepares_once(self, vector_calls, monkeypatch):
+        """Asked for ``vector`` with a plan-less prep, the first attempt
+        re-prepares for ``vector`` exactly once and runs it undegraded."""
+        from repro.runtime import execute
+        from repro.runtime.execute import execute_resilient, prepare_kernel
+
+        prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        assert prep.plans == [] and prep.modules
+        reference = execute.execute_prepared(prep, "jit")[2]
+        prepared = []
+
+        def counting_prepare(*args, **kwargs):
+            prepared.append(kwargs["backend"])
+            return prepare_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(execute, "prepare_kernel", counting_prepare)
+        _s, _c, digest, recovery = execute_resilient(
+            prep, "vector", breaker=CircuitBreaker())
+        assert prepared == ["vector"]
+        assert vector_calls
+        assert digest == reference
+        assert recovery["backend_used"] == "vector"
+        assert recovery["retries"] == 0 and not recovery["degraded"]
+
+    def test_healthy_planless_run_never_reprepares(self, monkeypatch):
+        """The zero-failure path on a warm alias hit runs the compiled
+        modules as they are: re-preparing belongs to the failure path."""
+        from repro.runtime import execute
+        from repro.runtime.execute import execute_resilient, prepare_kernel
+
+        prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        assert prep.plans == [] and prep.modules
+
+        def no_prepare(*args, **kwargs):
+            raise AssertionError("re-prepared on the healthy path")
+
+        monkeypatch.setattr(execute, "prepare_kernel", no_prepare)
+        _s, _c, digest, recovery = execute_resilient(
+            prep, "jit", breaker=CircuitBreaker())
+        assert digest == execute.execute_prepared(prep, "jit")[2]
+        assert recovery["backend_used"] == "jit"
+        assert recovery["retries"] == 0 and recovery["attempts"] == []
+
+
+class TestExecutePrepared:
+    @pytest.mark.parametrize("backend", ["jit", "mpjit", pytest.param(
+        "cjit", marks=pytest.mark.skipif(
+            not HAVE_CC, reason="no C compiler on PATH"))])
+    def test_planless_prep_runs_module_backends(self, backend):
+        """A warm alias hit runs on every module backend and produces the
+        bits the planned vector run produces."""
+        from repro.runtime.execute import execute_prepared, prepare_kernel
+        from repro.runtime.pool import shutdown_pool
+
+        reference = execute_prepared(
+            prepare_kernel("jacobi", n=33, procs=2, backend="vector"),
+            "vector")[2]
+        prepare_kernel("jacobi", n=33, procs=2, backend=backend)
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend=backend)
+        assert prep.plans == [] and prep.modules
+        if backend == "cjit":
+            assert prep.native_modules is not None
+        try:
+            _s, counters, digest = execute_prepared(prep, backend,
+                                                    max_workers=1)
+        finally:
+            shutdown_pool()
+        assert digest == reference
+        assert counters["fused_iterations"] > 0
+
+    @pytest.mark.parametrize("backend", ["interp", "vector"])
+    def test_planless_prep_refuses_other_backends(self, backend):
+        """A warm alias hit carries compiled modules, not plans: asking it
+        for a registry backend must fail by name, not run the jit module."""
+        from repro.runtime.execute import execute_prepared, prepare_kernel
+
+        prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        assert prep.plans == [] and prep.modules
+        with pytest.raises(ValueError, match=repr(backend)):
+            execute_prepared(prep, backend)
+
+    def test_planned_prep_runs_the_named_backend(self, vector_calls):
+        """With plans present, a non-module backend runs through the
+        registry even though compiled modules are there too."""
+        from repro.runtime.execute import execute_prepared, prepare_kernel
+
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        assert prep.plans and prep.modules
+        _s, _c, digest = execute_prepared(prep, "vector")
+        assert vector_calls == prep.plans
+        assert digest == execute_prepared(prep, "jit")[2]
 
 
 class TestCacheCorruption:

@@ -14,6 +14,7 @@ from repro.runtime import (
     run_sequence_serial,
     run_unfused_parallel,
 )
+from repro.runtime.benchmarking import percentile, summarize_samples
 
 
 PARAMS = {"n": 33}
@@ -175,3 +176,42 @@ class TestKernelCorrectness:
         got = copy_arrays(base)
         run_parallel(ep, got, interleave="roundrobin")
         assert arrays_equal(oracle, got)
+
+
+class TestSampleStatistics:
+    """The per-repeat statistics ``measure_kernel`` and ``loadgen`` record."""
+
+    def test_percentile_interpolates(self):
+        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
+        assert percentile([5.0], 99) == 5.0
+        with pytest.raises(ValueError):
+            percentile([], 50)
+
+    def test_summarize_samples_stats(self):
+        stats = summarize_samples(
+            [0.1, 0.2, 0.3, 0.4, 0.5], deadline_seconds=0.35)
+        assert stats["median_seconds"] == 0.3
+        assert stats["p50_seconds"] == 0.3
+        assert stats["p95_seconds"] == pytest.approx(0.48)
+        assert stats["iqr_seconds"] == pytest.approx(0.2)
+        assert stats["jitter"] == pytest.approx(0.6667)
+        assert stats["deadline_misses"] == 2
+        # warm excludes the cold first sample
+        assert stats["warm_median_seconds"] == pytest.approx(0.35)
+
+    def test_percentile_ignores_input_order(self):
+        data = [3.0, 1.0, 4.0, 2.0]
+        assert percentile(data, 0) == 1.0
+        assert percentile(data, 100) == 4.0
+        assert percentile(data, 50) == 2.5
+        assert data == [3.0, 1.0, 4.0, 2.0]  # caller's list untouched
+
+    def test_summarize_samples_rejects_no_samples(self):
+        with pytest.raises(ValueError):
+            summarize_samples([])
+
+    def test_single_sample_has_no_jitter(self):
+        stats = summarize_samples([0.25])
+        assert stats["jitter"] is None
+        assert stats["median_seconds"] == 0.25
+        assert stats["deadline_misses"] == 0

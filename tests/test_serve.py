@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.runtime.autotune import AutoTuner, tuning_key
-from repro.runtime.benchmarking import (
+from repro.runtime.execute import (
     execute_prepared,
     prepare_kernel,
     resolve_params,
@@ -653,17 +653,14 @@ class TestSigtermDrain:
 
 class TestLoadgen:
     def test_loadgen_records_service_telemetry(self, tmp_path):
-        from repro.bench.store import read_trajectory
         from repro.serve.loadgen import run_loadgen
 
         h = ServerHarness(max_queue=32)
-        results = tmp_path / "results"
         try:
-            payload, run_dir = run_loadgen(
+            payload = run_loadgen(
                 kernel="jacobi", n=33, procs=2, backend="jit",
                 socket_path=h.socket_path, concurrency=4, duration=1.0,
-                deadline_ms=5_000.0, tenants=2, results_root=results,
-                progress=None,
+                deadline_ms=5_000.0, tenants=2, progress=None,
             )
         finally:
             h.stop()
@@ -672,24 +669,21 @@ class TestLoadgen:
         assert entry["requests"]["ok"] > 0
         assert entry["checksum_mismatches"] == 0
         assert not entry["client_failures"]
-        # Tail-latency fields the ROADMAP item 5 wiring promises.
+        assert entry["availability"] == 1.0
+        # Tail-latency fields of the service run.
         for field in ("p50_seconds", "p95_seconds", "p99_seconds",
                       "deadline_misses", "median_seconds", "jitter"):
             assert field in entry
+        assert entry["deadline_seconds"] == 5.0
+        assert len(entry["samples"]) == entry["requests"]["ok"]
         assert entry["requests_per_second"] > 0
+        assert payload["suite"]["service"] is True
+        assert payload["suite"]["tenants"] == 2
         assert payload["server"] is not None
         assert payload["server"]["admission"]["admitted"] > 0
-        # Immutable run dir + trajectory line, same as `repro bench`.
-        assert run_dir is not None
-        telemetry = json.loads((run_dir / "telemetry.json").read_text())
-        assert telemetry["run_id"] == run_dir.name
-        assert telemetry["suite"]["service"] is True
-        assert (run_dir / "summary.csv").read_text().startswith("kernel,")
-        mode = (run_dir / "telemetry.json").stat().st_mode
-        assert not mode & 0o222  # write bits stripped (immutable run)
-        lines = read_trajectory(results)
-        assert len(lines) == 1
-        assert lines[0]["run_id"] == run_dir.name
+        # Nothing is stamped for a store: the payload is the whole result.
+        for stamp in ("schema", "version", "run_id", "git_sha"):
+            assert stamp not in payload
 
     def test_loadgen_chaos_window_records_recovery(self, tmp_path):
         """``--chaos``: the plan is installed for the measured window,
@@ -699,11 +693,10 @@ class TestLoadgen:
 
         h = ServerHarness(max_queue=32)
         try:
-            payload, _run_dir = run_loadgen(
+            payload = run_loadgen(
                 kernel="jacobi", n=33, procs=2, backend="jit",
                 socket_path=h.socket_path, concurrency=2, duration=1.0,
-                chaos="cache_corrupt@exec=2..50/4", results_root=None,
-                progress=None,
+                chaos="cache_corrupt@exec=2..50/4", progress=None,
             )
             with h.client() as c:
                 faults_after = c.health()["result"]["faults"]
@@ -725,7 +718,7 @@ class TestLoadgen:
             rc = cli_main([
                 "loadgen", "--socket", h.socket_path, "--kernel", "jacobi",
                 "--n", "33", "--procs", "2", "--concurrency", "2",
-                "--duration", "0.5", "--no-store", "--json", "-",
+                "--duration", "0.5", "--json", "-",
             ])
         finally:
             h.stop()
@@ -734,3 +727,34 @@ class TestLoadgen:
         payload = json.loads(out.out)
         assert payload["entries"][0]["requests"]["ok"] > 0
         assert "loadgen:" in out.err  # progress moved to stderr
+
+    def test_loadgen_cli_json_path(self, tmp_path, capsys):
+        """``--json PATH`` writes the payload ``run_loadgen`` returns to
+        that file, and the human-readable report stays on stdout."""
+        from repro.cli import main as cli_main
+
+        target = tmp_path / "loadgen.json"
+        h = ServerHarness(max_queue=32)
+        try:
+            rc = cli_main([
+                "loadgen", "--socket", h.socket_path, "--kernel", "jacobi",
+                "--n", "33", "--procs", "2", "--concurrency", "2",
+                "--duration", "0.5", "--json", str(target),
+            ])
+        finally:
+            h.stop()
+        assert rc == 0
+        assert f"wrote {target}" in capsys.readouterr().out
+        payload = json.loads(target.read_text())
+        assert payload["entries"][0]["requests"]["ok"] > 0
+        assert payload["suite"]["service"] is True
+
+    @pytest.mark.parametrize("flag", [["--no-store"], ["--run-dir", "runs"]])
+    def test_loadgen_has_no_store_options(self, flag, capsys):
+        """The run store is gone: its options are usage errors."""
+        from repro.cli import main as cli_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["loadgen", "--socket", "unused.sock", *flag])
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err

@@ -189,6 +189,17 @@ class TestCli:
     def test_experiment_unknown(self, capsys):
         assert cli_main(["experiment", "fig99"]) == 2
 
+    def test_no_bench_subcommand(self, capsys):
+        """``benchmarks/e2e`` is the only measurement system: there is no
+        ``repro bench`` and no ``repro.bench`` package behind it."""
+        import importlib.util
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        assert importlib.util.find_spec("repro.bench") is None
+
     def test_simulate(self, capsys):
         assert cli_main(
             ["simulate", "jacobi", "--procs", "1,4", "--scale", "8"]
