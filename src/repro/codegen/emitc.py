@@ -669,7 +669,10 @@ class CJitModule:
             arrs = [arrays[name] for name, _ in self.array_spec]
         except KeyError as exc:
             raise CJitError(f"missing array {exc.args[0]!r}") from None
-        key = [(arr.ctypes.data, arr.shape) for arr in arrs]
+        # strides and dtype too: a transposed square view shares address
+        # and shape with the array it views
+        key = [(arr.ctypes.data, arr.shape, arr.strides, arr.dtype)
+               for arr in arrs]
         if self._args_cache is not None and self._args_cache[0] == key:
             return self._args_cache[1:]
         for arr, (name, ndim) in zip(arrs, self.array_spec):
@@ -682,8 +685,8 @@ class CJitModule:
                 raise CJitError(
                     f"array {name!r} has rank {arr.ndim}, plan expects {ndim}"
                 )
-        ptrs = (ctypes.c_void_p * len(key))(*(addr for addr, _ in key))
-        dims = [d for _, shape in key for d in shape]
+        ptrs = (ctypes.c_void_p * len(key))(*(k[0] for k in key))
+        dims = [d for arr in arrs for d in arr.shape]
         dims_arr = (ctypes.c_long * max(1, len(dims)))(*dims)
         self._args_cache = (key, ptrs, dims_arr)
         return ptrs, dims_arr

@@ -129,13 +129,17 @@ def available_backends() -> tuple[str, ...]:
 
 def checksum(arrays: MutableMapping[str, np.ndarray]) -> str:
     """Deterministic digest of a set of named arrays (name, shape and
-    exact float bits), machine-independent for IEEE-754 arithmetic."""
+    exact float bits), machine-independent for IEEE-754 arithmetic.
+    A C-contiguous array is hashed in place; anything else is hashed as
+    ``np.ascontiguousarray`` of it (which also makes a 0-d array 1-d)."""
     digest = hashlib.sha256()
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])
+        if arr.ndim == 0 or not arr.flags.c_contiguous:
+            arr = np.ascontiguousarray(arr)
         digest.update(name.encode())
         digest.update(str(arr.shape).encode())
-        digest.update(arr.tobytes())
+        digest.update(arr)  # the buffer in place, no copy
     return digest.hexdigest()[:16]
 
 

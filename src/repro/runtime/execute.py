@@ -8,13 +8,16 @@ modules straight from a warm plan-cache alias), :func:`execute_prepared`
 allocates seeded arrays and runs them through a named backend
 (:mod:`repro.runtime.backend`), returning seconds, iteration counters and a
 machine-independent checksum, and :func:`execute_resilient` wraps that run
-in bounded retries down the degradation ladder.
+in bounded retries down the degradation ladder.  Module backends run over
+views of the shared execution arena (:mod:`repro.runtime.arena`): inputs
+filled in place, hashed in place, handed to the ``mpjit`` pool by spec.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
@@ -23,6 +26,7 @@ from ..core import build_execution_plan, derive_shift_peel, max_processors
 from ..core.execplan import ExecutionPlan
 from ..ir.sequence import Program
 from ..kernels import get_kernel
+from .arena import Layout, borrow, fill_seeded
 from .backend import checksum, get_backend
 from .plancache import default_cache, program_signature
 
@@ -75,12 +79,18 @@ class PreparedKernel:
     compile_seconds: float = 0.0
     cache_stats: dict = field(default_factory=dict)
 
+    @cached_property
+    def layout(self) -> Layout:
+        """Every array's ``(name, shape, dtype)`` in declaration order."""
+        return tuple((d.name, d.concrete_shape(self.params), "<f8")
+                     for d in self.program.arrays)
+
     def alloc(self) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(self.seed)
-        return {
-            d.name: rng.random(d.concrete_shape(self.params)) + 1.0
-            for d in self.program.arrays
-        }
+        """Fresh, owned copies of the seeded inputs."""
+        arrays = {name: np.empty(shape, dtype)
+                  for name, shape, dtype in self.layout}
+        fill_seeded(arrays.values(), self.seed)
+        return arrays
 
     @property
     def shape(self) -> str:
@@ -199,18 +209,17 @@ def execute_prepared(
     ``sync`` selects the phase synchronization for the mp/mpjit backends
     (``"p2p"``/``"barrier"``; None keeps the runner's default, p2p).
 
-    Array allocation happens outside the timed region; the run itself —
-    including any backend setup such as shared-memory creation for ``mp``
-    and ``mpjit`` (and, on the first run, spawning the mpjit worker pool)
-    — is what the clock sees.  When ``prep`` carries precompiled jit
-    modules, ``backend`` is one of :data:`MODULE_BACKENDS` and no
-    interpreter verification is requested, the modules run directly —
-    serially for ``jit``/``cjit``, through the persistent pool for
-    ``mpjit``; otherwise the plans execute through the backend registry.
-    A prep without plans (a warm alias hit) cannot run on any other
-    backend and raises ``ValueError``.
+    The inputs are filled before the clock starts and hashed after it
+    stops; the run itself — including, on the first run, spawning the
+    mpjit worker pool — is what the clock sees.  When ``prep`` carries
+    precompiled jit modules, ``backend`` is one of :data:`MODULE_BACKENDS`
+    and no interpreter verification is requested, the modules run
+    directly over views of the execution arena — serially for
+    ``jit``/``cjit``, through the persistent pool for ``mpjit``; otherwise
+    the plans execute through the backend registry over freshly allocated
+    arrays.  A prep without plans (a warm alias hit) cannot run on any
+    other backend and raises ``ValueError``.
     """
-    arrays = prep.alloc()
     totals = {"fused_iterations": 0, "peeled_iterations": 0}
     if (prep.modules is not None and not verify
             and backend in MODULE_BACKENDS):
@@ -222,24 +231,28 @@ def execute_prepared(
         run_modules = prep.modules
         if backend == "cjit" and prep.native_modules is not None:
             run_modules = prep.native_modules  # native tier; else jit fallback
-        t0 = time.perf_counter()
-        for module in run_modules:
-            if backend == "mpjit":
-                stats = run_mpjit_module(module, arrays,
-                                         max_workers=max_workers,
-                                         cache_root=cache_root,
-                                         sync=sync or "p2p")
-            else:
-                stats = module.run(arrays)
-            for key in totals:
-                totals[key] += stats.get(key, 0)
-        seconds = time.perf_counter() - t0
-        return seconds, totals, checksum(arrays)
+        with borrow() as arena:
+            arrays, specs = arena.layout(prep.layout)
+            fill_seeded(arrays.values(), prep.seed)
+            t0 = time.perf_counter()
+            for module in run_modules:
+                if backend == "mpjit":
+                    stats = run_mpjit_module(module, arrays, specs=specs,
+                                             max_workers=max_workers,
+                                             cache_root=cache_root,
+                                             sync=sync or "p2p")
+                else:
+                    stats = module.run(arrays)
+                for key in totals:
+                    totals[key] += stats.get(key, 0)
+            seconds = time.perf_counter() - t0
+            return seconds, totals, checksum(arrays)
     if not prep.plans:
         raise ValueError(
             f"{prep.name} was prepared without plans (a warm plan-cache "
             f"alias) and cannot run on backend {backend!r}; prepare it "
             f"for {backend!r}")
+    arrays = prep.alloc()
     be = get_backend(backend)
     options: dict = {}
     if backend in MODULE_BACKENDS and no_cache:

@@ -18,13 +18,14 @@ interpreter.  This module closes the gap:
   emission; the task carries the source inline as a last-resort fallback
   for non-persistent caches;
 * one run is the paper's two-phase schedule: every worker calls
-  ``run_fused(proc, arrays)`` for its assigned processors over
-  ``multiprocessing.shared_memory``, synchronizes, then calls
-  ``run_peeled(proc, arrays)``.  The synchronization is point-to-point
-  by default (``sync="p2p"``): each processor signals a preallocated
-  "fused done" event as its fused phase completes, and each peeled
-  phase waits only on the events of its named predecessors — the
-  module's ``PEEL_DEPS`` map, derived by
+  ``run_fused(proc, arrays)`` for its assigned processors over the
+  execution arena (:mod:`repro.runtime.arena`, one shared-memory segment
+  a worker maps once and keeps until the parent names another),
+  synchronizes, then calls ``run_peeled(proc, arrays)``.  The
+  synchronization is point-to-point by default (``sync="p2p"``): each
+  processor signals a preallocated "fused done" event as its fused phase
+  completes, and each peeled phase waits only on the events of its named
+  predecessors — the module's ``PEEL_DEPS`` map, derived by
   :func:`repro.core.syncdeps.peel_predecessors` — instead of on the
   slowest peer.  ``sync="barrier"`` keeps the paper's single global
   barrier (also the automatic fallback for plans with more processors
@@ -36,7 +37,8 @@ polls the result queue with liveness checks, aborts the sync (barrier
 :class:`~repro.runtime.supervisor.ExecError` (a
 :class:`~repro.runtime.fastexec.FastExecError` carrying a classified
 :class:`~repro.runtime.supervisor.ExecFailure`) with the worker
-traceback.  A failed run poisons the pool; the
+traceback.  A failed run retires the execution arena (the retry runs on
+a new segment, out of reach of a stalled worker) and poisons the pool; the
 :class:`~repro.runtime.supervisor.PoolSupervisor` then repairs it in the
 background — in place after a p2p failure (only the corpses are
 re-forked, warm survivors keep their compiled modules), full respawn
@@ -56,21 +58,18 @@ import atexit
 import os
 import threading
 import time
-from typing import Mapping, MutableMapping, Optional, Sequence
+from typing import MutableMapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.execplan import ExecutionPlan
+from . import arena
 from .fastexec import (
     FastExecError,
     P2PSync,
     SyncAborted,
     _resolve_workers,
-    attach_arrays,
     collect_worker_results,
-    copy_back_arrays,
-    export_arrays,
-    release_segments,
     sync_timeout,
 )
 
@@ -168,6 +167,7 @@ def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
     import traceback
 
     modules: dict = {}
+    attachment = arena.Attachment()
     while True:
         task = task_queue.get()
         if task is None:
@@ -179,65 +179,58 @@ def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
             continue
         (signature, cache_root, source, specs, proc_indices, sync_mode,
          fault) = task
-        segments: list = []
-        arrays: dict[str, np.ndarray] = {}
         try:
-            try:
-                module, load_mode = _load_module(
-                    modules, signature, cache_root, source
-                )
-                arrays = attach_arrays(specs, segments)
-                if _test_worker_hook is not None:
-                    _test_worker_hook(worker_id, signature)
-                _apply_worker_fault(fault)
-                stall = (fault if fault is not None
-                         and fault.get("action") == "stall" else None)
-                fused = 0
-                if sync_mode == "p2p":
-                    for proc in proc_indices:
-                        fused += module.run_fused(proc, arrays)
-                        if stall is not None and (
-                            stall.get("proc") is None
-                            or stall.get("proc") == proc
-                        ):
-                            seconds = stall.get("seconds")
-                            if seconds is None:
-                                continue  # withhold the signal outright
-                            time.sleep(float(seconds))
-                        p2p.signal_fused_done(proc)
-                    deps = module.peel_deps
-                    peeled = 0
-                    for proc in proc_indices:
-                        p2p.wait_for(deps[proc])
-                        peeled += module.run_peeled(proc, arrays)
-                else:
-                    for proc in proc_indices:
-                        fused += module.run_fused(proc, arrays)
-                    if stall is not None:
-                        time.sleep(float(stall.get("seconds")
-                                         or sync_timeout() + 1.0))
-                    barrier.wait(timeout=sync_timeout())
-                    peeled = 0
-                    for proc in proc_indices:
-                        peeled += module.run_peeled(proc, arrays)
-                result_queue.put(
-                    (worker_id, True, (fused, peeled, load_mode))
-                )
-            except threading.BrokenBarrierError:
-                result_queue.put((worker_id, False,
-                                  "barrier broken or aborted (a peer "
-                                  "failed first)"))
-            except SyncAborted as exc:
-                result_queue.put((worker_id, False,
-                                  f"p2p sync aborted ({exc})"))
-            except BaseException:
-                result_queue.put((worker_id, False, traceback.format_exc()))
-                barrier.abort()
-                p2p.abort()
-        finally:
-            del arrays
-            for seg in segments:
-                seg.close()
+            module, load_mode = _load_module(
+                modules, signature, cache_root, source
+            )
+            arrays = attachment.views(specs)
+            if _test_worker_hook is not None:
+                _test_worker_hook(worker_id, signature)
+            _apply_worker_fault(fault)
+            stall = (fault if fault is not None
+                     and fault.get("action") == "stall" else None)
+            fused = 0
+            if sync_mode == "p2p":
+                for proc in proc_indices:
+                    fused += module.run_fused(proc, arrays)
+                    if stall is not None and (
+                        stall.get("proc") is None
+                        or stall.get("proc") == proc
+                    ):
+                        seconds = stall.get("seconds")
+                        if seconds is None:
+                            continue  # withhold the signal outright
+                        time.sleep(float(seconds))
+                    p2p.signal_fused_done(proc)
+                deps = module.peel_deps
+                peeled = 0
+                for proc in proc_indices:
+                    p2p.wait_for(deps[proc])
+                    peeled += module.run_peeled(proc, arrays)
+            else:
+                for proc in proc_indices:
+                    fused += module.run_fused(proc, arrays)
+                if stall is not None:
+                    time.sleep(float(stall.get("seconds")
+                                     or sync_timeout() + 1.0))
+                barrier.wait(timeout=sync_timeout())
+                peeled = 0
+                for proc in proc_indices:
+                    peeled += module.run_peeled(proc, arrays)
+            result_queue.put(
+                (worker_id, True, (fused, peeled, load_mode))
+            )
+        except threading.BrokenBarrierError:
+            result_queue.put((worker_id, False,
+                              "barrier broken or aborted (a peer "
+                              "failed first)"))
+        except SyncAborted as exc:
+            result_queue.put((worker_id, False,
+                              f"p2p sync aborted ({exc})"))
+        except BaseException:
+            result_queue.put((worker_id, False, traceback.format_exc()))
+            barrier.abort()
+            p2p.abort()
 
 
 class WorkerPool:
@@ -300,7 +293,7 @@ class WorkerPool:
         self.p2p.abort()
 
     def run_module(self, module, assignment: Sequence[Sequence[int]],
-                   specs: Mapping[str, tuple],
+                   specs: tuple,
                    cache_root: Optional[str],
                    sync: str = "p2p") -> tuple[int, int]:
         """Submit one two-phase execution; returns (fused, peeled) totals.
@@ -454,7 +447,7 @@ _spawns = 0
 
 #: Guards ``_pool`` between the exec path and the supervisor's
 #: background recovery thread (reentrant: recovery calls get_pool /
-#: shutdown_pool while already holding it).
+#: stop_pool while already holding it).
 _lock = threading.RLock()
 
 
@@ -469,20 +462,27 @@ def get_pool(nworkers: int) -> WorkerPool:
         if _pool is not None and (
             _pool.nworkers != nworkers or not _pool.healthy()
         ):
-            shutdown_pool()
+            stop_pool()
         if _pool is None:
             _pool = WorkerPool(nworkers)
             _spawns += 1
         return _pool
 
 
-def shutdown_pool() -> None:
-    """Tear down the process-wide pool (no-op when there is none)."""
+def stop_pool() -> None:
+    """Stop the process-wide pool's workers (no-op when there is none)."""
     global _pool
     with _lock:
         if _pool is not None:
             _pool.shutdown()
             _pool = None
+
+
+def shutdown_pool() -> None:
+    """Tear down the process-wide pool and retire the execution arena, so
+    no worker and no shared-memory segment survives the call."""
+    stop_pool()
+    arena.retire_shared()
 
 
 atexit.register(shutdown_pool)
@@ -516,6 +516,7 @@ def run_mpjit_module(
     max_workers: Optional[int] = None,
     cache_root: Optional[str] = None,
     sync: str = "p2p",
+    specs: Optional[tuple] = None,
 ) -> dict[str, int]:
     """Execute a compiled :class:`JitModule` through the worker pool.
 
@@ -524,7 +525,12 @@ def run_mpjit_module(
     barrier.  The processors are dealt round-robin across
     ``min(nprocs, cores)`` workers (``max_workers`` overrides the core
     count).  With one worker the pool is bypassed entirely — the module
-    runs serially in-process, which is bit-identical by construction."""
+    runs serially in-process, which is bit-identical by construction.
+
+    The workers see only execution-arena specs: ``arrays`` are arena
+    views described by ``specs`` (what ``execute_prepared`` passes), or —
+    with ``specs=None`` — the caller's own arrays, copied into the arena
+    and back."""
     if sync not in ("p2p", "barrier"):
         raise FastExecError(f"unknown sync mode {sync!r}")
     # Validate the env knobs in the parent, before anything is spawned:
@@ -534,14 +540,29 @@ def run_mpjit_module(
     from .faults import active_plan
 
     active_plan()
-    nprocs = module.nprocs
-    nworkers = _resolve_workers(nprocs, max_workers)
+    nworkers = _resolve_workers(module.nprocs, max_workers)
     if nworkers == 1:
         return module.run(arrays)
-    segments: dict = {}
+    if specs is not None:
+        return _dispatch(module, nworkers, specs, cache_root, sync)
+    with arena.borrow() as space:
+        views, specs = space.layout(tuple(
+            (name, arr.shape, arr.dtype.str) for name, arr in arrays.items()))
+        for name, arr in arrays.items():
+            np.copyto(views[name], arr)
+        stats = _dispatch(module, nworkers, specs, cache_root, sync)
+        for name, arr in arrays.items():
+            np.copyto(arr, views[name])
+    return stats
+
+
+def _dispatch(module, nworkers: int, specs: tuple, cache_root: Optional[str],
+              sync: str) -> dict[str, int]:
+    """One pool run over arena ``specs``; failures are classified and the
+    pool handed to the supervisor."""
+    nprocs = module.nprocs
     pool = None
     try:
-        segments, specs = export_arrays(arrays)
         assignment = [
             tuple(range(w, nprocs, nworkers)) for w in range(nworkers)
         ]
@@ -549,7 +570,6 @@ def run_mpjit_module(
         fused, peeled = pool.run_module(
             module, assignment, specs, cache_root, sync=sync
         )
-        copy_back_arrays(arrays, segments)
         return {"fused_iterations": fused, "peeled_iterations": peeled}
     except FastExecError as exc:
         # The shared sync primitives are aborted and the pool is marked
@@ -567,8 +587,6 @@ def run_mpjit_module(
         if isinstance(exc, ExecError):
             raise
         raise ExecError(failure) from exc
-    finally:
-        release_segments(segments)
 
 
 def run_mpjit(

@@ -316,7 +316,7 @@ class PoolSupervisor:
                         self.respawns += replaced
                         self.recoveries += 1
                     return
-            pool_mod.shutdown_pool()
+            pool_mod.stop_pool()
             try:
                 pool_mod.get_pool(nworkers)
             except Exception:  # pragma: no cover - spawn failed; next
