@@ -6,8 +6,8 @@ Usage::
     python -m repro transform FILE [--style stripmined|direct|spmd]
     python -m repro analyze FILE
     python -m repro simulate KERNEL [--machine ksr2|convex] [--procs ...]
-    python -m repro exec KERNEL [--backend interp|vector|mp|jit|mpjit|cjit]
-                         [--n N] [--sync p2p|barrier] [--autotune]
+    python -m repro exec KERNEL [--backend interp|vector|jit|mpjit|cjit]
+                         [--n N] [--autotune]
     python -m repro serve [--port P | --socket PATH] [--max-queue Q]
     python -m repro loadgen [--concurrency N] [--duration S]
     python -m repro experiment NAME        # table1, table2, fig18..fig26
@@ -147,13 +147,11 @@ def cmd_exec(args: argparse.Namespace) -> int:
         verify=args.verify,
         use_cache=not args.no_cache,
         max_workers=args.max_workers,
-        sync=args.sync,
         autotune=args.autotune,
         retries=args.retries,
     )
-    sync_note = f", sync={record['sync']}" if "sync" in record else ""
     print(f"{record['kernel']} [{record['shape']}] on backend "
-          f"{record['backend']}{sync_note} with {record['procs']} processors:")
+          f"{record['backend']} with {record['procs']} processors:")
     if "autotune" in record:
         tune = record["autotune"]
         stats = tune.get("stats", {})
@@ -277,7 +275,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     try:
         payload = run_loadgen(
             kernel=args.kernel, n=args.n, procs=args.procs,
-            backend=args.backend, strip=args.strip, sync=args.sync,
+            backend=args.backend, strip=args.strip,
             max_workers=args.max_workers,
             host=args.host, port=args.port, socket_path=args.socket,
             concurrency=args.concurrency, duration=args.duration,
@@ -409,14 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "scratch, touch no cache files); no effect on other "
                         "backends")
     p.add_argument("--max-workers", type=int, default=None,
-                   help="cap the mp/mpjit worker count (default: the "
-                        "machine's core count)")
-    p.add_argument("--sync", default=None, choices=("p2p", "barrier"),
-                   help="mp/mpjit phase synchronization: point-to-point "
-                        "neighbor events (default) or the paper's global "
-                        "barrier")
+                   help="cap the mpjit worker count (default: the "
+                        "CPUs this process may run on)")
     p.add_argument("--autotune", action="store_true", dest="autotune",
-                   help="pick backend/strip/workers/sync by measured cost "
+                   help="pick backend/strip/workers by measured cost "
                         "(winner persisted next to the plan cache; warm "
                         "runs reuse it without re-timing)")
     p.add_argument("--no-autotune", action="store_false", dest="autotune",
@@ -473,9 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", default="jit",
                    choices=available_backends())
     p.add_argument("--strip", type=int, default=None)
-    p.add_argument("--sync", default=None, choices=("p2p", "barrier"))
     p.add_argument("--max-workers", type=int, default=None,
-                   help="worker-pool size for mp/mpjit requests (forces "
+                   help="worker-pool size for mpjit requests (forces "
                         "a real pool on few-core hosts so chaos worker "
                         "faults can actually fire)")
     p.add_argument("--concurrency", type=int, default=8,

@@ -69,11 +69,11 @@ class JitModule:
     function, the barrier point, every processor's peeled function).
     ``run_fused``/``run_peeled`` execute *one* processor's phase and return
     its iteration count — the entry points the ``mpjit`` worker pool calls
-    so each OS process runs only its assigned processors between real
-    barriers.  ``peel_deps[p]`` is the sorted tuple of processors whose
-    fused phase must complete before processor ``p``'s peeled phase (see
-    :mod:`repro.core.syncdeps`); the pool's point-to-point sync mode waits
-    on exactly these instead of a global barrier."""
+    so each OS process runs only its assigned processors' phases.
+    ``peel_deps[p]`` is the sorted tuple of processors whose fused phase
+    must complete before processor ``p``'s peeled phase (see
+    :mod:`repro.core.syncdeps`); the pool waits on exactly these instead
+    of a global barrier."""
 
     signature: str
     source: str

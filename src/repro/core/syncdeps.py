@@ -36,8 +36,7 @@ the geometric neighbors.
 
 Consumers read it through the memoised ``ExecutionPlan.peel_deps``
 (:func:`peel_predecessors` itself stays pure): both emitters embed it in
-generated modules as ``PEEL_DEPS`` (the ``mpjit`` pool reads it there),
-and :func:`repro.runtime.fastexec.run_mp` waits on it directly.
+generated modules as ``PEEL_DEPS``, where the ``mpjit`` pool reads it.
 """
 
 from __future__ import annotations

@@ -10,16 +10,7 @@ from .backend import (
     register_backend,
     run_jit,
 )
-from .fastexec import (
-    FastExecError,
-    P2PSync,
-    SyncAborted,
-    exec_box,
-    run_mp,
-    run_vector,
-    sync_timeout,
-    vector_dims,
-)
+from .fastexec import FastExecError, exec_box, run_vector, vector_dims
 from .interp import (
     CompiledNest,
     compile_nest,
@@ -56,9 +47,7 @@ __all__ = [
     "CacheStats",
     "CompiledNest",
     "FastExecError",
-    "P2PSync",
     "PlanCache",
-    "SyncAborted",
     "WorkerPool",
     "available_backends",
     "checksum",
@@ -74,7 +63,6 @@ __all__ = [
     "register_backend",
     "reset_default_cache",
     "run_jit",
-    "run_mp",
     "run_mpjit",
     "run_mpjit_module",
     "run_nest",
@@ -84,7 +72,6 @@ __all__ = [
     "run_sequence_serial",
     "run_unfused_parallel",
     "shutdown_pool",
-    "sync_timeout",
     "run_vector",
     "vector_dims",
 ]

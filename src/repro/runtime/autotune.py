@@ -6,7 +6,7 @@ Baghdadi et al. (PAPERS.md) argue that static analysis should be combined
 with measured dynamic feedback.  This module closes that loop:
 
 * :func:`candidate_configs` enumerates a small set of plausible
-  ``(backend, strip, workers, sync)`` configurations for a processor
+  ``(backend, strip, workers)`` configurations for a processor
   count on this machine (serial compiled code always; the pooled
   parallel path only when there is more than one core to win with);
 * :func:`resolve_config` times each candidate on the real kernel (best
@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from .plancache import default_cache, program_signature
+from .pool import available_cpus
 
 SCHEMA = "repro-autotune/1"
 
@@ -73,7 +74,9 @@ class TunerStats:
 
 
 def machine_fingerprint() -> str:
-    """What makes a tuning result transferable: core count and ISA, plus
+    """What makes a tuning result transferable: usable CPU count
+    (:func:`~repro.runtime.pool.available_cpus`, so a winner tuned under
+    a restricted affinity is not replayed on the full box) and ISA, plus
     everything that changes the *code being timed* — the Python
     major.minor (numpy dispatch costs shift between interpreters), the
     codegen version (new emitters produce different modules) and the C
@@ -86,7 +89,7 @@ def machine_fingerprint() -> str:
     from ..codegen.emitpy import CODEGEN_VERSION
 
     cc = compiler_fingerprint() or "none"
-    return (f"cpu{os.cpu_count() or 1}-{platform.machine() or 'unknown'}"
+    return (f"cpu{available_cpus()}-{platform.machine() or 'unknown'}"
             f"-py{sys.version_info[0]}.{sys.version_info[1]}"
             f"-cg{CODEGEN_VERSION}-cc{cc}")
 
@@ -107,8 +110,8 @@ def candidate_configs(procs: int,
 
     Serial compiled code (``jit``) is always a candidate, and so is the
     native tier (``cjit``) when a C compiler is present; the pooled
-    parallel path (``mpjit``, point-to-point sync) joins only when both
-    the plan and the machine have parallelism to exploit.  Worker counts:
+    parallel path (``mpjit``) joins only when both the plan and the
+    machine (its usable CPUs) have parallelism to exploit.  Worker counts:
     all cores, plus a half-cores option on big hosts (smaller pools can
     win when memory bandwidth saturates first) — deduplicated by the
     *effective* pool size ``min(procs, workers)``, so a half-cores count
@@ -116,7 +119,7 @@ def candidate_configs(procs: int,
     emitted sorted by that effective size with the full pool spelled
     ``max_workers=None`` (stored winners stay portable across hosts)."""
     if cpu_count is None:
-        cpu_count = os.cpu_count() or 1
+        cpu_count = available_cpus()
     cands = [
         {"backend": "jit", "strip": strip} for strip in _STRIP_CANDIDATES
     ]
@@ -135,7 +138,7 @@ def candidate_configs(procs: int,
         for count in sorted(counts):
             w: Optional[int] = None if count == full else count
             cands.append({"backend": "mpjit", "strip": None,
-                          "max_workers": w, "sync": "p2p"})
+                          "max_workers": w})
     return cands
 
 
@@ -220,7 +223,7 @@ def resolve_config(
     """The tuned configuration for ``(kernel, shape, procs, machine)``.
 
     Returns ``(config, info)``: ``config`` holds ``backend`` plus any of
-    ``strip``/``max_workers``/``sync``; ``info`` reports the store key,
+    ``strip``/``max_workers``; ``info`` reports the store key,
     whether it was a hit, what was timed on a miss and the tuner's
     counters.  A hit costs one JSON read — no candidate executes.
     """
@@ -251,7 +254,6 @@ def resolve_config(
             seconds, _counters, _digest = execute_prepared(
                 prep, cand["backend"], strip=cand.get("strip"),
                 max_workers=cand.get("max_workers"),
-                sync=cand.get("sync"),
             )
             best = seconds if best is None else min(best, seconds)
         timed.append({"config": cand, "seconds": round(best, 6)})

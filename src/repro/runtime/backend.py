@@ -10,9 +10,6 @@ examples and the benchmarks select an executor with a string:
   correctness suite leans on.
 * ``vector`` — :func:`repro.runtime.fastexec.run_vector`, numpy
   whole-array execution of the same plan (measured performance).
-* ``mp`` — :func:`repro.runtime.fastexec.run_mp`, one OS process per
-  simulated processor over shared memory, synchronized point-to-point
-  between the phases (``sync="barrier"`` restores the global barrier).
 * ``jit`` — :func:`run_jit`, the plan lowered once to literal numpy
   source (:mod:`repro.codegen.emitpy`), compiled and memoized through the
   two-level plan cache (:mod:`repro.runtime.plancache`), then executed as
@@ -21,8 +18,7 @@ examples and the benchmarks select an executor with a string:
   modules executed in parallel by a persistent worker pool: each worker
   runs only its processors' ``run_fused``/``run_peeled`` entry points
   over shared memory (the paper's two-phase SPMD schedule, compiled),
-  synchronizing point-to-point through the module's ``PEEL_DEPS`` map
-  by default (``sync="barrier"`` restores the global barrier).
+  synchronizing point-to-point through the module's ``PEEL_DEPS`` map.
 * ``cjit`` — :func:`run_cjit`, the plan lowered to a C translation unit
   (:mod:`repro.codegen.emitc`), compiled with the system C compiler into
   a ``.so`` cached next to the ``.py`` source, and called through
@@ -45,7 +41,7 @@ from typing import Callable, MutableMapping, Optional
 import numpy as np
 
 from ..core.execplan import ExecutionPlan
-from .fastexec import run_mp, run_vector
+from .fastexec import run_vector
 from .parallel import run_parallel
 from .pool import run_mpjit
 
@@ -218,13 +214,6 @@ register_backend(Backend(
     name="vector",
     description="numpy whole-array execution of fused strips and peels",
     runner=run_vector,
-))
-register_backend(Backend(
-    name="mp",
-    description="one OS process per simulated processor over shared memory "
-                "(point-to-point phase sync; sync='barrier' for the global "
-                "barrier)",
-    runner=run_mp,
 ))
 register_backend(Backend(
     name="jit",

@@ -82,21 +82,16 @@ def measure_kernel(
     verify: bool = False,
     use_cache: bool = True,
     max_workers: Optional[int] = None,
-    sync: Optional[str] = None,
     autotune: bool = False,
     tuner=None,
     retries: int = 0,
 ) -> dict:
     """Per-repeat wall-clock record for one kernel × backend.
 
-    ``sync`` selects the mp/mpjit phase synchronization (``"p2p"`` is
-    the runners' default, ``"barrier"`` the paper's global barrier); the
-    effective mode is recorded as ``record["sync"]``.
-
     ``autotune=True`` consults the measured-cost auto-tuner
     (:mod:`repro.runtime.autotune`) first: the persisted winner for this
     (kernel IR, shape, procs, machine) — timed once, reused on every
-    warm run — overrides ``backend``/``strip``/``max_workers``/``sync``,
+    warm run — overrides ``backend``/``strip``/``max_workers``,
     and the tuner's key, hit/miss flag and counters are recorded under
     ``record["autotune"]``.
 
@@ -126,7 +121,7 @@ def measure_kernel(
     ``steady_seconds`` (an alias of ``warm_seconds``: every repeat after
     the first executes against already-warm workers, which is the number
     a long-running service would see).  ``max_workers`` caps the worker
-    count for the mp/mpjit backends.
+    count for the mpjit backend.
     """
     wall0 = time.perf_counter()
     tuner_info = None
@@ -140,7 +135,6 @@ def measure_kernel(
         backend = config.get("backend", backend)
         strip = config.get("strip", strip)
         max_workers = config.get("max_workers", max_workers)
-        sync = config.get("sync", sync)
     prep = prepare_kernel(
         kernel, params=params, n=n, procs=procs, seed=seed,
         backend=backend, strip=strip, use_cache=use_cache,
@@ -161,7 +155,7 @@ def measure_kernel(
 
             seconds, totals, run_digest, recovery = execute_resilient(
                 prep, backend, strip=strip, no_cache=not use_cache,
-                max_workers=max_workers, sync=sync,
+                max_workers=max_workers,
                 policy=RetryPolicy(max_attempts=retries + 1),
             )
             recovery_totals["retries"] += recovery["retries"]
@@ -170,7 +164,6 @@ def measure_kernel(
             seconds, totals, run_digest = execute_prepared(
                 prep, backend, strip=strip, verify=verify,
                 no_cache=not use_cache, max_workers=max_workers,
-                sync=sync,
             )
         if digest is not None and run_digest != digest:
             raise RuntimeError(
@@ -218,8 +211,6 @@ def measure_kernel(
         "total_seconds": round(total_seconds, 6),
     }
     record.update(summarize_samples(run_times))
-    if backend in ("mp", "mpjit"):
-        record["sync"] = sync or "p2p"
     if tuner_info is not None:
         record["autotune"] = tuner_info
     if retries > 0:

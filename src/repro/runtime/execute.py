@@ -202,12 +202,8 @@ def execute_prepared(
     verify: bool = False,
     no_cache: bool = False,
     max_workers: Optional[int] = None,
-    sync: Optional[str] = None,
 ) -> tuple[float, dict[str, int], str]:
     """One timed execution of all sequences: (seconds, counters, checksum).
-
-    ``sync`` selects the phase synchronization for the mp/mpjit backends
-    (``"p2p"``/``"barrier"``; None keeps the runner's default, p2p).
 
     The inputs are filled before the clock starts and hashed after it
     stops; the run itself — including, on the first run, spawning the
@@ -239,8 +235,7 @@ def execute_prepared(
                 if backend == "mpjit":
                     stats = run_mpjit_module(module, arrays, specs=specs,
                                              max_workers=max_workers,
-                                             cache_root=cache_root,
-                                             sync=sync or "p2p")
+                                             cache_root=cache_root)
                 else:
                     stats = module.run(arrays)
                 for key in totals:
@@ -257,10 +252,8 @@ def execute_prepared(
     options: dict = {}
     if backend in MODULE_BACKENDS and no_cache:
         options["no_cache"] = True
-    if backend in ("mp", "mpjit") and max_workers is not None:
+    if backend == "mpjit" and max_workers is not None:
         options["max_workers"] = max_workers
-    if backend in ("mp", "mpjit") and sync is not None:
-        options["sync"] = sync
     t0 = time.perf_counter()
     for ep in prep.plans:
         stats = be.run(ep, arrays, strip=strip, verify=verify, **options)
@@ -286,7 +279,6 @@ def execute_resilient(
     strip: Optional[int] = None,
     no_cache: bool = False,
     max_workers: Optional[int] = None,
-    sync: Optional[str] = None,
     policy=None,
     breaker=None,
     signature: Optional[str] = None,
@@ -337,7 +329,7 @@ def execute_resilient(
         try:
             seconds, counters, digest = execute_prepared(
                 prep, backend_now, strip=strip, no_cache=no_cache,
-                max_workers=max_workers, sync=sync,
+                max_workers=max_workers,
             )
         except FastExecError as exc:
             failure = classify_failure(exc)

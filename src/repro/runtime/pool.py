@@ -1,10 +1,8 @@
-"""Persistent worker pool executing jit-compiled plans in parallel (mpjit).
+"""Persistent worker pool executing compiled plans in parallel (mpjit).
 
 The paper's execution model (Figs. 12/13) is SPMD: every processor runs
-its *fused* boxes, hits one barrier, then runs its *peeled* boxes.  After
-PR 1/PR 2 the two fast paths were split — ``jit`` ran compiled code
-serially and ``mp`` ran real processes through the slow uncompiled per-box
-interpreter.  This module closes the gap:
+its *fused* boxes, synchronizes, then runs its *peeled* boxes.  This
+module runs that schedule on real OS processes with compiled bodies:
 
 * a :class:`WorkerPool` of long-lived OS processes is spawned **once**
   (fork/spawn cost amortized across runs, exactly like the plan cache
@@ -20,30 +18,28 @@ interpreter.  This module closes the gap:
 * one run is the paper's two-phase schedule: every worker calls
   ``run_fused(proc, arrays)`` for its assigned processors over the
   execution arena (:mod:`repro.runtime.arena`, one shared-memory segment
-  a worker maps once and keeps until the parent names another),
-  synchronizes, then calls ``run_peeled(proc, arrays)``.  The
-  synchronization is point-to-point by default (``sync="p2p"``): each
-  processor signals a preallocated "fused done" event as its fused phase
-  completes, and each peeled phase waits only on the events of its named
+  a worker maps once and keeps until the parent names another), then
+  ``run_peeled(proc, arrays)``.  The paper's global barrier between the
+  phases is replaced by point-to-point sync (:class:`P2PSync`): each
+  processor sets its "fused done" event as its fused phase completes,
+  and each peeled phase waits only on the events of its named
   predecessors — the module's ``PEEL_DEPS`` map, derived by
   :func:`repro.core.syncdeps.peel_predecessors` — instead of on the
-  slowest peer.  ``sync="barrier"`` keeps the paper's single global
-  barrier (also the automatic fallback for plans with more processors
-  than preallocated event slots).
+  slowest peer.
 
-Failure semantics match :func:`repro.runtime.fastexec.run_mp`: the parent
-polls the result queue with liveness checks, aborts the sync (barrier
-*and* p2p abort event) on the first casualty, and raises a
+Failure semantics: the parent polls the result queue with liveness
+checks (:func:`collect_worker_results`), sets the abort event on the
+first casualty (releasing every waiter) and raises a
 :class:`~repro.runtime.supervisor.ExecError` (a
 :class:`~repro.runtime.fastexec.FastExecError` carrying a classified
 :class:`~repro.runtime.supervisor.ExecFailure`) with the worker
 traceback.  A failed run retires the execution arena (the retry runs on
 a new segment, out of reach of a stalled worker) and poisons the pool; the
 :class:`~repro.runtime.supervisor.PoolSupervisor` then repairs it in the
-background — in place after a p2p failure (only the corpses are
-re-forked, warm survivors keep their compiled modules), full respawn
-after a barrier failure — so the caller's retry finds a healthy pool
-without paying the spawn cost synchronously.
+background — in place (only the corpses are re-forked, warm survivors
+keep their compiled modules), or by a full respawn when the survivors do
+not settle — so the caller's retry finds a healthy pool without paying
+the spawn cost synchronously.
 
 Deterministic fault injection (:mod:`repro.runtime.faults`) rides the
 task tuple: the parent asks the active :class:`FaultPlan` for this
@@ -58,28 +54,214 @@ import atexit
 import os
 import threading
 import time
-from typing import MutableMapping, Optional, Sequence
+from typing import Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.execplan import ExecutionPlan
 from . import arena
-from .fastexec import (
-    FastExecError,
-    P2PSync,
-    SyncAborted,
-    _resolve_workers,
-    collect_worker_results,
-    sync_timeout,
-)
+from .fastexec import EnvConfigError, FastExecError
 
 #: Fused-done events preallocated per pool.  Multiprocessing sync
 #: primitives travel only through ``Process`` args at spawn time (never
-#: through queues), so the pool must allocate its event table up front;
-#: plans with more processors than slots silently fall back to the
-#: global barrier for that run (visible as ``last_sync`` in
-#: :func:`pool_stats`).
+#: through queues), so the pool allocates its event table up front; a
+#: plan with more processors than the table holds respawns the pool with
+#: a table that fits (:func:`get_pool`, the same path as a resize).
 P2P_EVENT_SLOTS = 128
+
+#: Default backstop for a worker stuck waiting on a fused-done event.
+#: The parent aborts the sync as soon as it detects a failure, so in
+#: practice a crash surfaces within a fraction of a second; this only
+#: bounds the truly pathological case of a parent that died without
+#: cleaning up.
+DEFAULT_SYNC_TIMEOUT = 600.0
+
+#: Environment override (seconds) for the sync backstop.  The test suite
+#: drops it sharply (tests/conftest.py) so sync-failure tests stay
+#: time-bounded instead of relying on a 600 s ceiling.
+ENV_SYNC_TIMEOUT = "REPRO_SYNC_TIMEOUT"
+
+#: How long the parent keeps draining the result queue after the first
+#: failure, so the root-cause traceback wins over the peers' secondary
+#: "sync aborted" reports.
+_FAILURE_DRAIN_SECONDS = 1.0
+
+#: Poll interval while waiting on a fused-done event; bounds how long a
+#: waiter takes to observe the abort flag after a peer dies (the parent
+#: sets it on the first casualty).
+_P2P_POLL_SECONDS = 0.05
+
+
+def sync_timeout() -> float:
+    """The sync backstop in seconds: ``REPRO_SYNC_TIMEOUT`` when set,
+    else :data:`DEFAULT_SYNC_TIMEOUT`.  Read at wait time so workers
+    forked before the variable changed still honour it on their next run
+    (fork shares the parent's environ).
+
+    Raises :class:`EnvConfigError` naming the variable when it is set to
+    something that is not a positive number; :func:`run_mpjit_module`
+    validates eagerly so the error surfaces in the parent, not as a
+    traceback shipped back from a worker."""
+    raw = os.environ.get(ENV_SYNC_TIMEOUT)
+    if raw is None or not raw.strip():
+        return DEFAULT_SYNC_TIMEOUT
+    try:
+        value = float(raw)
+    except ValueError:
+        raise EnvConfigError(
+            f"{ENV_SYNC_TIMEOUT} must be a number of seconds, got {raw!r}"
+        ) from None
+    if value <= 0:
+        raise EnvConfigError(
+            f"{ENV_SYNC_TIMEOUT} must be positive, got {raw!r}"
+        )
+    return value
+
+
+class SyncAborted(RuntimeError):
+    """Point-to-point sync released early: a peer failed, or a fused-done
+    signal never arrived within the backstop."""
+
+
+class P2PSync:
+    """Point-to-point fused-done signalling between SPMD workers.
+
+    ``events[p]`` is set exactly once per run, when processor ``p``'s
+    fused phase completes; a peeled phase then waits only on the events
+    of its named predecessors (:func:`repro.core.syncdeps.peel_predecessors`)
+    instead of on a global barrier.  One shared ``abort`` event releases
+    every waiter on failure — :func:`collect_worker_results` calls
+    ``.abort()`` on the first casualty.
+
+    The events must be created by whoever spawns the worker processes
+    (multiprocessing sync primitives travel only through ``Process``
+    args / fork inheritance, never through queues).
+    """
+
+    def __init__(self, events: Sequence, abort_event) -> None:
+        self.events = events
+        self.abort_event = abort_event
+
+    def abort(self) -> None:
+        self.abort_event.set()
+
+    def reset(self) -> None:
+        """Clear the abort flag and every fused-done event.
+
+        Used by in-place pool recovery after a failed run: the replaced
+        workers must not observe a stale abort (or a dead peer's leftover
+        signal) on their first healthy run."""
+        self.abort_event.clear()
+        for ev in self.events:
+            ev.clear()
+
+    def signal_fused_done(self, proc: int) -> None:
+        self.events[proc].set()
+
+    def wait_for(self, preds: Sequence[int],
+                 timeout: Optional[float] = None) -> None:
+        """Block until every processor in ``preds`` has signalled
+        fused-done; raise :class:`SyncAborted` promptly on abort and
+        after ``timeout`` (default :func:`sync_timeout`) as a backstop."""
+        if timeout is None:
+            timeout = sync_timeout()
+        deadline = time.monotonic() + timeout
+        for p in preds:
+            ev = self.events[p]
+            while not ev.wait(_P2P_POLL_SECONDS):
+                if self.abort_event.is_set():
+                    raise SyncAborted("a peer failed first")
+                if time.monotonic() >= deadline:
+                    self.abort_event.set()  # release the other waiters
+                    raise SyncAborted(
+                        f"no fused-done signal from processor {p} within "
+                        f"{timeout:.0f}s"
+                    )
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    exposes one (``taskset``, cgroup cpusets), else the machine's core
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _resolve_workers(nprocs: int, max_workers: Optional[int]) -> int:
+    """Worker count for ``nprocs`` simulated processors.
+
+    ``max_workers=None`` caps at :func:`available_cpus`: one OS process
+    per usable *hardware* core, never per simulated processor (a
+    56-processor plan on a 4-core host gets 4 workers, each running 14
+    processors' boxes in plan order)."""
+    if max_workers is None:
+        max_workers = available_cpus()
+    return max(1, min(nprocs, max_workers))
+
+
+def collect_worker_results(queue, workers: Mapping[int, object], sync,
+                           label: str) -> dict[int, tuple]:
+    """Gather one ``(worker_id, ok, payload)`` message per worker.
+
+    The queue is polled with a short timeout while checking worker
+    liveness, so a worker that dies *before* its ``queue.put`` surfaces as
+    a prompt :class:`FastExecError` instead of a 600 s sync hang.  On any
+    failure ``sync.abort()`` is called (releasing the surviving peers)
+    and the queue is drained briefly so the root-cause traceback is
+    reported in preference to the peers' secondary "sync aborted"
+    notices.
+    """
+    from queue import Empty
+
+    results: dict[int, tuple] = {}
+    failures: list[str] = []
+    pending = set(workers)
+    suspect: dict[int, int] = {}
+    deadline: Optional[float] = None
+
+    def fail(message: str) -> None:
+        nonlocal deadline
+        sync.abort()
+        failures.append(message)
+        if deadline is None:
+            deadline = time.monotonic() + _FAILURE_DRAIN_SECONDS
+
+    while pending:
+        if deadline is not None and time.monotonic() >= deadline:
+            break
+        try:
+            wid, ok, payload = queue.get(timeout=0.05)
+        except Empty:
+            for w in sorted(pending):
+                if workers[w].is_alive():
+                    suspect.pop(w, None)
+                    continue
+                # A clean exit flushes the queue feeder before the
+                # process dies, so give a just-died worker two more polls
+                # for its result to surface before declaring it lost.
+                suspect[w] = suspect.get(w, 0) + 1
+                if suspect[w] >= 3:
+                    pending.discard(w)
+                    fail(f"{label} worker {w} died without reporting a "
+                         f"result (exitcode {workers[w].exitcode})")
+            continue
+        pending.discard(wid)
+        suspect.pop(wid, None)
+        if ok:
+            results[wid] = payload
+        else:
+            fail(f"{label} worker {wid} failed:\n{payload}")
+    if failures:
+        # Order the genuine tracebacks ahead of sync-abort fallout.
+        failures.sort(key=lambda m: ("sync aborted" in m.splitlines()[-1],
+                                     m))
+        raise FastExecError(
+            f"{label} execution failed ({len(failures)} worker "
+            f"failure(s)):\n" + "\n".join(failures)
+        )
+    return results
+
 
 #: Test-only failure injection: when set (before the pool is spawned, so
 #: fork inheritance carries it into the workers), every worker calls it
@@ -153,17 +335,16 @@ def _load_module(modules: dict, signature: str, cache_root: Optional[str],
     return module, mode
 
 
-def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
+def _pool_worker(worker_id: int, task_queue, result_queue,
                  p2p: P2PSync) -> None:
     """One long-lived worker: loop over tasks until the ``None`` sentinel.
 
     Each task executes one plan's two-phase schedule for this worker's
-    assigned processors, synchronizing through the global barrier or
-    point-to-point per the task's sync mode.  Errors are shipped to the
+    assigned processors, signalling fused-done per processor and waiting
+    on each peeled phase's predecessors.  Errors are shipped to the
     parent as formatted tracebacks; a failure releases the peers by
-    aborting both primitives (whichever the peers are parked on).
+    aborting the sync.
     """
-    import threading
     import traceback
 
     modules: dict = {}
@@ -177,8 +358,7 @@ def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
             # answers (tasks are consumed in queue order)
             result_queue.put((worker_id, True, (_CONTROL, task[1])))
             continue
-        (signature, cache_root, source, specs, proc_indices, sync_mode,
-         fault) = task
+        signature, cache_root, source, specs, proc_indices, fault = task
         try:
             module, load_mode = _load_module(
                 modules, signature, cache_root, source
@@ -190,81 +370,58 @@ def _pool_worker(worker_id: int, task_queue, result_queue, barrier,
             stall = (fault if fault is not None
                      and fault.get("action") == "stall" else None)
             fused = 0
-            if sync_mode == "p2p":
-                for proc in proc_indices:
-                    fused += module.run_fused(proc, arrays)
-                    if stall is not None and (
-                        stall.get("proc") is None
-                        or stall.get("proc") == proc
-                    ):
-                        seconds = stall.get("seconds")
-                        if seconds is None:
-                            continue  # withhold the signal outright
-                        time.sleep(float(seconds))
-                    p2p.signal_fused_done(proc)
-                deps = module.peel_deps
-                peeled = 0
-                for proc in proc_indices:
-                    p2p.wait_for(deps[proc])
-                    peeled += module.run_peeled(proc, arrays)
-            else:
-                for proc in proc_indices:
-                    fused += module.run_fused(proc, arrays)
-                if stall is not None:
-                    time.sleep(float(stall.get("seconds")
-                                     or sync_timeout() + 1.0))
-                barrier.wait(timeout=sync_timeout())
-                peeled = 0
-                for proc in proc_indices:
-                    peeled += module.run_peeled(proc, arrays)
+            for proc in proc_indices:
+                fused += module.run_fused(proc, arrays)
+                if stall is not None and (
+                    stall.get("proc") is None
+                    or stall.get("proc") == proc
+                ):
+                    seconds = stall.get("seconds")
+                    if seconds is None:
+                        continue  # withhold the signal outright
+                    time.sleep(float(seconds))
+                p2p.signal_fused_done(proc)
+            deps = module.peel_deps
+            peeled = 0
+            for proc in proc_indices:
+                p2p.wait_for(deps[proc])
+                peeled += module.run_peeled(proc, arrays)
             result_queue.put(
                 (worker_id, True, (fused, peeled, load_mode))
             )
-        except threading.BrokenBarrierError:
-            result_queue.put((worker_id, False,
-                              "barrier broken or aborted (a peer "
-                              "failed first)"))
         except SyncAborted as exc:
             result_queue.put((worker_id, False,
                               f"p2p sync aborted ({exc})"))
         except BaseException:
             result_queue.put((worker_id, False, traceback.format_exc()))
-            barrier.abort()
             p2p.abort()
 
 
 class WorkerPool:
     """A fixed-size pool of persistent mpjit workers.
 
-    The barrier is created with ``parties == nworkers`` and reused across
-    runs (it resets after all parties pass); every run must therefore use
-    every worker, which :func:`run_mpjit_module` guarantees by clamping
-    the worker count to the processor count.  The p2p event table
-    (:data:`P2P_EVENT_SLOTS` fused-done events plus one abort event) is
-    preallocated at spawn time — sync primitives cannot travel through
-    the task queues — and indexed by *processor*, so it is reused across
-    runs of any plan that fits; the parent clears the used slots before
-    each p2p dispatch (runs are strictly serialized, every worker has
-    reported before the next dispatch).
+    The p2p event table (``slots`` fused-done events plus one abort
+    event) is preallocated at spawn time — sync primitives cannot travel
+    through the task queues — and indexed by *processor*, so it is
+    reused across runs of any plan that fits; the parent clears the used
+    slots before each dispatch (runs are strictly serialized, every
+    worker has reported before the next dispatch).
     """
 
-    def __init__(self, nworkers: int) -> None:
+    def __init__(self, nworkers: int, slots: int) -> None:
         import multiprocessing as mp
 
         methods = mp.get_all_start_methods()
         ctx = mp.get_context("fork" if "fork" in methods else "spawn")
         t0 = time.perf_counter()
         self.nworkers = nworkers
-        self.barrier = ctx.Barrier(nworkers)
-        self.p2p = P2PSync([ctx.Event() for _ in range(P2P_EVENT_SLOTS)],
-                           ctx.Event())
+        self.p2p = P2PSync([ctx.Event() for _ in range(slots)], ctx.Event())
         self.result_queue = ctx.Queue()
         self.task_queues = [ctx.Queue() for _ in range(nworkers)]
         self.workers = {
             w: ctx.Process(
                 target=_pool_worker,
-                args=(w, self.task_queues[w], self.result_queue,
-                      self.barrier, self.p2p),
+                args=(w, self.task_queues[w], self.result_queue, self.p2p),
                 daemon=True,
             )
             for w in range(nworkers)
@@ -276,7 +433,6 @@ class WorkerPool:
         self.broken = False
         self.closed = False
         self.last_load_modes: tuple[str, ...] = ()
-        self.last_sync: Optional[str] = None
         self._dirty_events = 0
         self._control_token = 0
 
@@ -285,32 +441,21 @@ class WorkerPool:
             proc.is_alive() for proc in self.workers.values()
         )
 
-    def abort(self) -> None:
-        """Release every waiter, whichever primitive it is parked on
-        (:func:`collect_worker_results` calls this on the first
-        casualty)."""
-        self.barrier.abort()
-        self.p2p.abort()
-
     def run_module(self, module, assignment: Sequence[Sequence[int]],
                    specs: tuple,
-                   cache_root: Optional[str],
-                   sync: str = "p2p") -> tuple[int, int]:
+                   cache_root: Optional[str]) -> tuple[int, int]:
         """Submit one two-phase execution; returns (fused, peeled) totals.
 
-        Any worker failure marks the pool broken (the shared sync
-        primitives are aborted and cannot be reused) and re-raises
+        Any worker failure marks the pool broken (the shared abort event
+        is set and the survivors must settle before reuse) and re-raises
         promptly.
         """
         assert len(assignment) == self.nworkers
-        if sync == "p2p" and module.nprocs > len(self.p2p.events):
-            sync = "barrier"  # more processors than preallocated slots
-        if sync == "p2p":
-            for ev in self.p2p.events[:self._dirty_events]:
-                ev.clear()
-            self._dirty_events = module.nprocs
+        assert module.nprocs <= len(self.p2p.events)
+        for ev in self.p2p.events[:self._dirty_events]:
+            ev.clear()
+        self._dirty_events = module.nprocs
         self.runs += 1
-        self.last_sync = sync
         from .faults import active_plan
 
         plan = active_plan()
@@ -319,11 +464,11 @@ class WorkerPool:
         for w, procs in enumerate(assignment):
             self.task_queues[w].put(
                 (module.signature, cache_root, module.source, specs,
-                 tuple(procs), sync, injected.get(w))
+                 tuple(procs), injected.get(w))
             )
         try:
             results = collect_worker_results(
-                self.result_queue, self.workers, self, "mpjit"
+                self.result_queue, self.workers, self.p2p, "mpjit"
             )
         except FastExecError:
             self.broken = True
@@ -339,11 +484,8 @@ class WorkerPool:
         """Replace dead workers in place; returns how many were re-forked.
 
         Warm survivors keep their compiled-module caches and the
-        existing queues / barrier / event table are reused — only the
-        corpses pay a fork.  Safe only after a *p2p*-mode failure: a
-        worker killed inside ``Barrier.wait`` can leave the barrier's
-        internal lock held, so the supervisor routes barrier-mode
-        casualties to a full teardown instead.
+        existing queues / event table are reused — only the corpses pay
+        a fork.
 
         The abort event stays set while every survivor is rendezvoused
         through a control ack — a survivor still draining the failed
@@ -386,19 +528,12 @@ class WorkerPool:
             self.workers[w].join(timeout=0.2)
             _drain_queue(self.task_queues[w])
         _drain_queue(self.result_queue, seconds=0.05)
-        try:
-            self.barrier.reset()
-        except Exception:  # pragma: no cover - corpse held the lock
-            raise FastExecError(
-                "barrier could not be reset for in-place respawn"
-            ) from None
         self.p2p.reset()
         self._dirty_events = 0
         for w in dead:
             proc = ctx.Process(
                 target=_pool_worker,
-                args=(w, self.task_queues[w], self.result_queue,
-                      self.barrier, self.p2p),
+                args=(w, self.task_queues[w], self.result_queue, self.p2p),
                 daemon=True,
             )
             proc.start()
@@ -451,8 +586,10 @@ _spawns = 0
 _lock = threading.RLock()
 
 
-def get_pool(nworkers: int) -> WorkerPool:
-    """The process-wide pool, (re)spawned when absent, resized or broken.
+def get_pool(nworkers: int, nprocs: int = 0) -> WorkerPool:
+    """The process-wide pool, (re)spawned when absent, resized, broken or
+    holding fewer fused-done events than ``nprocs`` processors need
+    (the respawned table holds ``max(P2P_EVENT_SLOTS, nprocs)``).
 
     Serialized against background recovery: a caller arriving while the
     supervisor is mid-respawn blocks briefly and then finds the healthy
@@ -460,11 +597,13 @@ def get_pool(nworkers: int) -> WorkerPool:
     global _pool, _spawns
     with _lock:
         if _pool is not None and (
-            _pool.nworkers != nworkers or not _pool.healthy()
+            _pool.nworkers != nworkers
+            or len(_pool.p2p.events) < nprocs
+            or not _pool.healthy()
         ):
             stop_pool()
         if _pool is None:
-            _pool = WorkerPool(nworkers)
+            _pool = WorkerPool(nworkers, max(P2P_EVENT_SLOTS, nprocs))
             _spawns += 1
         return _pool
 
@@ -504,8 +643,8 @@ def pool_stats() -> dict:
         "runs": _pool.runs,
         "spawn_seconds": round(_pool.spawn_seconds, 6),
         "last_load_modes": list(_pool.last_load_modes),
-        "last_sync": _pool.last_sync,
-        "p2p_slots": P2P_EVENT_SLOTS,
+        "last_sync": "p2p" if _pool.runs else None,
+        "p2p_slots": len(_pool.p2p.events),
         "respawns": respawns,
     }
 
@@ -515,24 +654,21 @@ def run_mpjit_module(
     arrays: MutableMapping[str, np.ndarray],
     max_workers: Optional[int] = None,
     cache_root: Optional[str] = None,
-    sync: str = "p2p",
     specs: Optional[tuple] = None,
 ) -> dict[str, int]:
     """Execute a compiled :class:`JitModule` through the worker pool.
 
-    ``sync="p2p"`` (default) synchronizes the phases point-to-point via
-    the module's ``PEEL_DEPS`` map; ``sync="barrier"`` uses the global
-    barrier.  The processors are dealt round-robin across
-    ``min(nprocs, cores)`` workers (``max_workers`` overrides the core
-    count).  With one worker the pool is bypassed entirely — the module
-    runs serially in-process, which is bit-identical by construction.
+    The phases synchronize point-to-point via the module's ``PEEL_DEPS``
+    map.  The processors are dealt round-robin across
+    ``min(nprocs, available_cpus())`` workers (``max_workers`` overrides
+    the CPU count).  With one worker the pool is bypassed entirely — the
+    module runs serially in-process, which is bit-identical by
+    construction.
 
     The workers see only execution-arena specs: ``arrays`` are arena
     views described by ``specs`` (what ``execute_prepared`` passes), or —
     with ``specs=None`` — the caller's own arrays, copied into the arena
     and back."""
-    if sync not in ("p2p", "barrier"):
-        raise FastExecError(f"unknown sync mode {sync!r}")
     # Validate the env knobs in the parent, before anything is spawned:
     # a typo'd REPRO_SYNC_TIMEOUT / REPRO_FAULTS raises EnvConfigError
     # naming the variable instead of a worker traceback.
@@ -544,20 +680,20 @@ def run_mpjit_module(
     if nworkers == 1:
         return module.run(arrays)
     if specs is not None:
-        return _dispatch(module, nworkers, specs, cache_root, sync)
+        return _dispatch(module, nworkers, specs, cache_root)
     with arena.borrow() as space:
         views, specs = space.layout(tuple(
             (name, arr.shape, arr.dtype.str) for name, arr in arrays.items()))
         for name, arr in arrays.items():
             np.copyto(views[name], arr)
-        stats = _dispatch(module, nworkers, specs, cache_root, sync)
+        stats = _dispatch(module, nworkers, specs, cache_root)
         for name, arr in arrays.items():
             np.copyto(arr, views[name])
     return stats
 
 
-def _dispatch(module, nworkers: int, specs: tuple, cache_root: Optional[str],
-              sync: str) -> dict[str, int]:
+def _dispatch(module, nworkers: int, specs: tuple,
+              cache_root: Optional[str]) -> dict[str, int]:
     """One pool run over arena ``specs``; failures are classified and the
     pool handed to the supervisor."""
     nprocs = module.nprocs
@@ -566,16 +702,15 @@ def _dispatch(module, nworkers: int, specs: tuple, cache_root: Optional[str],
         assignment = [
             tuple(range(w, nprocs, nworkers)) for w in range(nworkers)
         ]
-        pool = get_pool(nworkers)
-        fused, peeled = pool.run_module(
-            module, assignment, specs, cache_root, sync=sync
-        )
+        pool = get_pool(nworkers, nprocs)
+        fused, peeled = pool.run_module(module, assignment, specs,
+                                        cache_root)
         return {"fused_iterations": fused, "peeled_iterations": peeled}
     except FastExecError as exc:
-        # The shared sync primitives are aborted and the pool is marked
-        # broken.  Classify the failure, quarantine the casualties, and
-        # let the supervisor repair the pool in the background while the
-        # caller decides whether to retry (possibly degraded).
+        # The abort event is set and the pool is marked broken.  Classify
+        # the failure, quarantine the casualties, and let the supervisor
+        # repair the pool in the background while the caller decides
+        # whether to retry (possibly degraded).
         from .supervisor import ExecError, classify_failure, \
             default_supervisor
 
@@ -583,7 +718,7 @@ def _dispatch(module, nworkers: int, specs: tuple, cache_root: Optional[str],
         supervisor = default_supervisor()
         supervisor.record_failure(failure, pool=pool)
         if pool is not None and not pool.healthy():
-            supervisor.recover_in_background(pool, nworkers)
+            supervisor.recover_in_background(pool)
         if isinstance(exc, ExecError):
             raise
         raise ExecError(failure) from exc
@@ -596,7 +731,6 @@ def run_mpjit(
     max_workers: Optional[int] = None,
     no_cache: bool = False,
     cache=None,
-    sync: str = "p2p",
 ) -> dict[str, int]:
     """The ``mpjit`` backend: compiled code, real parallel processes.
 
@@ -617,4 +751,4 @@ def run_mpjit(
         module = cache.get(exec_plan, strip=strip)
         cache_root = str(cache.root) if cache.persist else None
     return run_mpjit_module(module, arrays, max_workers=max_workers,
-                            cache_root=cache_root, sync=sync)
+                            cache_root=cache_root)

@@ -14,11 +14,9 @@ for the pool.  This module adds the recovery half:
 * :class:`PoolSupervisor` — quarantines dead-worker records and respawns
   the pool **in the background** the moment a failure is reported, so
   the spawn cost overlaps the caller's retry instead of serializing
-  with it.  After a p2p-mode failure the pool is repaired *in place*
-  (only the dead workers are re-forked; warm survivors keep their
-  compiled-module caches); a barrier-mode casualty can leave the
-  barrier's internal lock held by a corpse, so those take the
-  full-teardown path.
+  with it.  The pool is repaired *in place* first (only the dead
+  workers are re-forked; warm survivors keep their compiled-module
+  caches), with a full respawn only when the survivors do not settle.
 * :class:`CircuitBreaker` — per-signature consecutive-failure counts
   that step the backend down the degradation ladder
   ``mpjit → jit → vector`` (every rung is bit-identical by
@@ -36,7 +34,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .fastexec import FastExecError, SyncAborted
+from .fastexec import FastExecError
+from .pool import SyncAborted
 
 # -- error taxonomy -----------------------------------------------------
 
@@ -119,9 +118,7 @@ def classify_failure(exc: BaseException) -> ExecFailure:
         if "signature mismatch" in msg or "stale" in msg:
             kind = CACHE_CORRUPT
         return ExecFailure(kind=kind, message=msg)
-    if "no fused-done signal" in msg:
-        return ExecFailure(kind=SYNC_TIMEOUT, message=msg)
-    if "sync aborted" in msg or "barrier broken" in msg:
+    if "no fused-done signal" in msg or "sync aborted" in msg:
         return ExecFailure(kind=SYNC_TIMEOUT, message=msg)
     if isinstance(exc, FastExecError):
         return ExecFailure(kind=INTERNAL, message=msg)
@@ -137,7 +134,6 @@ def classify_failure(exc: BaseException) -> ExecFailure:
 #: by what their PreparedKernel can actually run.
 DEGRADE_LADDER = {
     "mpjit": ("mpjit", "jit", "vector"),
-    "mp": ("mp", "vector"),
     "jit": ("jit", "vector"),
     "cjit": ("cjit", "jit", "vector"),
 }
@@ -243,8 +239,8 @@ class PoolSupervisor:
     :func:`repro.runtime.pool.run_mpjit_module` reports every pool
     failure here; the supervisor records the casualty (worker id,
     exitcode, run, kind) and kicks a background thread that repairs the
-    process-wide pool under the pool module's lock — in place after a
-    p2p failure, full respawn otherwise.  The caller's retry (or the
+    process-wide pool under the pool module's lock — in place when the
+    survivors settle, full respawn otherwise.  The caller's retry (or the
     next request) then finds a healthy pool instead of paying the spawn
     cost synchronously."""
 
@@ -277,14 +273,14 @@ class PoolSupervisor:
                             "kind": failure.kind,
                         })
 
-    def recover_in_background(self, pool, nworkers: int) -> None:
+    def recover_in_background(self, pool) -> None:
         """Repair the process-wide pool on a daemon thread (idempotent:
         a recovery already in flight is left to finish)."""
         with self._lock:
             if self._thread is not None and self._thread.is_alive():
                 return
             thread = threading.Thread(
-                target=self._recover, args=(pool, nworkers),
+                target=self._recover, args=(pool,),
                 daemon=True, name="repro-pool-supervisor",
             )
             self._thread = thread
@@ -297,7 +293,7 @@ class PoolSupervisor:
         if thread is not None:
             thread.join(timeout)
 
-    def _recover(self, broken_pool, nworkers: int) -> None:
+    def _recover(self, broken_pool) -> None:
         from . import pool as pool_mod
 
         with pool_mod._lock:
@@ -306,19 +302,19 @@ class PoolSupervisor:
             # it now would leak workers past the owner's cleanup.
             if pool_mod._pool is not broken_pool or broken_pool.closed:
                 return
-            if broken_pool.last_sync == "p2p":
-                try:
-                    replaced = broken_pool.respawn_dead()
-                except FastExecError:
-                    replaced = None
-                if replaced is not None and broken_pool.healthy():
-                    with self._lock:
-                        self.respawns += replaced
-                        self.recoveries += 1
-                    return
+            try:
+                replaced = broken_pool.respawn_dead()
+            except FastExecError:
+                replaced = None
+            if replaced is not None and broken_pool.healthy():
+                with self._lock:
+                    self.respawns += replaced
+                    self.recoveries += 1
+                return
+            nworkers = broken_pool.nworkers
             pool_mod.stop_pool()
             try:
-                pool_mod.get_pool(nworkers)
+                pool_mod.get_pool(nworkers, len(broken_pool.p2p.events))
             except Exception:  # pragma: no cover - spawn failed; next
                 return         # get_pool will surface the real error
             with self._lock:

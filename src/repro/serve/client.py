@@ -79,13 +79,12 @@ class ServeClient:
     def exec(self, kernel: str, req_id: Any = 0, *,
              n: Optional[int] = None, procs: int = 4,
              strip: Optional[int] = None, backend: str = "jit",
-             sync: Optional[str] = None,
              max_workers: Optional[int] = None,
              tenant: Optional[str] = None,
              deadline_ms: Optional[float] = None) -> dict:
         message: dict = {"op": "exec", "id": req_id, "kernel": kernel,
                          "procs": procs, "backend": backend}
-        for name, value in (("n", n), ("strip", strip), ("sync", sync),
+        for name, value in (("n", n), ("strip", strip),
                             ("max_workers", max_workers),
                             ("tenant", tenant),
                             ("deadline_ms", deadline_ms)):

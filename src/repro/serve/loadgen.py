@@ -126,7 +126,6 @@ def run_loadgen(
     procs: int = 4,
     backend: str = "jit",
     strip: Optional[int] = None,
-    sync: Optional[str] = None,
     max_workers: Optional[int] = None,
     host: str = "127.0.0.1",
     port: int = 7455,
@@ -157,7 +156,7 @@ def run_loadgen(
 
     reference = reference_checksum(kernel, n, procs)
     exec_kwargs = {"kernel": kernel, "n": n, "procs": procs,
-                   "backend": backend, "strip": strip, "sync": sync,
+                   "backend": backend, "strip": strip,
                    "max_workers": max_workers, "deadline_ms": deadline_ms}
     # Warm the daemon (plan + compile + first pool spawn happen here,
     # outside the measured window) and fail fast on an unreachable or

@@ -68,8 +68,7 @@ DEFAULT_TENANT = "default"
 #: configuration; everything else is rejected loudly rather than
 #: silently ignored (a typoed ``dedline_ms`` must not admit a request
 #: that should have been shed).
-CONFIG_FIELDS = ("kernel", "n", "procs", "strip", "backend", "sync",
-                 "max_workers")
+CONFIG_FIELDS = ("kernel", "n", "procs", "strip", "backend", "max_workers")
 REQUEST_FIELDS = frozenset(("op", "id", "tenant", "deadline_ms", "spec",
                             *CONFIG_FIELDS))
 
@@ -94,7 +93,6 @@ class ExecKey:
     procs: int = 4
     strip: Optional[int] = None
     backend: str = "jit"
-    sync: Optional[str] = None
     max_workers: Optional[int] = None
 
     def describe(self) -> str:
@@ -186,16 +184,12 @@ def parse_request(line: bytes | str) -> Request:
         backend = raw.get("backend", "jit")
         if not isinstance(backend, str):
             raise ProtocolError("backend must be a string")
-        sync = raw.get("sync")
-        if sync is not None and sync not in ("p2p", "barrier"):
-            raise ProtocolError("sync must be 'p2p' or 'barrier'")
         key = ExecKey(
             kernel=kernel,
             n=_opt_int(raw, "n", minimum=3),
             procs=_opt_int(raw, "procs") or 4,
             strip=_opt_int(raw, "strip"),
             backend=backend,
-            sync=sync,
             max_workers=_opt_int(raw, "max_workers"),
         )
     else:

@@ -161,8 +161,7 @@ class FusionServer:
             params = resolve_params(info, program, n=key.n)
             base = program_signature(program, params, key.procs, key.strip)
             self._sig_cache[key] = base
-        return (f"{op}:{base}:{key.backend}:{key.sync or '-'}"
-                f":{key.max_workers or '-'}")
+        return f"{op}:{base}:{key.backend}:{key.max_workers or '-'}"
 
     # -- executor-thread work ----------------------------------------------
 
@@ -245,7 +244,7 @@ class FusionServer:
             try:
                 seconds, counters, digest, recovery = execute_resilient(
                     prep, key.backend, strip=key.strip,
-                    max_workers=key.max_workers, sync=key.sync,
+                    max_workers=key.max_workers,
                     policy=self.retry_policy, breaker=self.breaker,
                     signature=batch.signature,
                 )

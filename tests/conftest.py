@@ -54,9 +54,9 @@ def _bounded_sync_timeout(monkeypatch):
     within seconds, not minutes.  Workers are forked after the variable
     is set, so they inherit it.
     """
-    from repro.runtime import fastexec
+    from repro.runtime import pool
 
-    monkeypatch.setenv(fastexec.ENV_SYNC_TIMEOUT, "15")
+    monkeypatch.setenv(pool.ENV_SYNC_TIMEOUT, "15")
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from test_mp_failures import _fresh_pool, leak_check, needs_fork  # noqa: F401
 from repro.codegen import emitc
 from repro.kernels import all_kernels, get_kernel
 from repro.runtime import arena, faults
-from repro.runtime import fastexec
 from repro.runtime.backend import checksum
 from repro.runtime.execute import (
     PreparedKernel,
@@ -28,7 +27,7 @@ from repro.runtime.execute import (
     prepare_kernel,
     resolve_params,
 )
-from repro.runtime.pool import pool_stats, shutdown_pool
+from repro.runtime.pool import ENV_SYNC_TIMEOUT, pool_stats, shutdown_pool
 from repro.runtime.supervisor import (
     CircuitBreaker,
     ExecError,
@@ -228,7 +227,7 @@ class TestLifecycle:
                                           leak_check):
         """A zombie or stalled worker can only write into a retired
         segment: the retry runs on a new one, with the right answer."""
-        monkeypatch.setenv(fastexec.ENV_SYNC_TIMEOUT, "2")
+        monkeypatch.setenv(ENV_SYNC_TIMEOUT, "2")
         shutdown_pool()  # workers fork with the short timeout
         prep = prepare_kernel("jacobi", n=33, procs=4, backend="mpjit")
         want = _interp("jacobi", 33, 4)
@@ -263,26 +262,6 @@ class TestLifecycle:
             faults.install_plan(None)
         assert digest == want and recovery["retries"] == 1
         assert arena._shared.segment not in (None, first)
-
-    @needs_fork
-    def test_mpjit_hot_path_never_exports(self, monkeypatch, leak_check):
-        """Arrays reach the workers as arena specs only (the spies are in
-        place before the pool forks, so workers would trip them too)."""
-        calls = []
-        for name in ("export_arrays", "attach_arrays", "copy_back_arrays",
-                     "release_segments"):
-            def spy(*args, _name=name, **kwargs):
-                calls.append(_name)
-                raise AssertionError(f"{_name} on the mpjit hot path")
-
-            monkeypatch.setattr(fastexec, name, spy)
-        shutdown_pool()
-        prep = prepare_kernel("ll18", n=33, procs=4, backend="mpjit")
-        want = _interp("ll18", 33, 4)
-        for _ in range(3):
-            assert execute_prepared(prep, "mpjit", max_workers=2)[2] == want
-        assert pool_stats()["runs"] == 3
-        assert calls == []
 
     @needs_fork
     def test_exiting_process_leaves_no_segment_and_no_tracker_warning(self):

@@ -2,14 +2,11 @@
 
 Sweeps every registered kernel (and every sequence of the applications)
 through the ``vector``, ``jit``, ``mpjit`` and ``cjit`` backends —
-strip-mined and whole-box — and spot-checks the ``mp`` backend, comparing
-arrays *bitwise*
+strip-mined and whole-box — comparing arrays *bitwise*
 (``np.array_equal``, not allclose) against the ``interp`` reference, on odd
-shapes including empty and single-iteration ranges.  The mp/mpjit sweeps
-additionally run under both sync modes (point-to-point and barrier) —
-the sync protocol may only change scheduling, never bits.  The mpjit
-runs force ``max_workers=2`` so the pooled-parallel path executes even
-on a one-core host.  Also unit-tests the vectorized box executor
+shapes including empty and single-iteration ranges.  The mpjit runs
+force ``max_workers=2`` so the pooled-parallel path executes even on a
+one-core host.  Also unit-tests the vectorized box executor
 on the awkward access patterns (diagonals, transposed subscripts, strided
 subscripts, reductions over a missing target variable, sequential
 dimensions).
@@ -68,6 +65,18 @@ def _assert_identical(reference, candidate, context):
         assert np.array_equal(reference[name], candidate[name]), (context, name)
 
 
+def _check_every_strip(kernel, procs, backend, **kw):
+    # filter's ten nests are not legal to fuse below n=21 (Theorem 1)
+    base, plans = _setup(kernel, 21 if kernel == "filter" else 13, procs)
+    ref = copy_arrays(base)
+    ref_counts = _run_backend(plans, ref, "interp")
+    for strip in (None, 1, 4):
+        got = copy_arrays(base)
+        counts = _run_backend(plans, got, backend, strip=strip, **kw)
+        _assert_identical(ref, got, (backend, kernel, procs, strip))
+        assert counts == ref_counts, (backend, kernel, procs, strip)
+
+
 class TestAllKernelsAllBackends:
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @pytest.mark.parametrize("n", [13, 21])
@@ -96,60 +105,15 @@ class TestAllKernelsAllBackends:
         must serve every processor count and every strip (whole boxes,
         4-wide tiles, single-iteration tiles) with the interpreter's
         bits and counts."""
-        # filter's ten nests are not legal to fuse below n=21 (Theorem 1)
-        base, plans = _setup(kernel, 21 if kernel == "filter" else 13, procs)
-        ref = copy_arrays(base)
-        ref_counts = _run_backend(plans, ref, "interp")
-        for strip in (None, 1, 4):
-            got = copy_arrays(base)
-            counts = _run_backend(plans, got, "cjit", strip=strip)
-            _assert_identical(ref, got, (kernel, procs, strip))
-            assert counts == ref_counts, (kernel, procs, strip)
-
-    @pytest.mark.parametrize("kernel", ["jacobi", "ll18"])
-    def test_mp_matches_interp(self, kernel):
-        base, plans = _setup(kernel, 21, 3)
-        ref = copy_arrays(base)
-        ref_counts = _run_backend(plans, ref, "interp")
-        got = copy_arrays(base)
-        counts = _run_backend(plans, got, "mp", max_workers=2)
-        _assert_identical(ref, got, (kernel, "mp"))
-        assert counts == ref_counts
+        _check_every_strip(kernel, procs, "cjit")
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_mpjit_sync_modes_bit_identical(self, kernel):
-        """Point-to-point neighbor sync must be bitwise indistinguishable
-        from the global barrier (and the interpreter) — the sync mode may
-        only change *when* a peeled phase starts, never what it computes."""
-        base, plans = _setup(kernel, 21, 3)
-        ref = copy_arrays(base)
-        ref_counts = _run_backend(plans, ref, "interp")
-        for sync in ("p2p", "barrier"):
-            got = copy_arrays(base)
-            counts = _run_backend(plans, got, "mpjit", max_workers=2,
-                                  sync=sync)
-            _assert_identical(ref, got, (kernel, "mpjit", sync))
-            assert counts == ref_counts, (kernel, sync)
-
-    @pytest.mark.parametrize("kernel", ["jacobi", "ll18"])
-    def test_mp_sync_modes_bit_identical(self, kernel):
-        base, plans = _setup(kernel, 21, 3)
-        ref = copy_arrays(base)
-        _run_backend(plans, ref, "interp")
-        for sync in ("p2p", "barrier"):
-            got = copy_arrays(base)
-            _run_backend(plans, got, "mp", max_workers=2, sync=sync)
-            _assert_identical(ref, got, (kernel, "mp", sync))
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
-    def test_mp_matches_interp_all_kernels(self, kernel):
-        base, plans = _setup(kernel, 21, 4)
-        ref = copy_arrays(base)
-        _run_backend(plans, ref, "interp")
-        got = copy_arrays(base)
-        _run_backend(plans, got, "mp", max_workers=2)
-        _assert_identical(ref, got, (kernel, "mp"))
+    @pytest.mark.parametrize("procs", [1, 2, 3, 4, 6])
+    def test_mpjit_matches_interp_every_grid_and_strip(self, kernel, procs):
+        """The same matrix dealt unevenly across two pooled workers with
+        point-to-point sync: processor counts above the worker count
+        share a worker, and no strip may change bits or counts."""
+        _check_every_strip(kernel, procs, "mpjit", max_workers=2)
 
 
 def _seq_1d():
@@ -339,9 +303,8 @@ class TestExecBoxAccessPatterns:
 
 class TestBackendRegistry:
     def test_available(self):
-        names = available_backends()
-        for expected in ("interp", "vector", "mp", "jit", "mpjit", "cjit"):
-            assert expected in names
+        assert available_backends() == (
+            "cjit", "interp", "jit", "mpjit", "vector")
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):

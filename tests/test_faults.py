@@ -186,12 +186,12 @@ class TestClassifyFailure:
         assert failure.retryable is True
 
     def test_sync_messages_map_to_sync_timeout(self):
-        from repro.runtime.fastexec import FastExecError, SyncAborted
+        from repro.runtime.fastexec import FastExecError
+        from repro.runtime.pool import SyncAborted
 
         assert classify_failure(SyncAborted("x")).kind == "sync_timeout"
         for msg in ("no fused-done signal from processor 2",
-                    "p2p sync aborted (a peer failed first)",
-                    "barrier broken or aborted"):
+                    "p2p sync aborted (a peer failed first)"):
             assert classify_failure(FastExecError(msg)).kind == "sync_timeout"
 
     def test_exec_error_passthrough_and_fallbacks(self):

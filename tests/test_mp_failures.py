@@ -1,7 +1,7 @@
-"""Worker-crash safety for the mp and mpjit backends.
+"""Worker-crash safety for the mpjit worker pool.
 
 A parallel runtime is only production-grade if a dead worker surfaces as
-a prompt, informative error instead of a 600 s barrier hang.  These tests
+a prompt, informative error instead of a 600 s sync hang.  These tests
 inject failures into one worker — a Python exception (the traceback must
 travel to the parent) and a hard ``os._exit`` (the liveness poll must
 notice) — and assert that the run raises
@@ -22,17 +22,17 @@ import pytest
 
 from repro.core import build_execution_plan, derive_shift_peel
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
-from repro.runtime import fastexec
 from repro.runtime import pool as pool_mod
-from repro.runtime.fastexec import (
-    FastExecError,
+from repro.runtime.fastexec import EnvConfigError, FastExecError
+from repro.runtime.pool import (
     P2PSync,
     SyncAborted,
     _resolve_workers,
-    run_mp,
+    pool_stats,
+    run_mpjit,
+    shutdown_pool,
     sync_timeout,
 )
-from repro.runtime.pool import pool_stats, run_mpjit, shutdown_pool
 
 needs_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(),
@@ -72,10 +72,32 @@ def _shm_entries():
     return {p.name for p in base.iterdir()}
 
 
+def _wrap_worker_modules(monkeypatch, **entry_points):
+    """Make every module a pool worker loads call ``entry_points[name](
+    module, *args)`` in place of its own entry point ``name``.  Patched
+    before the pool forks, so the workers inherit it."""
+    real = pool_mod._load_module
+
+    class Wrapped:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def __getattr__(self, name):
+            if name in entry_points:
+                return lambda *args: entry_points[name](self.inner, *args)
+            return getattr(self.inner, name)
+
+    def loader(*args):
+        module, mode = real(*args)
+        return Wrapped(module), mode
+
+    monkeypatch.setattr(pool_mod, "_load_module", loader)
+
+
 @pytest.fixture(autouse=True)
 def _fresh_pool():
     """Crash tests must not inherit (or leave behind) a live pool: the
-    injection hook is captured at fork time, and a poisoned barrier must
+    injection hook is captured at fork time, and a poisoned sync must
     not leak into the next test."""
     shutdown_pool()
     yield
@@ -101,7 +123,7 @@ def leak_check():
 
 class TestSyncTimeoutEnv:
     def test_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(fastexec.ENV_SYNC_TIMEOUT, "42.5")
+        monkeypatch.setenv(pool_mod.ENV_SYNC_TIMEOUT, "42.5")
         assert sync_timeout() == 42.5
 
     def test_garbage_and_nonpositive_raise_naming_the_variable(
@@ -109,29 +131,25 @@ class TestSyncTimeoutEnv:
     ):
         """A typo'd knob must fail loudly at parse time — a silent
         fall-back to 600 s turns a config error into a mystery hang."""
-        from repro.runtime.fastexec import EnvConfigError
-
         for bad in ("abc", "1h", "-3", "0"):
-            monkeypatch.setenv(fastexec.ENV_SYNC_TIMEOUT, bad)
+            monkeypatch.setenv(pool_mod.ENV_SYNC_TIMEOUT, bad)
             with pytest.raises(EnvConfigError,
-                               match=fastexec.ENV_SYNC_TIMEOUT):
+                               match=pool_mod.ENV_SYNC_TIMEOUT):
                 sync_timeout()
 
     def test_unset_and_blank_fall_back(self, monkeypatch):
-        monkeypatch.setenv(fastexec.ENV_SYNC_TIMEOUT, "")
-        assert sync_timeout() == fastexec.DEFAULT_SYNC_TIMEOUT
-        monkeypatch.delenv(fastexec.ENV_SYNC_TIMEOUT)
-        assert sync_timeout() == fastexec.DEFAULT_SYNC_TIMEOUT
+        monkeypatch.setenv(pool_mod.ENV_SYNC_TIMEOUT, "")
+        assert sync_timeout() == pool_mod.DEFAULT_SYNC_TIMEOUT
+        monkeypatch.delenv(pool_mod.ENV_SYNC_TIMEOUT)
+        assert sync_timeout() == pool_mod.DEFAULT_SYNC_TIMEOUT
 
     @needs_fork
     def test_bad_env_rejected_before_any_fork(self, monkeypatch):
         """mpjit validates the knob in the parent — the error names the
         variable instead of surfacing as a worker traceback."""
-        from repro.runtime.fastexec import EnvConfigError
-
-        monkeypatch.setenv(fastexec.ENV_SYNC_TIMEOUT, "soon")
+        monkeypatch.setenv(pool_mod.ENV_SYNC_TIMEOUT, "soon")
         with pytest.raises(EnvConfigError,
-                           match=fastexec.ENV_SYNC_TIMEOUT):
+                           match=pool_mod.ENV_SYNC_TIMEOUT):
             run_mpjit(_plan(), _arrays(), max_workers=2)
         assert pool_stats()["alive"] is False  # nothing was spawned
 
@@ -172,66 +190,49 @@ class TestP2PSyncUnit:
         # the timed-out waiter released everyone else
         assert sync.abort_event.is_set()
 
-    def test_unknown_sync_mode_rejected(self):
-        with pytest.raises(FastExecError, match="unknown sync mode"):
-            run_mp(_plan(), _arrays(), max_workers=2, sync="psychic")
-        with pytest.raises(FastExecError, match="unknown sync mode"):
-            run_mpjit(_plan(), _arrays(), max_workers=2, sync="psychic")
+    def test_no_sync_option_remains(self):
+        """Point-to-point is the only phase sync: no execution surface
+        takes a ``sync`` option any more."""
+        import inspect
+
+        from repro.runtime.benchmarking import measure_kernel
+        from repro.runtime.execute import execute_prepared, execute_resilient
+        from repro.serve.client import ServeClient
+        from repro.serve.loadgen import run_loadgen
+        from repro.serve.protocol import CONFIG_FIELDS, ExecKey
+
+        for fn in (run_mpjit, pool_mod.run_mpjit_module,
+                   pool_mod.WorkerPool.run_module, execute_prepared,
+                   execute_resilient, measure_kernel, ServeClient.exec,
+                   run_loadgen):
+            assert "sync" not in inspect.signature(fn).parameters, fn
+        assert "sync" not in CONFIG_FIELDS
+        assert "sync" not in ExecKey.__dataclass_fields__
 
 
-class TestRunMpCrashSafety:
-    @needs_fork
-    def test_worker_exception_ships_traceback(self, monkeypatch, leak_check):
-        def boom(*args, **kwargs):
-            raise ValueError("injected-mp-boom")
-
-        monkeypatch.setattr(fastexec, "_run_proc_fused", boom)
-        t0 = time.monotonic()
-        with pytest.raises(FastExecError) as excinfo:
-            run_mp(_plan(), _arrays(), max_workers=2)
-        assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
-        message = str(excinfo.value)
-        assert "injected-mp-boom" in message
-        assert "Traceback" in message
-
-    @needs_fork
-    def test_worker_hard_crash_detected_by_liveness_poll(
-        self, monkeypatch, leak_check
-    ):
-        monkeypatch.setattr(
-            fastexec, "_run_proc_fused",
-            lambda *args, **kwargs: os._exit(17),
-        )
-        t0 = time.monotonic()
-        with pytest.raises(FastExecError) as excinfo:
-            run_mp(_plan(), _arrays(), max_workers=2)
-        assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
-        message = str(excinfo.value)
-        assert "died without reporting" in message
-        assert "17" in message
-
-    @needs_fork
-    def test_peel_phase_exception_after_barrier(self, monkeypatch, leak_check):
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected-peel-boom")
-
-        monkeypatch.setattr(fastexec, "_run_proc_peeled", boom)
-        t0 = time.monotonic()
-        with pytest.raises(FastExecError, match="injected-peel-boom"):
-            run_mp(_plan(), _arrays(), max_workers=2)
-        assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
-
+class TestWorkerCount:
     def test_default_worker_count_capped_by_cores(self, monkeypatch):
         """A 56-processor plan must not fork 56 processes on a small host."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
         assert _resolve_workers(56, None) == 4
         assert _resolve_workers(2, None) == 2
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert _resolve_workers(56, None) == 1
         # An explicit request still wins (tests use it to force the pool).
         assert _resolve_workers(56, 8) == 8
         assert _resolve_workers(3, 8) == 3
         assert _resolve_workers(3, 0) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _resolve_workers(56, None) == 1
+
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        """Under ``taskset -c 0`` one worker resolves, however many cores
+        the machine has: two workers would poll for one CPU."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert pool_mod.available_cpus() == 1
+        assert _resolve_workers(4, None) == 1
 
 
 class TestMpjitCrashSafety:
@@ -279,6 +280,20 @@ class TestMpjitCrashSafety:
         assert any(q["exitcode"] == 23 for q in stats["quarantined"])
 
     @needs_fork
+    def test_peel_phase_exception_after_barrier(self, monkeypatch,
+                                                leak_check):
+        """An exception in a peeled phase — after the fused-done sync —
+        still ships its traceback."""
+        def boom(module, proc, arrays):
+            raise RuntimeError("injected-peel-boom")
+
+        _wrap_worker_modules(monkeypatch, run_peeled=boom)
+        t0 = time.monotonic()
+        with pytest.raises(FastExecError, match="injected-peel-boom"):
+            run_mpjit(_plan(), _arrays(), max_workers=2)
+        assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
+
+    @needs_fork
     def test_pool_recovers_after_crash(self, leak_check):
         """A failed run poisons the pool; after the supervisor's repair
         (or an explicit teardown) the next run must produce correct
@@ -320,37 +335,26 @@ class TestP2PCrashPropagation:
     pool — never strand a waiter until the timeout backstop."""
 
     @needs_fork
-    def test_mp_partial_fused_crash_releases_waiters(
-        self, monkeypatch, leak_check
-    ):
-        """Worker 0 (procs 0 and 2) dies after signaling proc 0 but
+    def test_mpjit_partial_fused_crash_releases_waiters(self, monkeypatch,
+                                                        leak_check):
+        """Worker 0 (procs 0 and 2) dies after signalling proc 0 but
         before proc 2; worker 1's peeled phase waits on proc 2's event
         and must be released by the abort, not the 600 s backstop."""
-        real = fastexec._run_proc_fused
         calls = {"n": 0}
 
-        def flaky(*args, **kwargs):
+        def flaky(module, proc, arrays):
             calls["n"] += 1  # per-process state: fork copies it at zero
             if calls["n"] == 2:
                 os._exit(29)
-            return real(*args, **kwargs)
+            return module.run_fused(proc, arrays)
 
-        monkeypatch.setattr(fastexec, "_run_proc_fused", flaky)
+        _wrap_worker_modules(monkeypatch, run_fused=flaky)
         t0 = time.monotonic()
         with pytest.raises(FastExecError) as excinfo:
-            run_mp(_plan(), _arrays(), max_workers=2, sync="p2p")
+            run_mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         assert "died without reporting" in str(excinfo.value)
-
-    @needs_fork
-    def test_mp_barrier_mode_crash_still_prompt(self, monkeypatch, leak_check):
-        """The explicit barrier path keeps the historical semantics."""
-        monkeypatch.setattr(fastexec, "_run_proc_fused",
-                            lambda *a, **k: os._exit(31))
-        t0 = time.monotonic()
-        with pytest.raises(FastExecError, match="died without reporting"):
-            run_mp(_plan(), _arrays(), max_workers=2, sync="barrier")
-        assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
+        assert "exitcode 29" in str(excinfo.value)
 
     @needs_fork
     def test_mpjit_crash_before_fused_done_repaired_in_place(
@@ -358,18 +362,19 @@ class TestP2PCrashPropagation:
     ):
         """A pool worker dying before any fused-done signal: dependents
         fail fast, the supervisor re-forks only the corpse (warm
-        survivors keep their modules — ``spawns`` does not move), and
-        the next p2p run produces the reference bits."""
+        survivors keep their modules — ``spawns`` does not move, and
+        ``respawns`` counts the one dead worker), and the next run
+        produces the reference bits."""
         from repro.runtime import faults
         from repro.runtime.supervisor import ExecError, default_supervisor
 
-        run_mpjit(_plan(), _arrays(), max_workers=2, sync="p2p")  # warm
+        run_mpjit(_plan(), _arrays(), max_workers=2)  # warm
         spawns_before = pool_stats()["spawns"]
         faults.install_plan(faults.FaultPlan.parse(
             "crash@run=1:worker=0:exitcode=37", source="test"))
         t0 = time.monotonic()
         with pytest.raises(ExecError) as excinfo:
-            run_mpjit(_plan(), _arrays(), max_workers=2, sync="p2p")
+            run_mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         assert "died without reporting" in str(excinfo.value)
         assert excinfo.value.failure.kind == "worker_crash"
@@ -379,7 +384,7 @@ class TestP2PCrashPropagation:
         stats = pool_stats()
         assert stats["alive"] is True
         assert stats["spawns"] == spawns_before  # in-place, not teardown
-        assert supervisor.stats()["respawns"] >= 1
+        assert stats["respawns"] == 1  # only the corpse was re-forked
 
         ep = _plan()
         base = _arrays()
@@ -388,7 +393,7 @@ class TestP2PCrashPropagation:
         ref = {k: v.copy() for k, v in base.items()}
         run_parallel(ep, ref)
         got = {k: v.copy() for k, v in base.items()}
-        run_mpjit(ep, got, max_workers=2, sync="p2p")
+        run_mpjit(ep, got, max_workers=2)
         assert pool_stats()["last_sync"] == "p2p"
         for name in ref:
             assert np.array_equal(ref[name], got[name]), name
@@ -404,7 +409,7 @@ class TestP2PCrashPropagation:
         pool_mod._test_worker_hook = boom
         t0 = time.monotonic()
         with pytest.raises(FastExecError) as excinfo:
-            run_mpjit(_plan(), _arrays(), max_workers=2, sync="p2p")
+            run_mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         message = str(excinfo.value)
         assert "injected-p2p-boom" in message
@@ -413,33 +418,38 @@ class TestP2PCrashPropagation:
         assert pool_stats()["alive"] is True
 
 
-class TestP2PSlotFallback:
-    def test_plan_larger_than_event_table_uses_barrier(
+class TestP2PEventTable:
+    def test_plan_larger_than_event_table_grows_the_pool(
         self, monkeypatch, leak_check
     ):
-        """A plan with more processors than preallocated event slots must
-        fall back to the global barrier for that run — and still produce
-        the reference bits."""
+        """A plan with more processors than the pool's fused-done events
+        respawns the pool with a table that fits — one extra spawn, still
+        point-to-point, still the reference bits."""
         monkeypatch.setattr(pool_mod, "P2P_EVENT_SLOTS", 2)
+        run_mpjit(_plan(procs=2), _arrays(), max_workers=2)
+        spawns = pool_stats()["spawns"]
+        assert pool_stats()["p2p_slots"] == 2
         ep = _plan(procs=3)
         base = _arrays()
         from repro.runtime import run_parallel
 
         ref = {k: v.copy() for k, v in base.items()}
         run_parallel(ep, ref)
-        got = {k: v.copy() for k, v in base.items()}
-        run_mpjit(ep, got, max_workers=2, sync="p2p")
-        assert pool_stats()["last_sync"] == "barrier"
-        for name in ref:
-            assert np.array_equal(ref[name], got[name]), name
+        for _ in range(2):
+            got = {k: v.copy() for k, v in base.items()}
+            run_mpjit(ep, got, max_workers=2)
+            for name in ref:
+                assert np.array_equal(ref[name], got[name]), name
+        stats = pool_stats()
+        assert stats["last_sync"] == "p2p"
+        assert stats["p2p_slots"] == 3
+        assert stats["spawns"] == spawns + 1
 
     def test_pool_stats_report_sync_and_slots(self, leak_check):
         run_mpjit(_plan(), _arrays(), max_workers=2)
         stats = pool_stats()
         assert stats["last_sync"] == "p2p"
-        assert stats["p2p_slots"] >= stats["nworkers"]
-        run_mpjit(_plan(), _arrays(), max_workers=2, sync="barrier")
-        assert pool_stats()["last_sync"] == "barrier"
+        assert stats["p2p_slots"] == pool_mod.P2P_EVENT_SLOTS
 
 
 class TestPoolLifecycle:

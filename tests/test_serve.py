@@ -81,8 +81,8 @@ class TestProtocol:
          "deadline_ms"),
         (b'{"op": "exec", "id": 1, "kernel": "jacobi", "procs": 0}',
          "procs"),
-        (b'{"op": "exec", "id": 1, "kernel": "jacobi", "sync": "psp"}',
-         "sync"),
+        (b'{"op": "exec", "id": 1, "kernel": "jacobi", "sync": "p2p"}',
+         r"unknown request fields: \['sync'\]"),
         (b'{"op": "status", "id": 1, "kernel": "jacobi"}', "meaningless"),
         (b'{"op": "exec", "id": true, "kernel": "jacobi"}', "id must be"),
         (b'{"op": "chaos", "id": 1}', "chaos needs a spec"),
@@ -320,18 +320,23 @@ class TestServerEndToEnd:
         assert status["prepared"]["entries"] == 2
         assert status["completed"] == 3
 
-    def test_unknown_kernel_and_backend_are_clean_errors(self, harness):
+    @pytest.mark.parametrize("backend", ["warp-drive", "mp"])
+    def test_unknown_kernel_and_backend_are_clean_errors(self, harness,
+                                                         backend):
         with harness.client() as c:
             bad_kernel = c.exec("nope", req_id=1, n=33)
-            bad_backend = c.exec("jacobi", req_id=2, n=33,
-                                 backend="warp-drive")
+            bad_backend = c.exec("jacobi", req_id=2, n=33, backend=backend)
             garbage = c.request({"op": "exec", "id": 3})
+            health = c.health()
+            good = c.exec("jacobi", req_id=4, n=33)
         assert not bad_kernel["ok"]
         assert "unknown kernel" in bad_kernel["error"]
         assert not bad_backend["ok"]
-        assert "unknown backend" in bad_backend["error"]
+        assert f"unknown backend {backend!r}" in bad_backend["error"]
         assert not garbage["ok"]
-        # The connection survived all three.
+        # The connection survived all three and the daemon still serves.
+        assert health["ok"], health
+        assert good["ok"], good
 
     def test_pipelined_identical_requests_batch(self, harness):
         """A slow head request holds the executor while identical

@@ -200,6 +200,19 @@ class TestCli:
         assert "invalid choice: 'bench'" in capsys.readouterr().err
         assert importlib.util.find_spec("repro.bench") is None
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--backend", "mp"], "invalid choice: 'mp'"),
+        (["--sync", "barrier"], "unrecognized arguments: --sync"),
+    ])
+    def test_exec_removed_options_are_usage_errors(self, flag, message,
+                                                   capsys):
+        """The fork-per-run ``mp`` backend and the ``sync`` option are
+        gone: naming either is an argparse usage error."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["exec", "jacobi", "--n", "21", *flag])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_simulate(self, capsys):
         assert cli_main(
             ["simulate", "jacobi", "--procs", "1,4", "--scale", "8"]
