@@ -189,7 +189,11 @@ def cmd_exec(args: argparse.Namespace) -> int:
             print(f"  native tier: fell back to jit — "
                   f"{cjit.get('fallback_reason', 'unknown reason')}")
     if "pool_workers" in record:
-        if record["pool_workers"]:
+        if record["engine"] == "threads":
+            print(f"  thread team: {record['pool_workers']} native threads "
+                  f"per run ({record['pool_runs']} runs), "
+                  f"steady-state {record['steady_seconds']:.6f} s")
+        elif record["pool_workers"]:
             print(f"  worker pool: {record['pool_workers']} workers "
                   f"(spawned in {record['pool_spawn_seconds']:.6f} s, "
                   f"{record['pool_runs']} runs), "

@@ -28,6 +28,12 @@ does — *schedule as data, bodies as code*:
   deliberately *not* part of the structural plan signature, mirroring how
   the numpy module reads them off the arrays it is handed).
 
+Every object also carries ``run_team(arrays, dims, nthreads, timeout_ms,
+faults)``, the parallel schedule on a pthread team created for the call
+(:data:`TEAM_SOURCE`): plan-independent C over the plan's own tables and
+entry points, compiled once per process and compiler and linked into
+each object, so it costs no plan a compile.
+
 Bit-identity with the interpreter is preserved by construction.  The
 numpy module executes each statement as "evaluate the RHS over the whole
 box, then store"; a naive C loop interleaves loads and stores
@@ -82,10 +88,15 @@ from .emitpy import CODEGEN_VERSION, JitEmitError, _box_volume
 
 IND = "    "
 
-#: Exactly what the issue gates on: portable IEEE-754 codegen.  No
-#: ``-ffast-math`` (would break bit-identity), no ``-march`` (the cache
-#: may be shared between machines of one ISA family).
-CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Portable IEEE-754 codegen: no ``-ffast-math`` (would break
+#: bit-identity), no ``-march`` (the cache may be shared between machines
+#: of one ISA family).  ``-pthread`` for the team.
+CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
+
+#: The team object (:data:`TEAM_SOURCE`) is control code: on a 2-vCPU
+#: x86 box ``-O2`` doubles its compile (115 vs 58 ms CPU) and moves no
+#: run time (thread start dominates a team run).
+TEAM_CFLAGS = ("-O0", "-fPIC", "-pthread", "-c")
 
 ENV_CC = "REPRO_CC"
 
@@ -163,7 +174,7 @@ def compiler_fingerprint(compiler: Optional[str] = None) -> Optional[str]:
     except (OSError, subprocess.SubprocessError, IndexError):
         identity = compiler
     digest = hashlib.sha256(
-        f"{identity}|{' '.join(CFLAGS)}".encode()
+        f"{identity}|{' '.join(CFLAGS)}|{' '.join(TEAM_CFLAGS)}".encode()
     ).hexdigest()[:12]
     _fingerprints[compiler] = digest
     return digest
@@ -525,7 +536,7 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
     fused boxes (``strip`` tiles in the interpreter's order), a barrier,
     the peeled rectangles — but held as two row tables; the code is one
     body per (nest, hazard verdict), the exported metadata and the entry
-    points the worker pool (``run_fused``/``run_peeled``) and the serial
+    points the thread team (``run_fused``/``run_peeled``) and the serial
     ``run`` wrapper (``run_plan``) call.
     """
     from ..runtime.fastexec import _sorted_rects, vector_dims
@@ -631,9 +642,173 @@ long run_plan(double **arrays, const long *dims) {
     return walk(FUSED_ROWS, 0, FUSED_OFF[REPRO_NPROCS], arrays, dims)
         || walk(PEELED_ROWS, 0, PEELED_OFF[REPRO_NPROCS], arrays, dims)
         ? -1 : 0;
-}
-""")
+}""")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The SPMD team: one plan-independent translation unit, compiled once per
+# process and compiler, linked into every native object.
+# ---------------------------------------------------------------------------
+
+#: ``run_team`` fault table: per thread ``{action, proc, usec}``.
+TEAM_SLOW = 1
+TEAM_STALL = 2
+#: ``run_team`` return code when a sync wait outlived its timeout (-1: a
+#: body failed).
+TEAM_TIMEOUT = -2
+
+TEAM_SOURCE = """\
+/* Generated by repro.codegen.emitc — do not edit.  The SPMD team linked
+   into every plan object (Sec. 3.4, point-to-point sync): thread t runs
+   processors t, t+T, ...  After a processor's fused rows it sets done[p]
+   (release); before its peeled rows it acquires done[q] of each
+   REPRO_PEEL_DEPS predecessor q.  The caller is thread 0; threads, flags
+   and contexts live on the call's stack, so concurrent calls on one
+   object share nothing. */
+#define _POSIX_C_SOURCE 200809L
+#include <pthread.h>
+#include <sched.h>
+#include <stdatomic.h>
+#include <time.h>
+
+extern const long REPRO_NPROCS, REPRO_FUSED_COUNTS[], REPRO_PEELED_COUNTS[],
+    REPRO_PEEL_DEPS_OFF[], REPRO_PEEL_DEPS[];
+long run_fused(long proc, double **arrays, const long *dims);
+long run_peeled(long proc, double **arrays, const long *dims);
+long run_plan(double **arrays, const long *dims);
+
+enum { SLOW = 1, STALL = 2, SPIN = 1 << 10, YIELD = 1 << 14 };
+
+typedef struct {
+    double **A;
+    const long *D, *fault;
+    long tid, nthreads, deadline_ns, count;
+    atomic_int *go, *stop, *done;
+    int status;
+} team_ctx;
+
+static long now_ns(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return ts.tv_sec * 1000000000L + ts.tv_nsec;
+}
+
+static void pause_us(long usec) {
+    struct timespec ts = {usec / 1000000, usec % 1000000 * 1000};
+    while (nanosleep(&ts, &ts)) {}
+}
+
+static void *fail(team_ctx *c, int status) {
+    c->status = status;
+    atomic_store(c->stop, 1);
+    return 0;
+}
+
+static void *team_main(void *arg) {
+    team_ctx *c = arg;
+    const long *f = c->fault;
+    long n;
+    int go;
+    while (!(go = atomic_load_explicit(c->go, memory_order_acquire)))
+        sched_yield();
+    if (go < 0) return 0;
+    if (f && f[0] == SLOW) pause_us(f[2]);
+    for (long p = c->tid; p < REPRO_NPROCS; p += c->nthreads) {
+        if ((n = run_fused(p, c->A, c->D)) < 0) return fail(c, -1);
+        c->count += n;
+        if (f && f[0] == STALL && (f[1] < 0 || f[1] == p)) {
+            if (f[2] < 0) continue;  /* withhold the signal */
+            pause_us(f[2]);
+        }
+        atomic_store_explicit(&c->done[p], 1, memory_order_release);
+    }
+    for (long p = c->tid; p < REPRO_NPROCS; p += c->nthreads) {
+        for (long k = REPRO_PEEL_DEPS_OFF[p]; k < REPRO_PEEL_DEPS_OFF[p + 1];
+             k++) {
+            /* spin, then yield (an oversubscribed producer gets the CPU),
+               then sleep; give up on a peer's failure or the deadline */
+            atomic_int *flag = &c->done[REPRO_PEEL_DEPS[k]];
+            for (long i = 0;
+                 !atomic_load_explicit(flag, memory_order_acquire); i++) {
+                if (atomic_load_explicit(c->stop, memory_order_relaxed))
+                    return 0;
+                if (i < SPIN) continue;
+                if (c->deadline_ns && now_ns() >= c->deadline_ns)
+                    return fail(c, -2);
+                if (i < YIELD) sched_yield(); else pause_us(50);
+            }
+        }
+        if ((n = run_peeled(p, c->A, c->D)) < 0) return fail(c, -1);
+        c->count += n;
+    }
+    return 0;
+}
+
+/* The whole schedule on min(nthreads, NPROCS) threads: the iteration
+   count, -1 when a body failed, -2 when a sync wait outlived timeout_ms
+   (0: no deadline).  faults is NULL or {action, proc, usec} per thread
+   (slow: sleep usec before the fused phase; stall: delay proc's signal,
+   or withhold it when usec < 0; proc < 0 means every processor). */
+long run_team(double **A, const long *D, long nthreads, long timeout_ms,
+              const long *faults) {
+    const long np = REPRO_NPROCS;
+    long t, count = 0, status = 0;
+    if (nthreads > np) nthreads = np;
+    if (nthreads < 1) nthreads = 1;
+    atomic_int go = 0, stop = 0, done[np];
+    team_ctx ctx[nthreads];
+    pthread_t threads[nthreads];
+    long deadline = timeout_ms > 0 ? now_ns() + timeout_ms * 1000000L : 0;
+    for (long p = 0; p < np; p++) atomic_init(&done[p], 0);
+    for (t = 0; t < nthreads; t++)
+        ctx[t] = (team_ctx){A, D, faults ? faults + 3 * t : 0, t, nthreads,
+                            deadline, 0, &go, &stop, done, 0};
+    for (t = 1; t < nthreads; t++)
+        if (pthread_create(&threads[t], 0, team_main, &ctx[t])) break;
+    if (t < nthreads) {  /* no team: release the threads, run serially */
+        atomic_store(&go, -1);
+        while (--t > 0) pthread_join(threads[t], 0);
+        if (run_plan(A, D)) return -1;
+        for (long p = 0; p < np; p++)
+            count += REPRO_FUSED_COUNTS[p] + REPRO_PEELED_COUNTS[p];
+        return count;
+    }
+    atomic_store_explicit(&go, 1, memory_order_release);
+    team_main(&ctx[0]);
+    for (t = 1; t < nthreads; t++) pthread_join(threads[t], 0);
+    for (t = 0; t < nthreads; t++) {
+        count += ctx[t].count;
+        if (ctx[t].status == -1 || (ctx[t].status == -2 && !status))
+            status = ctx[t].status;
+    }
+    return status ? status : count;
+}
+"""
+
+#: Compiled team objects by compiler.  The team's references to
+#: ``run_fused``/``REPRO_*`` bind to the object it is linked into:
+#: ctypes loads every object ``RTLD_LOCAL``, so no other plan's symbols
+#: are in scope.
+_team_objects: dict[str, bytes] = {}
+
+
+def _team_object(compiler: str) -> bytes:
+    """:data:`TEAM_SOURCE` compiled by ``compiler``, once per process.
+
+    The team is plan-independent, so one object serves every plan; ``cc``
+    charges tens of milliseconds per function, which the team would
+    otherwise add to every plan's compile."""
+    obj = _team_objects.get(compiler)
+    if obj is None:
+        with tempfile.TemporaryDirectory(prefix="repro-team-") as workdir:
+            c_path = Path(workdir) / "team.c"
+            o_path = c_path.with_suffix(".o")
+            c_path.write_text(TEAM_SOURCE, encoding="utf-8")
+            _run_compiler([compiler, *TEAM_CFLAGS, "-o", str(o_path),
+                           str(c_path)], compiler)
+            obj = _team_objects[compiler] = o_path.read_bytes()
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -646,10 +821,10 @@ class CJitModule:
     """A compiled-and-loaded native plan with the JitModule interface.
 
     ``run``/``run_fused``/``run_peeled`` take the same arguments as the
-    Python :class:`~repro.codegen.emitpy.JitModule` entry points (the
-    pool calls them interchangeably); pointers and concrete shapes are
-    marshalled from the arrays dict once per call — so once per ``run``
-    — and memoized while the arrays stay put.
+    Python :class:`~repro.codegen.emitpy.JitModule` entry points;
+    ``run_team`` runs the parallel schedule.  Pointers and concrete
+    shapes are marshalled from the arrays dict once per call — so once
+    per ``run`` — and memoized while the arrays stay put.
     """
 
     signature: str
@@ -673,8 +848,9 @@ class CJitModule:
         # and shape with the array it views
         key = [(arr.ctypes.data, arr.shape, arr.strides, arr.dtype)
                for arr in arrs]
-        if self._args_cache is not None and self._args_cache[0] == key:
-            return self._args_cache[1:]
+        cached = self._args_cache  # one read: another thread may replace it
+        if cached is not None and cached[0] == key:
+            return cached[1:]
         for arr, (name, ndim) in zip(arrs, self.array_spec):
             if arr.dtype != np.float64 or not arr.flags.c_contiguous:
                 raise CJitError(
@@ -705,13 +881,39 @@ class CJitModule:
             raise CJitError(f"native run_peeled({proc}) failed")
         return count
 
+    def _counts(self) -> dict:
+        return {"fused_iterations": sum(self.fused_counts),
+                "peeled_iterations": sum(self.peeled_counts)}
+
     def run(self, arrays: MutableMapping[str, np.ndarray]) -> dict:
         """The whole serial schedule in one native call: the arrays are
         marshalled once, ``run_plan`` walks both tables."""
         if self._lib.run_plan(*self._marshal(arrays)) < 0:
             raise CJitError("native run_plan failed")
-        return {"fused_iterations": sum(self.fused_counts),
-                "peeled_iterations": sum(self.peeled_counts)}
+        return self._counts()
+
+    def run_team(self, arrays: MutableMapping[str, np.ndarray],
+                 nthreads: int, timeout: Optional[float] = None,
+                 faults: Optional[Sequence[Sequence[int]]] = None) -> dict:
+        """The SPMD schedule on ``nthreads`` native threads in one call
+        (``run_team`` in the translation unit; ctypes releases the GIL).
+
+        ``timeout`` bounds every sync wait (seconds; None waits forever)
+        and raises :class:`CJitError` ("no fused-done signal") past it.  ``faults`` is one
+        ``(action, proc, usec)`` per thread (:data:`TEAM_SLOW` /
+        :data:`TEAM_STALL`, 0 for none); production runs pass None."""
+        timeout_ms = 0 if timeout is None else max(1, round(timeout * 1000))
+        table = None
+        if faults is not None:
+            flat = [int(v) for row in faults for v in row]
+            table = (ctypes.c_long * len(flat))(*flat)
+        code = self._lib.run_team(*self._marshal(arrays), nthreads,
+                                  timeout_ms, table)
+        if code == TEAM_TIMEOUT:
+            raise CJitError(f"no fused-done signal within {timeout:g}s")
+        if code < 0:
+            raise CJitError("native run_team failed")
+        return self._counts()
 
 
 def _read_longs(lib, name: str, count: int) -> tuple[int, ...]:
@@ -769,6 +971,11 @@ def _validated_module(lib, path: Path, expected_signature: Optional[str],
         lib.run_peeled.restype = ctypes.c_long
         lib.run_plan.argtypes = lib.run_fused.argtypes[1:]
         lib.run_plan.restype = ctypes.c_long
+        lib.run_team.argtypes = [
+            *lib.run_plan.argtypes, ctypes.c_long, ctypes.c_long,
+            ctypes.POINTER(ctypes.c_long),
+        ]
+        lib.run_team.restype = ctypes.c_long
     except (ValueError, AttributeError) as exc:
         raise CJitCompileError(
             f"{path.name} lacks the native entry points/metadata "
@@ -798,12 +1005,25 @@ def _validated_module(lib, path: Path, expected_signature: Optional[str],
     )
 
 
+def _run_compiler(cmd: list[str], compiler: str) -> None:
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=COMPILE_TIMEOUT)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise CJitCompileError(f"{compiler} failed to run: {exc}") from exc
+    if proc.returncode != 0:
+        tail = (proc.stderr or proc.stdout or "").strip()[-500:]
+        raise CJitCompileError(f"{compiler} exited {proc.returncode}: {tail}")
+
+
 def compile_c(source: str, so_path, compiler: Optional[str] = None,
               c_path=None) -> Path:
     """Compile ``source`` into ``so_path`` (atomically) and return it.
 
     ``c_path`` optionally persists the intermediate ``.c`` next to the
-    object for post-mortem reading; otherwise a scratch file is used.
+    object for post-mortem reading; otherwise a scratch file is used.  The
+    team object (:data:`TEAM_SOURCE`) is linked in, so every object
+    carries ``run_team``.
     """
     compiler = compiler or find_compiler()
     if compiler is None:
@@ -825,24 +1045,17 @@ def compile_c(source: str, so_path, compiler: Optional[str] = None,
         tmp.write_text(source, encoding="utf-8")
         os.replace(tmp, c_path)
     tmp_so = so_path.with_suffix(f".sotmp{os.getpid()}")
-    cmd = [compiler, *CFLAGS, "-o", str(tmp_so), str(c_path)]
+    team = so_path.with_suffix(f".team{os.getpid()}.o")
     try:
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=COMPILE_TIMEOUT)
-        except (OSError, subprocess.SubprocessError) as exc:
-            raise CJitCompileError(
-                f"{compiler} failed to run: {exc}") from exc
-        if proc.returncode != 0:
-            tail = (proc.stderr or proc.stdout or "").strip()[-500:]
-            raise CJitCompileError(
-                f"{compiler} exited {proc.returncode}: {tail}"
-            )
+        team.write_bytes(_team_object(compiler))
+        _run_compiler([compiler, *CFLAGS, "-o", str(tmp_so), str(c_path),
+                       str(team)], compiler)
         os.replace(tmp_so, so_path)
     finally:
         # on every failure path (timeout, unrunnable compiler, nonzero
-        # exit) the half-written object goes; the scratch source always
+        # exit) the half-written object goes; the scratch files always
         tmp_so.unlink(missing_ok=True)
+        team.unlink(missing_ok=True)
         if scratch is not None:
             c_path.unlink(missing_ok=True)
     return so_path

@@ -48,7 +48,9 @@ from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 #: v4: native objects are table-driven (one body per nest, schedule tables,
 #: a ``run_plan`` entry); the numpy modules are unchanged but share the
 #: version directory, so v3 objects are never loaded as v4.
-CODEGEN_VERSION = 4
+#: v5: native objects also carry ``run_team``, the in-process pthread team
+#: mpjit runs them on.
+CODEGEN_VERSION = 5
 
 IND = "    "
 

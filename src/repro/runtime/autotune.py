@@ -109,8 +109,8 @@ def candidate_configs(procs: int,
     """The configurations worth timing for ``procs`` on this machine.
 
     Serial compiled code (``jit``) is always a candidate, and so is the
-    native tier (``cjit``) when a C compiler is present; the pooled
-    parallel path (``mpjit``) joins only when both the plan and the
+    native tier (``cjit``) when a C compiler is present; the parallel
+    path (``mpjit``) joins only when both the plan and the
     machine (its usable CPUs) have parallelism to exploit.  Worker counts:
     all cores, plus a half-cores option on big hosts (smaller pools can
     win when memory bandwidth saturates first) — deduplicated by the

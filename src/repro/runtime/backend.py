@@ -15,10 +15,12 @@ examples and the benchmarks select an executor with a string:
   two-level plan cache (:mod:`repro.runtime.plancache`), then executed as
   straight-line compiled code on every call.
 * ``mpjit`` — :func:`repro.runtime.pool.run_mpjit`, the same compiled
-  modules executed in parallel by a persistent worker pool: each worker
-  runs only its processors' ``run_fused``/``run_peeled`` entry points
-  over shared memory (the paper's two-phase SPMD schedule, compiled),
-  synchronizing point-to-point through the module's ``PEEL_DEPS`` map.
+  plans executed in parallel: each thread or worker runs only its
+  processors' ``run_fused``/``run_peeled`` entry points (the paper's
+  two-phase SPMD schedule, compiled), synchronizing point-to-point
+  through the module's ``PEEL_DEPS`` map — as a thread team inside the
+  plan's cached native ``.so`` when there is one, else on a persistent
+  worker pool over shared memory.
 * ``cjit`` — :func:`run_cjit`, the plan lowered to a C translation unit
   (:mod:`repro.codegen.emitc`), compiled with the system C compiler into
   a ``.so`` cached next to the ``.py`` source, and called through
@@ -176,7 +178,7 @@ def run_cjit(
     """Execute ``exec_plan`` through generated-and-compiled C code.
 
     Mirrors :func:`run_jit`: the first call for a plan structure emits,
-    compiles (``cc -O2 -shared -fPIC``) and caches a shared object keyed
+    compiles (``cc -O2 -shared -fPIC -pthread``) and caches a shared object keyed
     by the plan signature plus the compiler fingerprint; later calls
     dlopen/reuse it.  A missing compiler or a failed compilation falls
     back to :func:`run_jit` — noted once, counted always
@@ -223,9 +225,10 @@ register_backend(Backend(
 ))
 register_backend(Backend(
     name="mpjit",
-    description="compiled per-processor entry points executed by a "
-                "persistent worker pool over shared memory (fused phase, "
-                "point-to-point neighbor sync, peeled phase)",
+    description="compiled per-processor entry points run in parallel "
+                "(fused phase, point-to-point neighbor sync, peeled "
+                "phase): a native thread team when the plan's .so is "
+                "cached, else a persistent worker pool",
     runner=run_mpjit,
 ))
 register_backend(Backend(

@@ -115,7 +115,10 @@ def measure_kernel(
     the best run after the first.  ``use_cache=False`` bypasses the plan
     cache completely.
 
-    For ``mpjit`` the record additionally reports pool totals:
+    For ``mpjit`` the record additionally reports ``engine``
+    (``"threads"`` when the native twin ran as a thread team,
+    ``"processes"`` for the worker pool, None when one worker ran it
+    serially) and the :func:`~repro.runtime.pool.pool_stats` totals:
     ``pool_spawn_seconds`` (forking the persistent workers, paid inside
     the *first* run only), ``pool_workers``, ``pool_runs`` and
     ``steady_seconds`` (an alias of ``warm_seconds``: every repeat after
@@ -180,11 +183,9 @@ def measure_kernel(
         }
         if backend == "mpjit":
             stats = pool_stats()
-            sample["pool_runs"] = (stats.get("runs", 0)
-                                   - pool_snapshot.get("runs", 0))
+            sample["pool_runs"] = stats["runs"] - pool_snapshot["runs"]
             sample["pool_spawn_seconds"] = round(
-                stats.get("spawn_seconds", 0.0)
-                - pool_snapshot.get("spawn_seconds", 0.0), 6)
+                stats["spawn_seconds"] - pool_snapshot["spawn_seconds"], 6)
             pool_snapshot = stats
         samples.append(sample)
     total_seconds = time.perf_counter() - wall0
@@ -239,8 +240,9 @@ def measure_kernel(
         record["cjit"] = entry
     if backend == "mpjit":
         stats = pool_stats()
-        record["pool_workers"] = stats.get("nworkers", 0)
-        record["pool_runs"] = stats.get("runs", 0)
-        record["pool_spawn_seconds"] = stats.get("spawn_seconds", 0.0)
+        record["engine"] = stats["engine"]
+        record["pool_workers"] = stats["nworkers"]
+        record["pool_runs"] = stats["runs"]
+        record["pool_spawn_seconds"] = stats["spawn_seconds"]
         record["steady_seconds"] = record["warm_seconds"]
     return record

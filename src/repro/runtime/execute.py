@@ -10,7 +10,8 @@ allocates seeded arrays and runs them through a named backend
 machine-independent checksum, and :func:`execute_resilient` wraps that run
 in bounded retries down the degradation ladder.  Module backends run over
 views of the shared execution arena (:mod:`repro.runtime.arena`): inputs
-filled in place, hashed in place, handed to the ``mpjit`` pool by spec.
+filled in place, hashed in place, run in place by an ``mpjit`` thread
+team or handed to its worker pool by spec.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from ..kernels import get_kernel
 from .arena import Layout, borrow, fill_seeded
 from .backend import checksum, get_backend
 from .plancache import default_cache, program_signature
+from .pool import native_twins
 
 #: Backends that can run a prep's compiled modules directly; every other
 #: backend executes the prep's plans through the backend registry.
@@ -61,9 +63,11 @@ class PreparedKernel:
     entirely.  For ``cjit``, ``native_modules`` holds the dlopen'd
     :class:`~repro.codegen.emitc.CJitModule` per plan when the native tier
     is live, and ``native_reason`` records why it is not (the run falls
-    back to the numpy ``modules``).  ``plan_seconds``/``compile_seconds``
-    record what preparation actually cost so callers can report overhead
-    honestly.
+    back to the numpy ``modules``).  For ``mpjit`` it holds the native
+    twins the thread team runs, when the plan cache had every one (None:
+    the worker pool runs the numpy ``modules``).
+    ``plan_seconds``/``compile_seconds`` record what preparation actually
+    cost so callers can report overhead honestly.
     """
 
     name: str
@@ -115,10 +119,12 @@ def prepare_kernel(
     clamped grid.
 
     For ``backend='jit'`` (and ``'mpjit'``, which executes the same
-    compiled modules through the worker pool) with ``use_cache=True`` the
-    plan cache is consulted first: a warm program alias (same kernel IR,
-    params, procs and strip) yields the compiled modules without running
-    the analysis → derive → fuse → plan pipeline at all.  ``cjit`` rides
+    compiled modules in parallel) with ``use_cache=True`` the plan cache
+    is consulted first: a warm program alias (same kernel IR, params,
+    procs and strip) yields the compiled modules without running the
+    analysis → derive → fuse → plan pipeline at all.  ``mpjit`` also
+    looks up their native twins (:func:`~repro.runtime.pool.native_twins`,
+    memory then disk, never compiling).  ``cjit`` rides
     the same alias: when every aliased plan also has a cached ``.so`` the
     native modules come back without planning or compiling anything;
     a missing ``.so`` falls through to the planning path, which compiles
@@ -139,11 +145,9 @@ def prepare_kernel(
             modules = cache.lookup_alias(alias_key)
             if modules is not None:
                 natives = None
-                if backend == "cjit":
-                    natives = [cache.peek_native(m.signature)
-                               for m in modules]
-                    if not all(natives):
-                        natives = None  # compile on the planning path
+                if backend in ("cjit", "mpjit"):
+                    natives = native_twins([m.signature for m in modules],
+                                           cache)
                 if backend != "cjit" or natives is not None:
                     return PreparedKernel(
                         name=kernel, program=program, params=run_params,
@@ -169,7 +173,10 @@ def prepare_kernel(
         before = cache.stats.snapshot()
         modules = [cache.get(ep, strip=strip) for ep in plans]
         cache.link_alias(alias_key, [m.signature for m in modules])
-        if backend == "cjit":
+        if backend == "mpjit":
+            native_modules = native_twins([m.signature for m in modules],
+                                          cache)
+        elif backend == "cjit":
             native_modules = []
             for ep in plans:
                 native, reason = cache.get_native(ep, strip=strip)
@@ -211,7 +218,9 @@ def execute_prepared(
     precompiled jit modules, ``backend`` is one of :data:`MODULE_BACKENDS`
     and no interpreter verification is requested, the modules run
     directly over views of the execution arena — serially for
-    ``jit``/``cjit``, through the persistent pool for ``mpjit``; otherwise
+    ``jit``/``cjit``; for ``mpjit`` as a thread team when native twins
+    exist (resolved at prepare time, or found since in the plan cache's
+    memory tier), else through the persistent pool; otherwise
     the plans execute through the backend registry over freshly allocated
     arrays.  A prep without plans (a warm alias hit) cannot run on any
     other backend and raises ``ValueError``.
@@ -224,9 +233,12 @@ def execute_prepared(
 
             cache = default_cache()
             cache_root = str(cache.root) if cache.persist else None
+            if prep.native_modules is None:  # compiled since the prep?
+                prep.native_modules = native_twins(
+                    [m.signature for m in prep.modules], cache, disk=False)
         run_modules = prep.modules
-        if backend == "cjit" and prep.native_modules is not None:
-            run_modules = prep.native_modules  # native tier; else jit fallback
+        if backend != "jit" and prep.native_modules is not None:
+            run_modules = prep.native_modules  # native tier; else numpy
         with borrow() as arena:
             arrays, specs = arena.layout(prep.layout)
             fill_seeded(arrays.values(), prep.seed)

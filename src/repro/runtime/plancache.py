@@ -280,22 +280,23 @@ class PlanCache:
             self.stats.evictions += 1
 
     def peek_native(self, signature: str,
-                    fingerprint: Optional[str] = None):
-        """Memory → disk ``.so`` lookup without compiling anything.
+                    fingerprint: Optional[str] = None, disk: bool = True):
+        """Memory → disk ``.so`` lookup without compiling anything
+        (``disk=False``: memory only).
 
         With ``fingerprint`` only the exactly-keyed object is considered
         (the compiling caller's view: a compiler change is a miss);
         without it any valid object for the signature is accepted (the
-        pool worker's view: workers only execute, and every object for a
-        signature is bit-identical by construction).  Corrupt or stale
-        objects are quarantined, never re-dlopened.
+        mpjit view: it only executes, and every object for a signature is
+        bit-identical by construction).  Corrupt or stale objects are
+        quarantined, never re-dlopened.
         """
         module = self._native.get(signature)
         if module is not None:
             self._native.move_to_end(signature)
             self.stats.native_memory_hits += 1
             return module
-        if not self.persist:
+        if not self.persist or not disk:
             return None
         from ..codegen.emitc import CJitCompileError, load_native
 

@@ -1,51 +1,49 @@
-"""Persistent worker pool executing compiled plans in parallel (mpjit).
+"""mpjit: the paper's SPMD schedule on real parallel hardware.
 
 The paper's execution model (Figs. 12/13) is SPMD: every processor runs
-its *fused* boxes, synchronizes, then runs its *peeled* boxes.  This
-module runs that schedule on real OS processes with compiled bodies:
+its *fused* boxes, synchronizes, then runs its *peeled* boxes.  The
+paper's global barrier between the phases is replaced by point-to-point
+sync: each processor signals "fused done", and each peeled phase waits
+only on its named predecessors — the module's ``PEEL_DEPS`` map, derived
+by :func:`repro.core.syncdeps.peel_predecessors`.  The parent picks one
+of two engines per module, once (:func:`native_twins`):
 
-* a :class:`WorkerPool` of long-lived OS processes is spawned **once**
-  (fork/spawn cost amortized across runs, exactly like the plan cache
-  amortizes compilation) and reused by every subsequent ``mpjit``
-  execution of the same worker count;
-* each worker keeps an in-memory dict of compiled
-  :class:`~repro.codegen.emitpy.JitModule` objects keyed by plan
-  signature.  A warm worker recompiles nothing.  A cold worker loads the
-  *generated source* from the on-disk plan cache by signature (the parent
-  already emitted and persisted it) and pays one ``compile()`` — never an
-  emission; the task carries the source inline as a last-resort fallback
-  for non-persistent caches;
-* one run is the paper's two-phase schedule: every worker calls
-  ``run_fused(proc, arrays)`` for its assigned processors over the
+* **threads** — when the plan cache holds the module's native (``cjit``)
+  twin, one :meth:`~repro.codegen.emitc.CJitModule.run_team` call runs
+  the schedule on a pthread team created for the call, over the caller's
+  own arrays, with a release/acquire flag per processor (the
+  compiler-generated producer/consumer sync of Liao et al.).  No IPC, no
+  pickled tasks; ctypes releases the GIL for the call.
+* **processes** — otherwise (no compiler, or nothing compiled yet) a
+  :class:`WorkerPool` of long-lived OS processes, spawned **once** and
+  reused, runs the numpy :class:`~repro.codegen.emitpy.JitModule`.  Each
+  worker keeps its compiled modules in memory by plan signature; a cold
+  worker loads the generated source from the on-disk plan cache (the
+  parent already persisted it) and pays one ``compile()``, with the
+  source shipped in the task as a fallback for non-persistent caches.
+  Workers call ``run_fused``/``run_peeled`` for their processors over the
   execution arena (:mod:`repro.runtime.arena`, one shared-memory segment
-  a worker maps once and keeps until the parent names another), then
-  ``run_peeled(proc, arrays)``.  The paper's global barrier between the
-  phases is replaced by point-to-point sync (:class:`P2PSync`): each
-  processor sets its "fused done" event as its fused phase completes,
-  and each peeled phase waits only on the events of its named
-  predecessors — the module's ``PEEL_DEPS`` map, derived by
-  :func:`repro.core.syncdeps.peel_predecessors` — instead of on the
-  slowest peer.
+  a worker maps once) and signal through :class:`P2PSync` events.
 
-Failure semantics: the parent polls the result queue with liveness
+Failure semantics: the parent polls the pool's result queue with liveness
 checks (:func:`collect_worker_results`), sets the abort event on the
 first casualty (releasing every waiter) and raises a
 :class:`~repro.runtime.supervisor.ExecError` (a
 :class:`~repro.runtime.fastexec.FastExecError` carrying a classified
 :class:`~repro.runtime.supervisor.ExecFailure`) with the worker
-traceback.  A failed run retires the execution arena (the retry runs on
-a new segment, out of reach of a stalled worker) and poisons the pool; the
-:class:`~repro.runtime.supervisor.PoolSupervisor` then repairs it in the
-background — in place (only the corpses are re-forked, warm survivors
-keep their compiled modules), or by a full respawn when the survivors do
-not settle — so the caller's retry finds a healthy pool without paying
-the spawn cost synchronously.
+traceback.  A failed pool run poisons the pool; the
+:class:`~repro.runtime.supervisor.PoolSupervisor` repairs it in the
+background — in place (only the corpses are re-forked), or by a full
+respawn when the survivors do not settle.  A failed team run leaves
+nothing to repair: its threads are joined before the call returns.
 
-Deterministic fault injection (:mod:`repro.runtime.faults`) rides the
-task tuple: the parent asks the active :class:`FaultPlan` for this
-run's directives and ships them to the targeted workers, which crash /
-sleep / withhold fused-done signals on command.  Production dispatch
-with no active plan pays one ``None`` comparison.
+Deterministic fault injection (:mod:`repro.runtime.faults`) drives both
+engines through the same :meth:`~repro.runtime.faults.FaultPlan.take_worker_faults`:
+pool workers get their directive in the task tuple; a team gets ``slow``
+and ``stall`` as a per-thread table, and a ``crash`` fails the run with
+the classified failure a dead worker produces (a thread cannot die
+alone).  Production dispatch with no active plan pays one ``None``
+comparison.
 """
 
 from __future__ import annotations
@@ -302,15 +300,12 @@ def _apply_worker_fault(fault: Optional[dict]) -> None:
 
 def _load_module(modules: dict, signature: str, cache_root: Optional[str],
                  source: str):
-    """Resolve a compiled module inside a worker.
+    """Resolve a compiled numpy module inside a worker.
 
-    Memory first (warm worker: nothing to do), then the on-disk plan
-    cache by signature — a compiled native ``.so`` before the ``.py``
-    source (one ``dlopen`` beats one ``compile()``, and every object
-    for a signature is bit-identical by construction; workers never
-    *compile* C, they only load what the parent cached) — then the
-    inline source shipped with the task (non-persistent cache).
-    Returns ``(module, 'memory'|'native'|'disk'|'inline')``.
+    Memory first (warm worker: nothing to do), then the ``.py`` source in
+    the on-disk plan cache by signature, then the inline source shipped
+    with the task (non-persistent cache).  Returns
+    ``(module, 'memory'|'disk'|'inline')``.
     """
     module = modules.get(signature)
     if module is not None:
@@ -319,14 +314,9 @@ def _load_module(modules: dict, signature: str, cache_root: Optional[str],
     if cache_root:
         from .plancache import PlanCache
 
-        cache = PlanCache(root=cache_root)
-        module = cache.peek_native(signature)
+        module = PlanCache(root=cache_root).peek(signature)
         if module is not None:
-            mode = "native"
-        else:
-            module = cache.peek(signature)
-            if module is not None:
-                mode = "disk"
+            mode = "disk"
     if module is None:
         from ..codegen.emitpy import compile_source
 
@@ -580,6 +570,11 @@ class WorkerPool:
 _pool: Optional[WorkerPool] = None
 _spawns = 0
 
+#: The last parallel run's engine (``"threads"``/``"processes"``), the
+#: size of the last team and the team runs since :func:`stop_pool`.
+_last = {"engine": None, "team_size": 0, "team_runs": 0}
+_last_lock = threading.Lock()
+
 #: Guards ``_pool`` between the exec path and the supervisor's
 #: background recovery thread (reentrant: recovery calls get_pool /
 #: stop_pool while already holding it).
@@ -609,9 +604,12 @@ def get_pool(nworkers: int, nprocs: int = 0) -> WorkerPool:
 
 
 def stop_pool() -> None:
-    """Stop the process-wide pool's workers (no-op when there is none)."""
+    """Stop the process-wide pool's workers (no-op when there is none)
+    and restart the run counters."""
     global _pool
     with _lock:
+        with _last_lock:
+            _last.update(engine=None, team_size=0, team_runs=0)
         if _pool is not None:
             _pool.shutdown()
             _pool = None
@@ -628,25 +626,48 @@ atexit.register(shutdown_pool)
 
 
 def pool_stats() -> dict:
-    """Observability for benchmarks and the CLI: spawn cost vs reuse."""
+    """Observability for benchmarks, the CLI and ``repro serve status``:
+    the same keys whether or not a pool exists.
+
+    ``engine`` is what the last parallel run used (``"threads"``,
+    ``"processes"``, or None before any); ``nworkers`` is that run's
+    thread or worker count (the live pool's size before any run), and
+    ``runs`` counts the parallel runs of both engines since the pool was
+    last stopped.  Single-worker runs execute serially and count nowhere.
+    """
     from .supervisor import _supervisor
 
-    respawns = _supervisor.respawns if _supervisor is not None else 0
-    if _pool is None:
-        return {"alive": False, "spawns": _spawns, "nworkers": 0,
-                "runs": 0, "spawn_seconds": 0.0, "last_sync": None,
-                "respawns": respawns}
+    pool = _pool
+    engine = _last["engine"]
+    if engine == "threads":
+        nworkers = _last["team_size"]
+    else:
+        nworkers = pool.nworkers if pool is not None else 0
+    runs = _last["team_runs"] + (pool.runs if pool is not None else 0)
     return {
-        "alive": _pool.healthy(),
+        "engine": engine,
+        "alive": pool is not None and pool.healthy(),
         "spawns": _spawns,
-        "nworkers": _pool.nworkers,
-        "runs": _pool.runs,
-        "spawn_seconds": round(_pool.spawn_seconds, 6),
-        "last_load_modes": list(_pool.last_load_modes),
-        "last_sync": "p2p" if _pool.runs else None,
-        "p2p_slots": len(_pool.p2p.events),
-        "respawns": respawns,
+        "nworkers": nworkers,
+        "runs": runs,
+        "spawn_seconds": round(pool.spawn_seconds, 6) if pool else 0.0,
+        "last_load_modes": (list(pool.last_load_modes)
+                            if pool is not None and engine == "processes"
+                            else []),
+        "last_sync": "p2p" if runs else None,
+        "p2p_slots": len(pool.p2p.events) if pool is not None else 0,
+        "respawns": _supervisor.respawns if _supervisor is not None else 0,
     }
+
+
+def native_twins(signatures: Sequence[str], cache,
+                 disk: bool = True) -> Optional[list]:
+    """The native (``cjit``) module of every signature from ``cache``, or
+    None when any is missing: memory first, then — with ``disk`` — the
+    objects on disk.  Never compiles: mpjit runs what cjit built, and a
+    plan without one stays on the pool."""
+    twins = [cache.peek_native(sig, disk=disk) for sig in signatures]
+    return twins if all(twins) else None
 
 
 def run_mpjit_module(
@@ -656,22 +677,23 @@ def run_mpjit_module(
     cache_root: Optional[str] = None,
     specs: Optional[tuple] = None,
 ) -> dict[str, int]:
-    """Execute a compiled :class:`JitModule` through the worker pool.
+    """Execute one compiled module on ``min(nprocs, available_cpus())``
+    workers (``max_workers`` overrides the CPU count), processors dealt
+    round-robin.
 
-    The phases synchronize point-to-point via the module's ``PEEL_DEPS``
-    map.  The processors are dealt round-robin across
-    ``min(nprocs, available_cpus())`` workers (``max_workers`` overrides
-    the CPU count).  With one worker the pool is bypassed entirely — the
-    module runs serially in-process, which is bit-identical by
-    construction.
+    A native :class:`~repro.codegen.emitc.CJitModule` (the twin
+    :func:`native_twins` found) runs as one team of threads over
+    ``arrays``; a numpy :class:`~repro.codegen.emitpy.JitModule` runs on
+    the worker pool, which sees only execution-arena specs: ``arrays``
+    are arena views described by ``specs`` (what ``execute_prepared``
+    passes), or — with ``specs=None`` — the caller's own arrays, copied
+    into the arena and back.  With one worker either module runs
+    serially in-process, which is bit-identical by construction."""
+    from ..codegen.emitc import CJitModule
 
-    The workers see only execution-arena specs: ``arrays`` are arena
-    views described by ``specs`` (what ``execute_prepared`` passes), or —
-    with ``specs=None`` — the caller's own arrays, copied into the arena
-    and back."""
-    # Validate the env knobs in the parent, before anything is spawned:
-    # a typo'd REPRO_SYNC_TIMEOUT / REPRO_FAULTS raises EnvConfigError
-    # naming the variable instead of a worker traceback.
+    # Validate the env knobs before anything runs: a typo'd
+    # REPRO_SYNC_TIMEOUT / REPRO_FAULTS raises EnvConfigError naming the
+    # variable instead of a worker traceback.
     sync_timeout()
     from .faults import active_plan
 
@@ -679,6 +701,8 @@ def run_mpjit_module(
     nworkers = _resolve_workers(module.nprocs, max_workers)
     if nworkers == 1:
         return module.run(arrays)
+    if isinstance(module, CJitModule):
+        return _run_team(module, arrays, nworkers)
     if specs is not None:
         return _dispatch(module, nworkers, specs, cache_root)
     with arena.borrow() as space:
@@ -692,6 +716,52 @@ def run_mpjit_module(
     return stats
 
 
+def _team_faults(injected: Mapping[int, dict], nthreads: int) -> list:
+    """The ``run_team`` fault table for this run's ``slow``/``stall``
+    directives: one ``(action, proc, usec)`` row per thread."""
+    from ..codegen.emitc import TEAM_SLOW, TEAM_STALL
+
+    rows = [(0, 0, 0)] * nthreads
+    for w, fault in injected.items():
+        seconds = fault.get("seconds")
+        if fault["action"] == "slow":
+            rows[w] = (TEAM_SLOW, -1, round(1e6 * (seconds or 0.05)))
+        elif fault["action"] == "stall":
+            proc = fault.get("proc")
+            rows[w] = (TEAM_STALL, -1 if proc is None else proc,
+                       -1 if seconds is None else round(1e6 * seconds))
+    return rows
+
+
+def _run_team(module, arrays: MutableMapping[str, np.ndarray],
+              nthreads: int) -> dict[str, int]:
+    """One native team run; a failure is classified and recorded like a
+    pool failure."""
+    from ..codegen.emitc import CJitError
+    from .faults import active_plan
+
+    plan = active_plan()
+    injected = (plan.take_worker_faults(nthreads)
+                if plan is not None else {})
+    with _last_lock:
+        _last.update(engine="threads", team_size=nthreads,
+                     team_runs=_last["team_runs"] + 1)
+    try:
+        for w, fault in sorted(injected.items()):
+            if fault["action"] == "crash":
+                raise FastExecError(
+                    f"mpjit worker {w} died without reporting a result "
+                    f"(exitcode {fault['exitcode']}; injected into a team "
+                    f"run)")
+        return module.run_team(
+            arrays, nthreads, timeout=sync_timeout(),
+            faults=_team_faults(injected, nthreads) if injected else None)
+    except CJitError as exc:
+        _fail(FastExecError(f"mpjit team run failed: {exc}"))
+    except FastExecError as exc:
+        _fail(exc)
+
+
 def _dispatch(module, nworkers: int, specs: tuple,
               cache_root: Optional[str]) -> dict[str, int]:
     """One pool run over arena ``specs``; failures are classified and the
@@ -703,25 +773,30 @@ def _dispatch(module, nworkers: int, specs: tuple,
             tuple(range(w, nprocs, nworkers)) for w in range(nworkers)
         ]
         pool = get_pool(nworkers, nprocs)
+        _last["engine"] = "processes"
         fused, peeled = pool.run_module(module, assignment, specs,
                                         cache_root)
         return {"fused_iterations": fused, "peeled_iterations": peeled}
     except FastExecError as exc:
-        # The abort event is set and the pool is marked broken.  Classify
-        # the failure, quarantine the casualties, and let the supervisor
-        # repair the pool in the background while the caller decides
-        # whether to retry (possibly degraded).
-        from .supervisor import ExecError, classify_failure, \
-            default_supervisor
+        # The abort event is set and the pool is marked broken: the
+        # supervisor repairs it in the background while the caller
+        # decides whether to retry (possibly degraded).
+        _fail(exc, pool)
 
-        failure = classify_failure(exc)
-        supervisor = default_supervisor()
-        supervisor.record_failure(failure, pool=pool)
-        if pool is not None and not pool.healthy():
-            supervisor.recover_in_background(pool)
-        if isinstance(exc, ExecError):
-            raise
-        raise ExecError(failure) from exc
+
+def _fail(exc: FastExecError, pool: Optional[WorkerPool] = None):
+    """Classify ``exc``, record it (and hand a broken ``pool`` to the
+    supervisor), then raise it as an ``ExecError``."""
+    from .supervisor import ExecError, classify_failure, default_supervisor
+
+    failure = classify_failure(exc)
+    supervisor = default_supervisor()
+    supervisor.record_failure(failure, pool=pool)
+    if pool is not None and not pool.healthy():
+        supervisor.recover_in_background(pool)
+    if isinstance(exc, ExecError):
+        raise exc
+    raise ExecError(failure) from exc
 
 
 def run_mpjit(
@@ -732,12 +807,12 @@ def run_mpjit(
     no_cache: bool = False,
     cache=None,
 ) -> dict[str, int]:
-    """The ``mpjit`` backend: compiled code, real parallel processes.
+    """The ``mpjit`` backend: compiled code, really parallel.
 
-    Compiles (or fetches from the plan cache) the jit module for
-    ``exec_plan`` exactly like the ``jit`` backend, persists its source so
-    cold workers can load it by signature, then executes the paper's
-    two-phase schedule on the persistent pool."""
+    A plan whose native twin is in the plan cache (:func:`native_twins`)
+    runs as a thread team; otherwise the jit module is compiled (or
+    fetched) exactly like the ``jit`` backend, its source persisted so
+    cold workers can load it by signature, and the pool runs it."""
     if no_cache:
         from ..codegen.emitpy import compile_plan
 
@@ -748,7 +823,8 @@ def run_mpjit(
             from .plancache import default_cache
 
             cache = default_cache()
-        module = cache.get(exec_plan, strip=strip)
+        twins = native_twins([exec_plan.signature(strip=strip)], cache)
+        module = twins[0] if twins else cache.get(exec_plan, strip=strip)
         cache_root = str(cache.root) if cache.persist else None
     return run_mpjit_module(module, arrays, max_workers=max_workers,
                             cache_root=cache_root)

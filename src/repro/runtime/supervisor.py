@@ -236,13 +236,15 @@ class RetryPolicy:
 class PoolSupervisor:
     """Quarantine dead workers and respawn the pool off the hot path.
 
-    :func:`repro.runtime.pool.run_mpjit_module` reports every pool
-    failure here; the supervisor records the casualty (worker id,
-    exitcode, run, kind) and kicks a background thread that repairs the
-    process-wide pool under the pool module's lock — in place when the
-    survivors settle, full respawn otherwise.  The caller's retry (or the
-    next request) then finds a healthy pool instead of paying the spawn
-    cost synchronously."""
+    :func:`repro.runtime.pool.run_mpjit_module` reports every mpjit
+    failure here; for a pool failure the supervisor records the casualty
+    (worker id, exitcode, run, kind) and kicks a background thread that
+    repairs the process-wide pool under the pool module's lock — in
+    place when the survivors settle, full respawn otherwise.  The
+    caller's retry (or the next request) then finds a healthy pool
+    instead of paying the spawn cost synchronously.  A thread-team
+    failure is only counted: its threads are gone when the call
+    returns."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.codegen.emitc import find_compiler
 from repro.runtime.autotune import AutoTuner, tuning_key
 from repro.runtime.execute import (
     execute_prepared,
@@ -434,6 +435,22 @@ class TestSelfHealing:
         assert result["retry_budget"] == 2  # ServerConfig default
         assert "pool" in result and "supervisor" in result
         assert result["breaker"]["open"] == {}
+
+    @pytest.mark.skipif(find_compiler() is None, reason="no C compiler")
+    def test_status_reports_the_mpjit_engine(self, harness):
+        """With the plan's ``.so`` cached by a cjit request, an mpjit
+        request runs as a thread team, and ``status`` says so in the
+        same pool-stats shape it reports before any run."""
+        with harness.client() as c:
+            before = c.status()["result"]["pool"]
+            assert c.exec("jacobi", req_id=1, n=25, procs=2,
+                          backend="cjit")["ok"]
+            hit = c.exec("jacobi", req_id=2, n=25, procs=2,
+                         backend="mpjit", max_workers=2)
+            after = c.status()["result"]["pool"]
+        assert hit["ok"], hit
+        assert set(after) == set(before)
+        assert (after["engine"], after["nworkers"]) == ("threads", 2)
 
     def test_chaos_op_installs_and_clears(self, harness):
         with harness.client() as c:
