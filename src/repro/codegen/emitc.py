@@ -28,11 +28,12 @@ does — *schedule as data, bodies as code*:
   deliberately *not* part of the structural plan signature, mirroring how
   the numpy module reads them off the arrays it is handed).
 
-Every object also carries ``run_team(arrays, dims, nthreads, timeout_ms,
-faults)``, the parallel schedule on a pthread team created for the call
-(:data:`TEAM_SOURCE`): plan-independent C over the plan's own tables and
-entry points, compiled once per process and compiler and linked into
-each object, so it costs no plan a compile.
+The parallel schedule is not in the object: :data:`TEAM_SOURCE` is one
+plan-independent library per process (:func:`native_team`) whose
+``run_team`` takes a plan's entry points and ``PEEL_DEPS`` tables, which
+:func:`load_native` resolves once per object.  Its threads persist and
+park between runs; it is built at the first team run, once per compiler,
+so it costs no plan a compile.
 
 Bit-identity with the interpreter is preserved by construction.  The
 numpy module executes each statement as "evaluate the RHS over the whole
@@ -68,11 +69,14 @@ from __future__ import annotations
 import _ctypes
 import ctypes
 import math
+import operator
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import MutableMapping, Optional, Sequence
@@ -90,13 +94,8 @@ IND = "    "
 
 #: Portable IEEE-754 codegen: no ``-ffast-math`` (would break
 #: bit-identity), no ``-march`` (the cache may be shared between machines
-#: of one ISA family).  ``-pthread`` for the team.
-CFLAGS = ("-O2", "-shared", "-fPIC", "-pthread")
-
-#: The team object (:data:`TEAM_SOURCE`) is control code: on a 2-vCPU
-#: x86 box ``-O2`` doubles its compile (115 vs 58 ms CPU) and moves no
-#: run time (thread start dominates a team run).
-TEAM_CFLAGS = ("-O0", "-fPIC", "-pthread", "-c")
+#: of one ISA family).
+CFLAGS = ("-O2", "-shared", "-fPIC")
 
 ENV_CC = "REPRO_CC"
 
@@ -174,8 +173,7 @@ def compiler_fingerprint(compiler: Optional[str] = None) -> Optional[str]:
     except (OSError, subprocess.SubprocessError, IndexError):
         identity = compiler
     digest = hashlib.sha256(
-        f"{identity}|{' '.join(CFLAGS)}|{' '.join(TEAM_CFLAGS)}".encode()
-    ).hexdigest()[:12]
+        f"{identity}|{' '.join(CFLAGS)}".encode()).hexdigest()[:12]
     _fingerprints[compiler] = digest
     return digest
 
@@ -647,8 +645,7 @@ long run_plan(double **arrays, const long *dims) {
 
 
 # ---------------------------------------------------------------------------
-# The SPMD team: one plan-independent translation unit, compiled once per
-# process and compiler, linked into every native object.
+# The SPMD team: one process-wide native library whose threads persist.
 # ---------------------------------------------------------------------------
 
 #: ``run_team`` fault table: per thread ``{action, proc, usec}``.
@@ -658,35 +655,76 @@ TEAM_STALL = 2
 #: body failed).
 TEAM_TIMEOUT = -2
 
+#: The team library is the only code that starts threads (plan objects
+#: are compiled without ``-pthread``).  It is control code: on a 2-vCPU
+#: x86 box ``-O2`` doubles its build (≈210 vs ≈105 ms) and moves no run
+#: time, which the wake-up and the plan's bodies dominate.
+TEAM_FLAGS = ("-O0", "-shared", "-fPIC", "-pthread")
+
 TEAM_SOURCE = """\
-/* Generated by repro.codegen.emitc — do not edit.  The SPMD team linked
-   into every plan object (Sec. 3.4, point-to-point sync): thread t runs
-   processors t, t+T, ...  After a processor's fused rows it sets done[p]
-   (release); before its peeled rows it acquires done[q] of each
-   REPRO_PEEL_DEPS predecessor q.  The caller is thread 0; threads, flags
-   and contexts live on the call's stack, so concurrent calls on one
-   object share nothing. */
-#define _POSIX_C_SOURCE 200809L
+/* Generated by repro.codegen.emitc — do not edit.  The process-wide SPMD
+   team (Sec. 3.4, point-to-point sync), one library for every plan: a run
+   hands it a plan's run_fused/run_peeled and PEEL_DEPS tables.  Thread t
+   runs processors t, t+T, ...  After a processor's fused rows it sets
+   done[p] (release); before its peeled rows it acquires done[q] of each
+   predecessor q.  The caller is thread 0.  Worker threads are created on
+   first use, grow to the largest team asked for and park between runs (a
+   bounded spin, then a futex wait).  One lock serialises runs; a forked
+   child starts with no team. */
+#define _GNU_SOURCE
+#include <limits.h>
 #include <pthread.h>
 #include <sched.h>
+#include <signal.h>
 #include <stdatomic.h>
+#include <stdlib.h>
+#include <string.h>
 #include <time.h>
+#ifdef __linux__
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
 
-extern const long REPRO_NPROCS, REPRO_FUSED_COUNTS[], REPRO_PEELED_COUNTS[],
-    REPRO_PEEL_DEPS_OFF[], REPRO_PEEL_DEPS[];
-long run_fused(long proc, double **arrays, const long *dims);
-long run_peeled(long proc, double **arrays, const long *dims);
-long run_plan(double **arrays, const long *dims);
+typedef long (*phase_fn)(long proc, double **arrays, const long *dims);
+
+/* What a run needs of one plan object, resolved once when it is loaded. */
+typedef struct {
+    phase_fn fused, peeled;
+    long nprocs;
+    const long *deps_off, *deps;
+} team_plan;
 
 enum { SLOW = 1, STALL = 2, SPIN = 1 << 10, YIELD = 1 << 14 };
 
+/* How long an idle thread spins before it sleeps on its futex: long
+   enough to catch a back-to-back run, short enough that a parked team
+   costs no CPU between requests. */
+#define PARK_SPIN_NS 50000L
+
+/* One thread's mailbox and share of the result, on its own cache line.
+   go is the generation of the last run handed to the thread. */
 typedef struct {
-    double **A;
-    const long *D, *fault;
-    long tid, nthreads, deadline_ns, count;
-    atomic_int *go, *stop, *done;
+    _Alignas(64) atomic_uint go;
+    atomic_int sleeping;
+    long tid, count;
     int status;
-} team_ctx;
+} slot;
+
+static struct {
+    pthread_mutex_t lock;  /* one run at a time */
+    slot **slots;          /* slots[1..workers]: the worker threads */
+    long workers, cap;
+    unsigned gen;
+    /* the current run: written under the lock before any go is raised */
+    const team_plan *plan;
+    double **A;
+    const long *D, *faults;
+    long nthreads, deadline_ns, done_cap;
+    atomic_int *done;
+    atomic_int stop, joining;
+    atomic_uint pending;   /* workers still in the run */
+} T = {.lock = PTHREAD_MUTEX_INITIALIZER};
 
 static long now_ns(void) {
     struct timespec ts;
@@ -699,121 +737,329 @@ static void pause_us(long usec) {
     while (nanosleep(&ts, &ts)) {}
 }
 
-static void *fail(team_ctx *c, int status) {
-    c->status = status;
-    atomic_store(c->stop, 1);
-    return 0;
+/* Wait until *word leaves seen: spin PARK_SPIN_NS, then sleep on the
+   futex, announced in *sleepers so that a waker knows to make the
+   syscall (both sides are seq_cst, so a wake-up is never lost). */
+static void park(atomic_uint *word, unsigned seen, atomic_int *sleepers) {
+    long t0 = now_ns();
+    while (atomic_load_explicit(word, memory_order_acquire) == seen) {
+        if (now_ns() - t0 < PARK_SPIN_NS) continue;
+        atomic_fetch_add(sleepers, 1);
+#ifdef __linux__
+        if (atomic_load(word) == seen)
+            syscall(SYS_futex, word, FUTEX_WAIT_PRIVATE, seen, 0, 0, 0);
+#else
+        pause_us(50);
+#endif
+        atomic_fetch_sub(sleepers, 1);
+    }
 }
 
-static void *team_main(void *arg) {
-    team_ctx *c = arg;
-    const long *f = c->fault;
+static void wake(atomic_uint *word, atomic_int *sleepers) {
+#ifdef __linux__
+    if (atomic_load(sleepers))
+        syscall(SYS_futex, word, FUTEX_WAKE_PRIVATE, INT_MAX, 0, 0, 0);
+#endif
+}
+
+static void fail(slot *s, int status) {
+    s->status = status;
+    atomic_store(&T.stop, 1);
+}
+
+/* Thread s->tid's processors of the current run: fused rows and signals,
+   then acquires and peeled rows. */
+static void run_share(slot *s) {
+    const team_plan *pl = T.plan;
+    const long *f = T.faults ? T.faults + 3 * s->tid : 0;
     long n;
-    int go;
-    while (!(go = atomic_load_explicit(c->go, memory_order_acquire)))
-        sched_yield();
-    if (go < 0) return 0;
+    s->count = 0;
+    s->status = 0;
     if (f && f[0] == SLOW) pause_us(f[2]);
-    for (long p = c->tid; p < REPRO_NPROCS; p += c->nthreads) {
-        if ((n = run_fused(p, c->A, c->D)) < 0) return fail(c, -1);
-        c->count += n;
+    for (long p = s->tid; p < pl->nprocs; p += T.nthreads) {
+        if ((n = pl->fused(p, T.A, T.D)) < 0) { fail(s, -1); return; }
+        s->count += n;
         if (f && f[0] == STALL && (f[1] < 0 || f[1] == p)) {
             if (f[2] < 0) continue;  /* withhold the signal */
             pause_us(f[2]);
         }
-        atomic_store_explicit(&c->done[p], 1, memory_order_release);
+        atomic_store_explicit(&T.done[p], 1, memory_order_release);
     }
-    for (long p = c->tid; p < REPRO_NPROCS; p += c->nthreads) {
-        for (long k = REPRO_PEEL_DEPS_OFF[p]; k < REPRO_PEEL_DEPS_OFF[p + 1];
-             k++) {
+    for (long p = s->tid; p < pl->nprocs; p += T.nthreads) {
+        for (long k = pl->deps_off[p]; k < pl->deps_off[p + 1]; k++) {
             /* spin, then yield (an oversubscribed producer gets the CPU),
                then sleep; give up on a peer's failure or the deadline */
-            atomic_int *flag = &c->done[REPRO_PEEL_DEPS[k]];
+            atomic_int *flag = &T.done[pl->deps[k]];
             for (long i = 0;
                  !atomic_load_explicit(flag, memory_order_acquire); i++) {
-                if (atomic_load_explicit(c->stop, memory_order_relaxed))
-                    return 0;
+                if (atomic_load_explicit(&T.stop, memory_order_relaxed))
+                    return;
                 if (i < SPIN) continue;
-                if (c->deadline_ns && now_ns() >= c->deadline_ns)
-                    return fail(c, -2);
+                if (T.deadline_ns && now_ns() >= T.deadline_ns)
+                    { fail(s, -2); return; }
                 if (i < YIELD) sched_yield(); else pause_us(50);
             }
         }
-        if ((n = run_peeled(p, c->A, c->D)) < 0) return fail(c, -1);
-        c->count += n;
+        if ((n = pl->peeled(p, T.A, T.D)) < 0) { fail(s, -1); return; }
+        s->count += n;
+    }
+}
+
+static void *worker_main(void *arg) {
+    slot *s = arg;
+    /* the baseline generation is 0, set by the creator before the thread
+       starts; no run is ever handed generation 0 */
+    for (unsigned seen = 0;;) {
+        park(&s->go, seen, &s->sleeping);
+        seen = atomic_load_explicit(&s->go, memory_order_acquire);
+        run_share(s);
+        if (atomic_fetch_sub(&T.pending, 1) == 1) wake(&T.pending, &T.joining);
     }
     return 0;
 }
 
-/* The whole schedule on min(nthreads, NPROCS) threads: the iteration
-   count, -1 when a body failed, -2 when a sync wait outlived timeout_ms
-   (0: no deadline).  faults is NULL or {action, proc, usec} per thread
-   (slow: sleep usec before the fused phase; stall: delay proc's signal,
-   or withhold it when usec < 0; proc < 0 means every processor). */
-long run_team(double **A, const long *D, long nthreads, long timeout_ms,
-              const long *faults) {
-    const long np = REPRO_NPROCS;
-    long t, count = 0, status = 0;
+/* Grow the team to n worker threads, each parked until a run raises its
+   go and blind to signals (Python handles those on its own threads).  -1
+   when a thread cannot be created; the threads made so far stay. */
+static int grow(long n) {
+    sigset_t all, old;
+    int err = 0;
+    if (n > T.cap) {
+        long cap = n > 2 * T.cap ? n : 2 * T.cap;
+        slot **slots = realloc(T.slots, (cap + 1) * sizeof *slots);
+        if (!slots) return -1;
+        T.slots = slots;
+        T.cap = cap;
+    }
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    while (T.workers < n) {
+        pthread_t thread;
+        slot *s = aligned_alloc(_Alignof(slot), sizeof(slot));
+        if (!s) { err = -1; break; }
+        memset(s, 0, sizeof *s);
+        s->tid = T.workers + 1;
+        if (pthread_create(&thread, 0, worker_main, s)) {
+            free(s);
+            err = -1;
+            break;
+        }
+#ifdef __linux__
+        pthread_setname_np(thread, "repro-team");
+#endif
+        pthread_detach(thread);
+        T.slots[++T.workers] = s;
+    }
+    pthread_sigmask(SIG_SETMASK, &old, 0);
+    return err;
+}
+
+static long serial(const team_plan *pl, double **A, const long *D) {
+    long count = 0, n;
+    for (long p = 0; p < pl->nprocs; p++) {
+        if ((n = pl->fused(p, A, D)) < 0) return -1;
+        count += n;
+    }
+    for (long p = 0; p < pl->nprocs; p++) {
+        if ((n = pl->peeled(p, A, D)) < 0) return -1;
+        count += n;
+    }
+    return count;
+}
+
+/* The whole schedule of pl on min(nthreads, nprocs) threads: the
+   iteration count, -1 when a body failed, -2 when a sync wait outlived
+   timeout_ms (0: no deadline).  faults is NULL or {action, proc, usec}
+   per thread (slow: sleep usec before the fused phase; stall: delay
+   proc's signal, or withhold it when usec < 0; proc < 0 means every
+   processor).  When the team cannot grow to nthreads, the run is
+   serial. */
+long run_team(const team_plan *pl, double **A, const long *D, long nthreads,
+              long timeout_ms, const long *faults) {
+    const long np = pl->nprocs;
+    long count, status;
     if (nthreads > np) nthreads = np;
     if (nthreads < 1) nthreads = 1;
-    atomic_int go = 0, stop = 0, done[np];
-    team_ctx ctx[nthreads];
-    pthread_t threads[nthreads];
-    long deadline = timeout_ms > 0 ? now_ns() + timeout_ms * 1000000L : 0;
-    for (long p = 0; p < np; p++) atomic_init(&done[p], 0);
-    for (t = 0; t < nthreads; t++)
-        ctx[t] = (team_ctx){A, D, faults ? faults + 3 * t : 0, t, nthreads,
-                            deadline, 0, &go, &stop, done, 0};
-    for (t = 1; t < nthreads; t++)
-        if (pthread_create(&threads[t], 0, team_main, &ctx[t])) break;
-    if (t < nthreads) {  /* no team: release the threads, run serially */
-        atomic_store(&go, -1);
-        while (--t > 0) pthread_join(threads[t], 0);
-        if (run_plan(A, D)) return -1;
-        for (long p = 0; p < np; p++)
-            count += REPRO_FUSED_COUNTS[p] + REPRO_PEELED_COUNTS[p];
-        return count;
+    pthread_mutex_lock(&T.lock);
+    if (np > T.done_cap) {
+        atomic_int *done = realloc(T.done, np * sizeof *done);
+        if (done) {
+            T.done = done;
+            T.done_cap = np;
+        }
     }
-    atomic_store_explicit(&go, 1, memory_order_release);
-    team_main(&ctx[0]);
-    for (t = 1; t < nthreads; t++) pthread_join(threads[t], 0);
-    for (t = 0; t < nthreads; t++) {
-        count += ctx[t].count;
-        if (ctx[t].status == -1 || (ctx[t].status == -2 && !status))
-            status = ctx[t].status;
+    if (np > T.done_cap || grow(nthreads - 1)) {
+        pthread_mutex_unlock(&T.lock);
+        return serial(pl, A, D);
     }
+    T.plan = pl;
+    T.A = A;
+    T.D = D;
+    T.faults = faults;
+    T.nthreads = nthreads;
+    T.deadline_ns = timeout_ms > 0 ? now_ns() + timeout_ms * 1000000L : 0;
+    atomic_store_explicit(&T.stop, 0, memory_order_relaxed);
+    for (long p = 0; p < np; p++)
+        atomic_store_explicit(&T.done[p], 0, memory_order_relaxed);
+    atomic_store(&T.pending, nthreads - 1);
+    if (++T.gen == 0) T.gen = 1;
+    for (long t = 1; t < nthreads; t++) {
+        atomic_store(&T.slots[t]->go, T.gen);
+        wake(&T.slots[t]->go, &T.slots[t]->sleeping);
+    }
+    slot self = {.tid = 0};
+    run_share(&self);
+    for (unsigned left; (left = atomic_load(&T.pending));)
+        park(&T.pending, left, &T.joining);
+    count = self.count;
+    status = self.status;
+    for (long t = 1; t < nthreads; t++) {
+        const slot *s = T.slots[t];
+        count += s->count;
+        if (s->status == -1 || (s->status == -2 && !status))
+            status = s->status;
+    }
+    pthread_mutex_unlock(&T.lock);
     return status ? status : count;
+}
+
+/* Worker threads alive in this process. */
+long team_workers(void) {
+    pthread_mutex_lock(&T.lock);
+    long workers = T.workers;
+    pthread_mutex_unlock(&T.lock);
+    return workers;
+}
+
+/* fork() waits for a run in flight; the child, whose only thread is the
+   forking one, starts with no team and builds a fresh one on its first
+   run. */
+static void before_fork(void) { pthread_mutex_lock(&T.lock); }
+static void after_fork_parent(void) { pthread_mutex_unlock(&T.lock); }
+static void after_fork_child(void) {
+    for (long t = 1; t <= T.workers; t++) free(T.slots[t]);
+    T.workers = 0;
+    atomic_store(&T.pending, 0);
+    atomic_store(&T.joining, 0);
+    pthread_mutex_unlock(&T.lock);
+}
+
+__attribute__((constructor)) static void install_fork_handlers(void) {
+    pthread_atfork(before_fork, after_fork_parent, after_fork_child);
 }
 """
 
-#: Compiled team objects by compiler.  The team's references to
-#: ``run_fused``/``REPRO_*`` bind to the object it is linked into:
-#: ctypes loads every object ``RTLD_LOCAL``, so no other plan's symbols
-#: are in scope.
-_team_objects: dict[str, bytes] = {}
+
+class _TeamPlan(ctypes.Structure):
+    """``team_plan`` of :data:`TEAM_SOURCE`: one object's entry points and
+    ``PEEL_DEPS`` tables, resolved once at :func:`load_native`."""
+
+    _fields_ = [("fused", ctypes.c_void_p), ("peeled", ctypes.c_void_p),
+                ("nprocs", ctypes.c_long), ("deps_off", ctypes.c_void_p),
+                ("deps", ctypes.c_void_p)]
 
 
-def _team_object(compiler: str) -> bytes:
-    """:data:`TEAM_SOURCE` compiled by ``compiler``, once per process.
+#: The process-wide team library (None until the first team run) and the
+#: lock its first load holds.
+_team_lib = None
+_team_lock = threading.Lock()
 
-    The team is plan-independent, so one object serves every plan; ``cc``
-    charges tens of milliseconds per function, which the team would
-    otherwise add to every plan's compile."""
-    obj = _team_objects.get(compiler)
-    if obj is None:
+
+def _renew_team_lock() -> None:
+    global _team_lock
+    _team_lock = threading.Lock()
+
+
+# A fork while another thread builds the team must not leave the child a
+# held lock; the library itself drops its threads in the child.
+os.register_at_fork(after_in_child=_renew_team_lock)
+
+
+def team_file_name(compiler: str) -> str:
+    """The team library's file name for ``compiler``: keyed by the
+    compiler fingerprint and by the team's source and flags, so neither a
+    toolchain change nor a new team is ever served an old build."""
+    import hashlib
+
+    digest = hashlib.sha256(
+        f"{TEAM_SOURCE}|{' '.join(TEAM_FLAGS)}".encode()).hexdigest()[:8]
+    return f"team.{compiler_fingerprint(compiler)}.{digest}.so"
+
+
+def _open_team(path: Path):
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError as exc:
+        raise CJitCompileError(f"cannot load {path.name}: {exc}") from exc
+    try:
+        lib.run_team.argtypes = [
+            ctypes.POINTER(_TeamPlan), ctypes.POINTER(ctypes.c_void_p),
+            ctypes.POINTER(ctypes.c_long), ctypes.c_long, ctypes.c_long,
+            ctypes.POINTER(ctypes.c_long),
+        ]
+        lib.run_team.restype = ctypes.c_long
+        lib.team_workers.argtypes = []
+        lib.team_workers.restype = ctypes.c_long
+    except AttributeError as exc:
+        _ctypes.dlclose(lib._handle)
+        raise CJitCompileError(f"{path.name} is not a team library") from exc
+    return lib
+
+
+def load_team(directory: Optional[Path], compiler: str):
+    """The team library built by ``compiler``, from ``directory`` (built
+    there on a miss; an unloadable file is rebuilt) or, with
+    ``directory=None``, built in a temp dir.  Callers want
+    :func:`native_team`, which does this once per process."""
+    if directory is None:
         with tempfile.TemporaryDirectory(prefix="repro-team-") as workdir:
-            c_path = Path(workdir) / "team.c"
-            o_path = c_path.with_suffix(".o")
-            c_path.write_text(TEAM_SOURCE, encoding="utf-8")
-            _run_compiler([compiler, *TEAM_CFLAGS, "-o", str(o_path),
-                           str(c_path)], compiler)
-            obj = _team_objects[compiler] = o_path.read_bytes()
-    return obj
+            # dlopen keeps the mapping alive after the directory goes
+            return _open_team(compile_c(TEAM_SOURCE, Path(workdir) / "team.so",
+                                        compiler, flags=TEAM_FLAGS))
+    path = Path(directory) / team_file_name(compiler)
+    if path.exists():
+        try:
+            return _open_team(path)
+        except CJitCompileError:
+            path.unlink(missing_ok=True)
+    try:
+        return _open_team(compile_c(TEAM_SOURCE, path, compiler,
+                                    flags=TEAM_FLAGS))
+    except OSError:  # a read-only cache directory only costs the build
+        return load_team(None, compiler)
+
+
+def native_team():
+    """The process-wide team library, loaded at the first team run from
+    the plan cache's version dir (a temp dir for a non-persistent cache).
+    Raises :class:`NativeUnavailable` without a compiler and
+    :class:`CJitCompileError` when the build fails."""
+    global _team_lib
+    if _team_lib is None:
+        with _team_lock:
+            if _team_lib is None:
+                from ..runtime.plancache import default_cache
+
+                compiler = find_compiler()
+                if compiler is None:
+                    raise NativeUnavailable(_NO_COMPILER)
+                _team_lib = load_team(default_cache().team_dir(), compiler)
+    return _team_lib
+
+
+def team_workers() -> int:
+    """Worker threads the process-wide team holds (0 before its first
+    run, and in a forked child until its first run)."""
+    return _team_lib.team_workers() if _team_lib is not None else 0
 
 
 # ---------------------------------------------------------------------------
 # The ctypes module wrapper.
 # ---------------------------------------------------------------------------
+
+
+#: What the argument memo compares per array, besides its identity.
+_ARRAY_META = operator.attrgetter("shape", "strides", "dtype")
 
 
 @dataclass
@@ -822,9 +1068,10 @@ class CJitModule:
 
     ``run``/``run_fused``/``run_peeled`` take the same arguments as the
     Python :class:`~repro.codegen.emitpy.JitModule` entry points;
-    ``run_team`` runs the parallel schedule.  Pointers and concrete
-    shapes are marshalled from the arrays dict once per call — so once
-    per ``run`` — and memoized while the arrays stay put.
+    ``run_team`` runs the parallel schedule on the process-wide team.
+    Pointers and concrete shapes are marshalled from the arrays dict once
+    per call — so once per ``run`` — and memoized while the same array
+    objects keep their shape, strides and dtype.
     """
 
     signature: str
@@ -837,20 +1084,29 @@ class CJitModule:
     array_spec: tuple[tuple[str, int], ...]
     kind: str = "cjit"
     _lib: object = field(default=None, repr=False)
+    _plan: object = field(default=None, repr=False)
     _args_cache: tuple = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self._names = tuple(name for name, _ in self.array_spec)
 
     def _marshal(self, arrays: MutableMapping[str, np.ndarray]):
         try:
-            arrs = [arrays[name] for name, _ in self.array_spec]
+            arrs = tuple(map(arrays.__getitem__, self._names))
         except KeyError as exc:
             raise CJitError(f"missing array {exc.args[0]!r}") from None
-        # strides and dtype too: a transposed square view shares address
-        # and shape with the array it views
-        key = [(arr.ctypes.data, arr.shape, arr.strides, arr.dtype)
-               for arr in arrs]
+        # The memo holds the very array objects, weakly (it must not keep
+        # a retired arena segment mapped), and each one's shape, strides
+        # and dtype: an ndarray's data pointer never changes, but shape
+        # and dtype can be reassigned in place, and a transposed square
+        # view shares address and shape with the array it views.  A hit
+        # touches no ``arr.ctypes``.
+        meta = list(map(_ARRAY_META, arrs))
         cached = self._args_cache  # one read: another thread may replace it
-        if cached is not None and cached[0] == key:
-            return cached[1:]
+        if (cached is not None and cached[1] == meta
+                and all(map(operator.is_, [ref() for ref in cached[0]],
+                            arrs))):
+            return cached[2]
         for arr, (name, ndim) in zip(arrs, self.array_spec):
             if arr.dtype != np.float64 or not arr.flags.c_contiguous:
                 raise CJitError(
@@ -861,10 +1117,12 @@ class CJitModule:
                 raise CJitError(
                     f"array {name!r} has rank {arr.ndim}, plan expects {ndim}"
                 )
-        ptrs = (ctypes.c_void_p * len(key))(*(k[0] for k in key))
+        ptrs = (ctypes.c_void_p * len(arrs))(*(arr.ctypes.data
+                                               for arr in arrs))
         dims = [d for arr in arrs for d in arr.shape]
         dims_arr = (ctypes.c_long * max(1, len(dims)))(*dims)
-        self._args_cache = (key, ptrs, dims_arr)
+        self._args_cache = ([weakref.ref(arr) for arr in arrs], meta,
+                            (ptrs, dims_arr))
         return ptrs, dims_arr
 
     def run_fused(self, proc: int,
@@ -895,20 +1153,21 @@ class CJitModule:
     def run_team(self, arrays: MutableMapping[str, np.ndarray],
                  nthreads: int, timeout: Optional[float] = None,
                  faults: Optional[Sequence[Sequence[int]]] = None) -> dict:
-        """The SPMD schedule on ``nthreads`` native threads in one call
-        (``run_team`` in the translation unit; ctypes releases the GIL).
+        """The SPMD schedule on ``nthreads`` threads of the process-wide
+        team (:func:`native_team`) in one call; ctypes releases the GIL.
 
         ``timeout`` bounds every sync wait (seconds; None waits forever)
-        and raises :class:`CJitError` ("no fused-done signal") past it.  ``faults`` is one
-        ``(action, proc, usec)`` per thread (:data:`TEAM_SLOW` /
-        :data:`TEAM_STALL`, 0 for none); production runs pass None."""
+        and raises :class:`CJitError` ("no fused-done signal") past it.
+        ``faults`` is one ``(action, proc, usec)`` per thread
+        (:data:`TEAM_SLOW` / :data:`TEAM_STALL`, 0 for none); production
+        runs pass None."""
         timeout_ms = 0 if timeout is None else max(1, round(timeout * 1000))
         table = None
         if faults is not None:
             flat = [int(v) for row in faults for v in row]
             table = (ctypes.c_long * len(flat))(*flat)
-        code = self._lib.run_team(*self._marshal(arrays), nthreads,
-                                  timeout_ms, table)
+        code = (_team_lib or native_team()).run_team(
+            self._plan, *self._marshal(arrays), nthreads, timeout_ms, table)
         if code == TEAM_TIMEOUT:
             raise CJitError(f"no fused-done signal within {timeout:g}s")
         if code < 0:
@@ -971,11 +1230,11 @@ def _validated_module(lib, path: Path, expected_signature: Optional[str],
         lib.run_peeled.restype = ctypes.c_long
         lib.run_plan.argtypes = lib.run_fused.argtypes[1:]
         lib.run_plan.restype = ctypes.c_long
-        lib.run_team.argtypes = [
-            *lib.run_plan.argtypes, ctypes.c_long, ctypes.c_long,
-            ctypes.POINTER(ctypes.c_long),
-        ]
-        lib.run_team.restype = ctypes.c_long
+        plan = _TeamPlan(
+            ctypes.cast(lib.run_fused, ctypes.c_void_p).value,
+            ctypes.cast(lib.run_peeled, ctypes.c_void_p).value, nprocs,
+            ctypes.addressof(ctypes.c_long.in_dll(lib, "REPRO_PEEL_DEPS_OFF")),
+            ctypes.addressof(ctypes.c_long.in_dll(lib, "REPRO_PEEL_DEPS")))
     except (ValueError, AttributeError) as exc:
         raise CJitCompileError(
             f"{path.name} lacks the native entry points/metadata "
@@ -1002,6 +1261,7 @@ def _validated_module(lib, path: Path, expected_signature: Optional[str],
         signature=signature, source=source, path=str(path), nprocs=nprocs,
         peel_deps=peel_deps, fused_counts=fused_counts,
         peeled_counts=peeled_counts, array_spec=array_spec, _lib=lib,
+        _plan=plan,
     )
 
 
@@ -1017,13 +1277,11 @@ def _run_compiler(cmd: list[str], compiler: str) -> None:
 
 
 def compile_c(source: str, so_path, compiler: Optional[str] = None,
-              c_path=None) -> Path:
+              c_path=None, flags: Sequence[str] = CFLAGS) -> Path:
     """Compile ``source`` into ``so_path`` (atomically) and return it.
 
     ``c_path`` optionally persists the intermediate ``.c`` next to the
-    object for post-mortem reading; otherwise a scratch file is used.  The
-    team object (:data:`TEAM_SOURCE`) is linked in, so every object
-    carries ``run_team``.
+    object for post-mortem reading; otherwise a scratch file is used.
     """
     compiler = compiler or find_compiler()
     if compiler is None:
@@ -1045,17 +1303,14 @@ def compile_c(source: str, so_path, compiler: Optional[str] = None,
         tmp.write_text(source, encoding="utf-8")
         os.replace(tmp, c_path)
     tmp_so = so_path.with_suffix(f".sotmp{os.getpid()}")
-    team = so_path.with_suffix(f".team{os.getpid()}.o")
     try:
-        team.write_bytes(_team_object(compiler))
-        _run_compiler([compiler, *CFLAGS, "-o", str(tmp_so), str(c_path),
-                       str(team)], compiler)
+        _run_compiler([compiler, *flags, "-o", str(tmp_so), str(c_path)],
+                      compiler)
         os.replace(tmp_so, so_path)
     finally:
         # on every failure path (timeout, unrunnable compiler, nonzero
-        # exit) the half-written object goes; the scratch files always
+        # exit) the half-written object goes; the scratch source always
         tmp_so.unlink(missing_ok=True)
-        team.unlink(missing_ok=True)
         if scratch is not None:
             c_path.unlink(missing_ok=True)
     return so_path

@@ -50,7 +50,9 @@ from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 #: version directory, so v3 objects are never loaded as v4.
 #: v5: native objects also carry ``run_team``, the in-process pthread team
 #: mpjit runs them on.
-CODEGEN_VERSION = 5
+#: v6: the team left the objects for one process-wide library
+#: (``emitc.TEAM_SOURCE``); objects are built without ``-pthread``.
+CODEGEN_VERSION = 6
 
 IND = "    "
 

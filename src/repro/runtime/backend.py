@@ -18,9 +18,9 @@ examples and the benchmarks select an executor with a string:
   plans executed in parallel: each thread or worker runs only its
   processors' ``run_fused``/``run_peeled`` entry points (the paper's
   two-phase SPMD schedule, compiled), synchronizing point-to-point
-  through the module's ``PEEL_DEPS`` map — as a thread team inside the
-  plan's cached native ``.so`` when there is one, else on a persistent
-  worker pool over shared memory.
+  through the module's ``PEEL_DEPS`` map — on the process-wide native
+  thread team over the plan's cached ``.so`` when there is one, else on
+  a persistent worker pool over shared memory.
 * ``cjit`` — :func:`run_cjit`, the plan lowered to a C translation unit
   (:mod:`repro.codegen.emitc`), compiled with the system C compiler into
   a ``.so`` cached next to the ``.py`` source, and called through
@@ -178,7 +178,7 @@ def run_cjit(
     """Execute ``exec_plan`` through generated-and-compiled C code.
 
     Mirrors :func:`run_jit`: the first call for a plan structure emits,
-    compiles (``cc -O2 -shared -fPIC -pthread``) and caches a shared object keyed
+    compiles (``cc -O2 -shared -fPIC``) and caches a shared object keyed
     by the plan signature plus the compiler fingerprint; later calls
     dlopen/reuse it.  A missing compiler or a failed compilation falls
     back to :func:`run_jit` — noted once, counted always

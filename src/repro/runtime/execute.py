@@ -228,14 +228,16 @@ def execute_prepared(
     totals = {"fused_iterations": 0, "peeled_iterations": 0}
     if (prep.modules is not None and not verify
             and backend in MODULE_BACKENDS):
+        cache_root = None
         if backend == "mpjit":
             from .pool import run_mpjit_module
 
-            cache = default_cache()
-            cache_root = str(cache.root) if cache.persist else None
             if prep.native_modules is None:  # compiled since the prep?
+                cache = default_cache()
                 prep.native_modules = native_twins(
                     [m.signature for m in prep.modules], cache, disk=False)
+                if prep.native_modules is None and cache.persist:
+                    cache_root = str(cache.root)  # pool workers load by it
         run_modules = prep.modules
         if backend != "jit" and prep.native_modules is not None:
             run_modules = prep.native_modules  # native tier; else numpy

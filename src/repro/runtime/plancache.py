@@ -148,6 +148,14 @@ class PlanCache:
         """Every ``.so`` on disk for ``signature`` (any compiler)."""
         return sorted(self.version_dir.glob(f"{signature}.*.so"))
 
+    def team_dir(self) -> Optional[Path]:
+        """Where the process-wide thread team library
+        (:func:`~repro.codegen.emitc.native_team`) is cached, one file per
+        compiler fingerprint: the version dir, or None for a
+        non-persistent cache (built in a temp dir once per process).  It
+        is not a plan, so no stats count it."""
+        return self.version_dir if self.persist else None
+
     def alias_path(self, key: str) -> Path:
         return self.version_dir / "aliases" / f"{key}.json"
 

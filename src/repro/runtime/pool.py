@@ -10,8 +10,9 @@ of two engines per module, once (:func:`native_twins`):
 
 * **threads** — when the plan cache holds the module's native (``cjit``)
   twin, one :meth:`~repro.codegen.emitc.CJitModule.run_team` call runs
-  the schedule on a pthread team created for the call, over the caller's
-  own arrays, with a release/acquire flag per processor (the
+  the schedule on the process-wide native team (threads that persist and
+  park between runs, :func:`~repro.codegen.emitc.native_team`), over the
+  caller's own arrays, with a release/acquire flag per processor (the
   compiler-generated producer/consumer sync of Liao et al.).  No IPC, no
   pickled tasks; ctypes releases the GIL for the call.
 * **processes** — otherwise (no compiler, or nothing compiled yet) a
@@ -35,7 +36,8 @@ traceback.  A failed pool run poisons the pool; the
 :class:`~repro.runtime.supervisor.PoolSupervisor` repairs it in the
 background — in place (only the corpses are re-forked), or by a full
 respawn when the survivors do not settle.  A failed team run leaves
-nothing to repair: its threads are joined before the call returns.
+nothing to repair: every team thread is parked again before the call
+returns.
 
 Deterministic fault injection (:mod:`repro.runtime.faults`) drives both
 engines through the same :meth:`~repro.runtime.faults.FaultPlan.take_worker_faults`:
@@ -56,9 +58,11 @@ from typing import Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
+from ..codegen.emitc import TEAM_SLOW, TEAM_STALL, CJitError, CJitModule
 from ..core.execplan import ExecutionPlan
 from . import arena
 from .fastexec import EnvConfigError, FastExecError
+from .faults import active_plan
 
 #: Fused-done events preallocated per pool.  Multiprocessing sync
 #: primitives travel only through ``Process`` args at spawn time (never
@@ -432,9 +436,10 @@ class WorkerPool:
         )
 
     def run_module(self, module, assignment: Sequence[Sequence[int]],
-                   specs: tuple,
-                   cache_root: Optional[str]) -> tuple[int, int]:
+                   specs: tuple, cache_root: Optional[str],
+                   faults) -> tuple[int, int]:
         """Submit one two-phase execution; returns (fused, peeled) totals.
+        ``faults`` is the active fault plan (None in production).
 
         Any worker failure marks the pool broken (the shared abort event
         is set and the survivors must settle before reuse) and re-raises
@@ -446,11 +451,8 @@ class WorkerPool:
             ev.clear()
         self._dirty_events = module.nprocs
         self.runs += 1
-        from .faults import active_plan
-
-        plan = active_plan()
-        injected = (plan.take_worker_faults(self.nworkers)
-                    if plan is not None else {})
+        injected = (faults.take_worker_faults(self.nworkers)
+                    if faults is not None else {})
         for w, procs in enumerate(assignment):
             self.task_queues[w].put(
                 (module.signature, cache_root, module.source, specs,
@@ -689,28 +691,24 @@ def run_mpjit_module(
     passes), or — with ``specs=None`` — the caller's own arrays, copied
     into the arena and back.  With one worker either module runs
     serially in-process, which is bit-identical by construction."""
-    from ..codegen.emitc import CJitModule
-
-    # Validate the env knobs before anything runs: a typo'd
+    # Read the env knobs once, before anything runs: a typo'd
     # REPRO_SYNC_TIMEOUT / REPRO_FAULTS raises EnvConfigError naming the
     # variable instead of a worker traceback.
-    sync_timeout()
-    from .faults import active_plan
-
-    active_plan()
+    timeout = sync_timeout()
+    faults = active_plan()
     nworkers = _resolve_workers(module.nprocs, max_workers)
     if nworkers == 1:
         return module.run(arrays)
     if isinstance(module, CJitModule):
-        return _run_team(module, arrays, nworkers)
+        return _run_team(module, arrays, nworkers, timeout, faults)
     if specs is not None:
-        return _dispatch(module, nworkers, specs, cache_root)
+        return _dispatch(module, nworkers, specs, cache_root, faults)
     with arena.borrow() as space:
         views, specs = space.layout(tuple(
             (name, arr.shape, arr.dtype.str) for name, arr in arrays.items()))
         for name, arr in arrays.items():
             np.copyto(views[name], arr)
-        stats = _dispatch(module, nworkers, specs, cache_root)
+        stats = _dispatch(module, nworkers, specs, cache_root, faults)
         for name, arr in arrays.items():
             np.copyto(arr, views[name])
     return stats
@@ -719,8 +717,6 @@ def run_mpjit_module(
 def _team_faults(injected: Mapping[int, dict], nthreads: int) -> list:
     """The ``run_team`` fault table for this run's ``slow``/``stall``
     directives: one ``(action, proc, usec)`` row per thread."""
-    from ..codegen.emitc import TEAM_SLOW, TEAM_STALL
-
     rows = [(0, 0, 0)] * nthreads
     for w, fault in injected.items():
         seconds = fault.get("seconds")
@@ -734,15 +730,12 @@ def _team_faults(injected: Mapping[int, dict], nthreads: int) -> list:
 
 
 def _run_team(module, arrays: MutableMapping[str, np.ndarray],
-              nthreads: int) -> dict[str, int]:
-    """One native team run; a failure is classified and recorded like a
-    pool failure."""
-    from ..codegen.emitc import CJitError
-    from .faults import active_plan
-
-    plan = active_plan()
-    injected = (plan.take_worker_faults(nthreads)
-                if plan is not None else {})
+              nthreads: int, timeout: float, faults) -> dict[str, int]:
+    """One run on the process-wide native team (``faults``: the active
+    fault plan or None); a failure is classified and recorded like a pool
+    failure."""
+    injected = (faults.take_worker_faults(nthreads)
+                if faults is not None else {})
     with _last_lock:
         _last.update(engine="threads", team_size=nthreads,
                      team_runs=_last["team_runs"] + 1)
@@ -754,7 +747,7 @@ def _run_team(module, arrays: MutableMapping[str, np.ndarray],
                     f"(exitcode {fault['exitcode']}; injected into a team "
                     f"run)")
         return module.run_team(
-            arrays, nthreads, timeout=sync_timeout(),
+            arrays, nthreads, timeout=timeout,
             faults=_team_faults(injected, nthreads) if injected else None)
     except CJitError as exc:
         _fail(FastExecError(f"mpjit team run failed: {exc}"))
@@ -763,9 +756,10 @@ def _run_team(module, arrays: MutableMapping[str, np.ndarray],
 
 
 def _dispatch(module, nworkers: int, specs: tuple,
-              cache_root: Optional[str]) -> dict[str, int]:
-    """One pool run over arena ``specs``; failures are classified and the
-    pool handed to the supervisor."""
+              cache_root: Optional[str], faults) -> dict[str, int]:
+    """One pool run over arena ``specs`` (``faults``: the active fault
+    plan or None); failures are classified and the pool handed to the
+    supervisor."""
     nprocs = module.nprocs
     pool = None
     try:
@@ -775,7 +769,7 @@ def _dispatch(module, nworkers: int, specs: tuple,
         pool = get_pool(nworkers, nprocs)
         _last["engine"] = "processes"
         fused, peeled = pool.run_module(module, assignment, specs,
-                                        cache_root)
+                                        cache_root, faults)
         return {"fused_iterations": fused, "peeled_iterations": peeled}
     except FastExecError as exc:
         # The abort event is set and the pool is marked broken: the

@@ -243,7 +243,7 @@ class PoolSupervisor:
     place when the survivors settle, full respawn otherwise.  The
     caller's retry (or the next request) then finds a healthy pool
     instead of paying the spawn cost synchronously.  A thread-team
-    failure is only counted: its threads are gone when the call
+    failure is only counted: its threads are parked again when the call
     returns."""
 
     def __init__(self) -> None:

@@ -16,6 +16,7 @@ schedule in tables, so neither processors nor strips grow the code.
 import os
 import stat
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -230,6 +231,62 @@ class TestScheduleAsData:
         emitc.emit_plan_c_source(ep, strip=2)
         assert len(calls) == 1
         assert repr(pure(ep)) in py_source and ep.peel_deps == pure(ep)
+
+
+@needs_cc
+class TestArgumentMemo:
+    """``_marshal`` memoizes on the array objects (weakly) plus each
+    one's shape, strides and dtype; anything else is a miss that
+    re-validates."""
+
+    def test_in_place_shape_and_dtype_changes_miss(self):
+        native = emitc.compile_plan_native(_plan())
+        arrays = _arrays()
+        native.run(arrays)
+        memo = native._args_cache
+        native.run(arrays)
+        assert native._args_cache is memo  # a hit
+        arrays["a"].shape = (3, 6)
+        with pytest.raises(emitc.CJitError, match="rank 2"):
+            native.run(arrays)
+        arrays["a"].shape = (18,)
+        native.run(arrays)  # as memoized again
+        arrays["b"].dtype = np.int64
+        with pytest.raises(emitc.CJitError, match="float64"):
+            native.run(arrays)
+
+    def test_new_array_at_a_dead_arrays_id_misses(self):
+        """An id-keyed memo would hand the dead array's pointer to C;
+        the weak reference is dead, so the new array is marshalled."""
+        native = emitc.compile_plan_native(_plan())
+        base = _arrays()
+        ref = copy_arrays(base)
+        native.run(ref)
+        arrays = copy_arrays(base)
+        native.run(arrays)
+        big = np.zeros(64)
+        dead = id(arrays["c"])
+        del arrays["c"]  # the only reference: the array dies
+        keep = []
+        for _ in range(1000):
+            view = big[8:26]
+            if id(view) == dead:
+                break
+            keep.append(view)
+        else:
+            pytest.skip("the allocator never reused the dead array's id")
+        view[:] = base["c"]
+        arrays["c"] = view
+        native.run(arrays)
+        assert np.array_equal(view, ref["c"])
+
+    def test_memo_does_not_keep_a_deleted_view_alive(self):
+        native = emitc.compile_plan_native(_plan())
+        arrays = {name: arr[:] for name, arr in _arrays().items()}
+        native.run(arrays)
+        view = weakref.ref(arrays["a"])
+        del arrays
+        assert view() is None
 
 
 @needs_cc

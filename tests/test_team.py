@@ -1,13 +1,15 @@
-"""The native SPMD thread team: ``run_team`` in every compiled object and
-the ``mpjit`` engine it becomes when a plan's ``.so`` is cached.
+"""The native SPMD thread team: one process-wide library
+(``emitc.TEAM_SOURCE``) and the ``mpjit`` engine it becomes when a plan's
+``.so`` is cached.
 
-Each team run creates its threads for the call; per-processor
-release/acquire flags replace the pool's events.  These tests hold the
-team to the interpreter's bits over the differential matrix, run it
-oversubscribed and from concurrent Python threads, drive the ``slow`` /
-``stall`` / ``crash`` fault directives through it, and pin the engine
-choice: a cached twin runs on threads, a cold plan stays on the pool and
-compiles nothing.
+The team's threads persist: created on first use, grown to the largest
+team asked for, parked between runs; per-processor release/acquire flags
+replace the pool's events.  These tests hold the team to the
+interpreter's bits over the differential matrix, grow it, fork it, watch
+it park, run it oversubscribed and from concurrent Python threads, drive
+the ``slow`` / ``stall`` / ``crash`` fault directives through it, pin the
+engine choice (a cached twin runs on threads, a cold plan stays on the
+pool and compiles nothing) and the library's cache key.
 """
 
 import os
@@ -119,8 +121,9 @@ class TestBitIdentity:
             os.sched_setaffinity(0, mask)
 
     def test_concurrent_calls_on_one_object(self):
-        """Flags live on each call's stack: two Python threads driving
-        one ``.so`` over their own arrays both get the reference bits."""
+        """Runs are serialised on the one team: two Python threads
+        driving one ``.so`` over their own arrays both get the reference
+        bits."""
         module, prep = _jacobi_native()
         ref = prep.alloc()
         module.run(ref)
@@ -143,6 +146,191 @@ class TestBitIdentity:
             t.join(30)
         assert not errors
         assert digests == [want] * 50
+
+
+def _team_cpu_ns() -> int:
+    """CPU time the team's worker threads have used, in ns (Linux
+    ``schedstat``; the threads are named ``repro-team``)."""
+    total = 0
+    for task in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{task}/comm") as fh:
+                if fh.read().strip() != "repro-team":
+                    continue
+            with open(f"/proc/self/task/{task}/schedstat") as fh:
+                total += int(fh.read().split()[0])
+        except OSError:
+            continue  # the task is gone
+    return total
+
+
+_GROWTH_SCRIPT = """
+import sys
+sys.setswitchinterval(1e-6)
+from repro.codegen import emitc
+from repro.runtime import checksum
+from repro.runtime.execute import prepare_kernel
+
+prep = prepare_kernel("jacobi", n=33, procs=6, backend="cjit")
+module = prep.native_modules[0]
+assert module.nprocs >= 4, module.nprocs
+ref = prep.alloc()
+module.run(ref)
+want = checksum(ref)
+assert emitc.team_workers() == 0
+grown = 0
+for nthreads in (2, 3, 4, 2, 4):
+    for _ in range(30):
+        got = prep.alloc()
+        module.run_team(got, nthreads, timeout=10)
+        assert checksum(got) == want, nthreads
+    grown = max(grown, nthreads - 1)
+    assert emitc.team_workers() == grown, (nthreads, emitc.team_workers())
+print("ok")
+"""
+
+
+_NO_THREADS_SCRIPT = """
+import resource
+from repro.codegen import emitc
+from repro.runtime import checksum
+from repro.runtime.execute import prepare_kernel
+
+prep = prepare_kernel("jacobi", n=33, procs=4, backend="cjit")
+module = prep.native_modules[0]
+ref = prep.alloc()
+module.run(ref)
+got = prep.alloc()
+emitc.native_team()
+# leave 4 MiB of address space: no room for a thread's 8 MiB stack
+with open("/proc/self/statm") as fh:
+    size = int(fh.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + (4 << 20), hard))
+module.run_team(got, 2, timeout=10)
+assert emitc.team_workers() == 0
+assert checksum(got) == checksum(ref)
+print("ok")
+"""
+
+
+def _run_script(script: str) -> None:
+    """Run ``script`` in a fresh interpreter (a fresh team) and require
+    that it prints ``ok``."""
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+class TestLifecycle:
+    """The process-wide team: grown on demand, parked between runs,
+    rebuilt after ``fork``, one run at a time."""
+
+    def test_team_grows_across_calls_and_stays_bit_identical(self):
+        """2 -> 3 -> 4 threads (then down and up again) in a fresh
+        process under a 1 us switch interval: every run gives the serial
+        bits, so a thread created for a run never misses that run."""
+        _run_script(_GROWTH_SCRIPT)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs Linux /proc")
+    def test_a_team_that_cannot_grow_runs_serially(self):
+        """No address space for a thread stack: ``pthread_create`` fails,
+        and the run is serial with the same bits."""
+        _run_script(_NO_THREADS_SCRIPT)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_builds_a_fresh_team(self):
+        """A child forked after a team run inherits no threads: its first
+        run builds a team and gives the parent's digest."""
+        module, prep = _jacobi_native()
+        arrays = prep.alloc()
+        module.run_team(arrays, 2, timeout=10)
+        want = checksum(arrays)
+        assert emitc.team_workers() >= 1
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports by exit code
+            code = 1
+            try:
+                fresh = emitc.team_workers() == 0
+                got = prep.alloc()
+                module.run_team(got, 2, timeout=10)
+                if fresh and checksum(got) == want \
+                        and emitc.team_workers() >= 1:
+                    code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's team run hung")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+        # the parent's team is untouched
+        again = prep.alloc()
+        module.run_team(again, 2, timeout=10)
+        assert checksum(again) == want
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs Linux /proc task stats")
+    def test_idle_workers_park(self):
+        """After a run plus the bounded spin, the team's threads sleep:
+        their CPU time stops growing."""
+        module, prep = _jacobi_native(n=65, procs=4)
+        arrays = prep.alloc()
+        for _ in range(20):
+            module.run_team(arrays, 3, timeout=10)
+        assert _team_cpu_ns() > 0
+        time.sleep(0.1)
+        before = _team_cpu_ns()
+        time.sleep(0.3)
+        assert _team_cpu_ns() - before < 5_000_000  # 5 ms of 300
+
+    def test_two_objects_run_concurrently(self):
+        """Two Python threads drive two different objects at once; runs
+        take turns on the one team and both keep their bits."""
+        jobs = []
+        for kernel in ("jacobi", "ll18"):
+            prep = prepare_kernel(kernel, n=33, procs=4, backend="cjit")
+            module = prep.native_modules[0]
+            ref = prep.alloc()
+            module.run(ref)
+            jobs.append((module, prep, checksum(ref)))
+        errors, digests = [], [[], []]
+
+        def worker(k):
+            module, prep, _want = jobs[k]
+            try:
+                for _ in range(25):
+                    arrays = prep.alloc()
+                    module.run_team(arrays, 2, timeout=10)
+                    digests[k].append(checksum(arrays))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not errors
+        assert [set(d) for d in digests] == [{want} for _m, _p, want in jobs]
+        assert [len(d) for d in digests] == [25, 25]
 
 
 class TestFaults:
@@ -169,9 +357,13 @@ class TestFaults:
         assert 0.9 <= elapsed < 4.0
         assert excinfo.value.failure.kind == "sync_timeout"
         assert pool_stats()["engine"] == "threads"
-        # the next run is healthy: nothing to repair after a team run
+        workers = emitc.team_workers()
+        assert workers >= 1
+        # the next run on the same persistent team is healthy: nothing to
+        # repair, no thread replaced
         assert execute_prepared(prep, "mpjit", max_workers=2)[2] == \
             _interp("jacobi", 33, 4)
+        assert emitc.team_workers() == workers
 
     def test_slow_and_delayed_stall_keep_the_digest(self):
         from repro.runtime import faults
@@ -289,11 +481,11 @@ class TestEngineChoice:
 
 
 class TestStaleObjects:
-    def test_object_without_run_team_rejected_and_recompiled(self):
-        """An object built before the team (codegen v4: the plan TU
-        alone) — or one claiming the current version without
-        ``run_team`` — is never loaded; ``get_native`` quarantines and
-        recompiles it."""
+    def test_v4_and_v5_objects_rejected_by_version_and_recompiled(self):
+        """Objects of older codegens are never loaded: v4 (the plan TU
+        alone) and v5 (the per-call team linked in, modelled here by a
+        ``run_team`` symbol) fail on their version; ``get_native``
+        quarantines one at the cache path and recompiles it."""
         cache = default_cache()
         ep = kernel_plans("jacobi", 33, 4)[2][0]
         sig = ep.signature()
@@ -304,14 +496,15 @@ class TestStaleObjects:
         assert current in source
         c_path = so.with_suffix(".old.c")
         cc = emitc.find_compiler()
-        for version, match in ((emitc.CODEGEN_VERSION - 1, "codegen v4"),
-                               (emitc.CODEGEN_VERSION, "run_team")):
+        for version, extra in ((4, ""),
+                               (5, "\nlong run_team(void) { return 0; }\n")):
             c_path.write_text(source.replace(
-                current, f"REPRO_CODEGEN_VERSION = {version};"))
+                current, f"REPRO_CODEGEN_VERSION = {version};") + extra)
             old = so.with_suffix(f".v{version}.so")
             subprocess.run([cc, *emitc.CFLAGS, "-o", str(old), str(c_path)],
                            check=True)
-            with pytest.raises(emitc.CJitCompileError, match=match):
+            with pytest.raises(emitc.CJitCompileError,
+                               match=f"codegen v{version}, expected v6"):
                 emitc.load_native(old, expected_signature=sig)
         os.replace(old, so)
         module, reason = cache.get_native(ep)
@@ -323,3 +516,55 @@ class TestStaleObjects:
         module.run(ref)
         module.run_team(got, 2, timeout=10)
         assert checksum(got) == checksum(ref)
+
+
+
+class TestTeamLibrary:
+    def test_team_library_is_keyed_by_compiler_fingerprint(
+            self, tmp_path, monkeypatch):
+        """A library built under one compiler fingerprint is never loaded
+        for another: the new fingerprint builds its own file."""
+        cc = emitc.find_compiler()
+        old_name = emitc.team_file_name(cc)
+        emitc.load_team(tmp_path, cc)
+        monkeypatch.setitem(emitc._fingerprints, cc, "0123456789ab")
+        new_name = emitc.team_file_name(cc)
+        assert new_name != old_name
+        assert new_name.startswith("team.0123456789ab.")
+        lib = emitc.load_team(tmp_path, cc)
+        assert os.path.basename(lib._name) == new_name
+        assert sorted(p.name for p in tmp_path.glob("team.*.so")) == \
+            sorted([old_name, new_name])
+
+    def test_an_unloadable_team_library_is_rebuilt(self, tmp_path):
+        cc = emitc.find_compiler()
+        path = tmp_path / emitc.team_file_name(cc)
+        path.write_bytes(b"not an ELF object")
+        lib = emitc.load_team(tmp_path, cc)
+        assert lib.team_workers() == 0
+        assert path.stat().st_size > 1000
+
+    def test_unwritable_cache_builds_in_a_temp_dir(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        lib = emitc.load_team(blocker, emitc.find_compiler())
+        assert lib.team_workers() == 0
+        assert blocker.is_file()
+
+    def test_plan_compiles_neither_build_nor_count_the_team(self, monkeypatch):
+        """The team is built at the first team run, never inside a plan
+        compile, and no plan-cache counter sees it."""
+        calls = []
+        compile_c = emitc.compile_c
+        monkeypatch.setattr(emitc, "compile_c",
+                            lambda *a, **kw: calls.append(a[0]) or
+                            compile_c(*a, **kw))
+        cache = default_cache()
+        ep = kernel_plans("jacobi", 33, 4)[2][0]
+        cache.get_native(ep)
+        assert calls == [emitc.emit_plan_c_source(ep)]
+        assert not list(cache.version_dir.glob("team.*.so"))
+        before = cache.stats.as_dict()
+        emitc.load_team(cache.team_dir(), emitc.find_compiler())
+        assert cache.stats.as_dict() == before
+        assert list(cache.version_dir.glob("team.*.so"))
