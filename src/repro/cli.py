@@ -145,7 +145,7 @@ def cmd_exec(args: argparse.Namespace) -> int:
         strip=args.strip,
         repeat=args.repeat,
         verify=args.verify,
-        use_cache=not args.no_cache,
+        use_cache=args.use_cache,
         max_workers=args.max_workers,
         autotune=args.autotune,
         retries=args.retries,
@@ -406,10 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="cross-check bit-identical against the interpreter "
                         "(the reported time then includes that check)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the jit/cjit plan cache (recompile from "
-                        "scratch, touch no cache files); no effect on other "
-                        "backends")
+    p.add_argument("--no-cache", dest="use_cache", action="store_false",
+                   help="compile the jit/cjit/mpjit modules once into a "
+                        "fresh in-memory plan cache (a cold compile, "
+                        "reported; touches no cache files); no effect on "
+                        "other backends")
     p.add_argument("--max-workers", type=int, default=None,
                    help="cap the mpjit worker count (default: the "
                         "CPUs this process may run on)")

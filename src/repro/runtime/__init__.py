@@ -1,5 +1,5 @@
-"""Execution: reference interpreter, compiled runner, simulated parallelism,
-and the fast vectorized/multiprocess backends behind the backend registry."""
+"""Execution: reference interpreter, simulated parallelism, and the fast
+vectorized/compiled/parallel backends behind the backend registry."""
 
 from .backend import (
     Backend,
@@ -8,17 +8,10 @@ from .backend import (
     checksum,
     get_backend,
     register_backend,
-    run_jit,
+    run_compiled,
 )
 from .fastexec import FastExecError, exec_box, run_vector, vector_dims
-from .interp import (
-    CompiledNest,
-    compile_nest,
-    run_nest,
-    run_program,
-    run_sequence_compiled,
-    run_sequence_serial,
-)
+from .interp import run_nest, run_sequence_serial
 from .parallel import (
     fused_tile_boxes,
     fused_work,
@@ -36,7 +29,6 @@ from .plancache import (
 from .pool import (
     WorkerPool,
     pool_stats,
-    run_mpjit,
     run_mpjit_module,
     shutdown_pool,
 )
@@ -45,13 +37,11 @@ __all__ = [
     "Backend",
     "BackendMismatch",
     "CacheStats",
-    "CompiledNest",
     "FastExecError",
     "PlanCache",
     "WorkerPool",
     "available_backends",
     "checksum",
-    "compile_nest",
     "default_cache",
     "exec_box",
     "fused_tile_boxes",
@@ -62,13 +52,10 @@ __all__ = [
     "program_signature",
     "register_backend",
     "reset_default_cache",
-    "run_jit",
-    "run_mpjit",
+    "run_compiled",
     "run_mpjit_module",
     "run_nest",
     "run_parallel",
-    "run_program",
-    "run_sequence_compiled",
     "run_sequence_serial",
     "run_unfused_parallel",
     "shutdown_pool",

@@ -10,18 +10,24 @@ examples and the benchmarks select an executor with a string:
   correctness suite leans on.
 * ``vector`` — :func:`repro.runtime.fastexec.run_vector`, numpy
   whole-array execution of the same plan (measured performance).
-* ``jit`` — :func:`run_jit`, the plan lowered once to literal numpy
-  source (:mod:`repro.codegen.emitpy`), compiled and memoized through the
+
+The three module backends share one runner, :func:`run_compiled`: the
+plan cache resolves which compiled module a backend runs
+(:meth:`~repro.runtime.plancache.PlanCache.resolve`, also what
+:func:`~repro.runtime.execute.prepare_kernel` calls), and
+:func:`~repro.runtime.pool.run_modules` runs it:
+
+* ``jit`` — the plan lowered once to literal numpy source
+  (:mod:`repro.codegen.emitpy`), compiled and memoized through the
   two-level plan cache (:mod:`repro.runtime.plancache`), then executed as
   straight-line compiled code on every call.
-* ``mpjit`` — :func:`repro.runtime.pool.run_mpjit`, the same compiled
-  plans executed in parallel: each thread or worker runs only its
-  processors' ``run_fused``/``run_peeled`` entry points (the paper's
-  two-phase SPMD schedule, compiled), synchronizing point-to-point
-  through the module's ``PEEL_DEPS`` map — on the process-wide native
-  thread team over the plan's cached ``.so`` when there is one, else on
-  a persistent worker pool over shared memory.
-* ``cjit`` — :func:`run_cjit`, the plan lowered to a C translation unit
+* ``mpjit`` — the same compiled plans executed in parallel: each thread
+  or worker runs only its processors' ``run_fused``/``run_peeled`` entry
+  points (the paper's two-phase SPMD schedule, compiled), synchronizing
+  point-to-point through the module's ``PEEL_DEPS`` map — on the
+  process-wide native thread team over the plan's cached ``.so`` when
+  there is one, else on a persistent worker pool over shared memory.
+* ``cjit`` — the plan lowered to a C translation unit
   (:mod:`repro.codegen.emitc`), compiled with the system C compiler into
   a ``.so`` cached next to the ``.py`` source, and called through
   ``ctypes`` — no numpy per-statement overhead at all.  When no
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, MutableMapping, Optional
 
 import numpy as np
@@ -45,7 +52,8 @@ import numpy as np
 from ..core.execplan import ExecutionPlan
 from .fastexec import run_vector
 from .parallel import run_parallel
-from .pool import run_mpjit
+from .plancache import PlanCache, default_cache
+from .pool import run_modules
 
 
 class BackendMismatch(RuntimeError):
@@ -141,68 +149,26 @@ def checksum(arrays: MutableMapping[str, np.ndarray]) -> str:
     return digest.hexdigest()[:16]
 
 
-def run_jit(
+def run_compiled(
+    backend: str,
     exec_plan: ExecutionPlan,
     arrays: MutableMapping[str, np.ndarray],
     strip: Optional[int] = None,
-    no_cache: bool = False,
-    cache=None,
+    cache: Optional[PlanCache] = None,
+    max_workers: Optional[int] = None,
 ) -> dict:
-    """Execute ``exec_plan`` through generated-and-compiled numpy code.
-
-    The first call for a given plan structure emits and compiles a module
-    (cached in memory and on disk keyed by the plan signature); later
-    calls — in this process or any other — replay the compiled module
-    directly.  ``no_cache=True`` recompiles from scratch and touches no
-    cache, which is the honest way to measure cold cost."""
-    if no_cache:
-        from ..codegen.emitpy import compile_plan
-
-        module = compile_plan(exec_plan, strip=strip)
-    else:
-        if cache is None:
-            from .plancache import default_cache
-
-            cache = default_cache()
-        module = cache.get(exec_plan, strip=strip)
-    return module.run(arrays)
-
-
-def run_cjit(
-    exec_plan: ExecutionPlan,
-    arrays: MutableMapping[str, np.ndarray],
-    strip: Optional[int] = None,
-    no_cache: bool = False,
-    cache=None,
-) -> dict:
-    """Execute ``exec_plan`` through generated-and-compiled C code.
-
-    Mirrors :func:`run_jit`: the first call for a plan structure emits,
-    compiles (``cc -O2 -shared -fPIC``) and caches a shared object keyed
-    by the plan signature plus the compiler fingerprint; later calls
-    dlopen/reuse it.  A missing compiler or a failed compilation falls
-    back to :func:`run_jit` — noted once, counted always
-    (:func:`repro.codegen.emitc.fallback_stats`), never an error."""
-    from ..codegen import emitc
-
-    module = None
-    reason = None
-    if no_cache:
-        try:
-            module = emitc.compile_plan_native(exec_plan, strip=strip)
-        except emitc.CJitError as exc:
-            reason = str(exc)
-    else:
-        if cache is None:
-            from .plancache import default_cache
-
-            cache = default_cache()
-        module, reason = cache.get_native(exec_plan, strip=strip)
-    if module is None:
-        emitc.note_fallback(reason or "native compilation unavailable")
-        return run_jit(exec_plan, arrays, strip=strip, no_cache=no_cache,
-                       cache=cache)
-    return module.run(arrays)
+    """The ``jit``, ``cjit`` and ``mpjit`` runner: ``exec_plan``'s modules
+    resolved through the plan cache (``cache``, default
+    :func:`~repro.runtime.plancache.default_cache`) by
+    :meth:`~repro.runtime.plancache.PlanCache.resolve` and run over
+    ``arrays`` in place by :func:`~repro.runtime.pool.run_modules`, as
+    ``execute_prepared`` runs a prep's.  ``max_workers`` caps mpjit's
+    workers."""
+    if cache is None:
+        cache = default_cache()
+    modules, natives, _ = cache.resolve(backend, [exec_plan], strip=strip)
+    return run_modules(backend, natives or modules, arrays, cache,
+                       max_workers=max_workers)
 
 
 register_backend(Backend(
@@ -221,7 +187,7 @@ register_backend(Backend(
     name="jit",
     description="plan compiled once to numpy source (plan-signature cached "
                 "in memory and on disk), executed many times",
-    runner=run_jit,
+    runner=partial(run_compiled, "jit"),
 ))
 register_backend(Backend(
     name="mpjit",
@@ -229,12 +195,12 @@ register_backend(Backend(
                 "(fused phase, point-to-point neighbor sync, peeled "
                 "phase): a native thread team when the plan's .so is "
                 "cached, else a persistent worker pool",
-    runner=run_mpjit,
+    runner=partial(run_compiled, "mpjit"),
 ))
 register_backend(Backend(
     name="cjit",
     description="plan compiled to native C (cc -O2, signature+compiler-"
                 "fingerprint cached .so, ctypes entry points); falls back "
                 "to jit when no compiler is available",
-    runner=run_cjit,
+    runner=partial(run_compiled, "cjit"),
 ))

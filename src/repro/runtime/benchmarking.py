@@ -5,7 +5,10 @@ and run it repeatedly through :mod:`repro.runtime.execute`, then report
 seconds, per-repeat samples and their statistics, iteration counts and a
 machine-independent checksum as one plain-dict record.  The repo's
 benchmark is ``benchmarks/e2e`` (see its README); this module only
-measures one kernel × backend on request.
+measures one kernel × backend on request.  ``--no-cache`` measures the
+cold path: the kernel compiles once into a fresh in-memory plan cache
+(reported under ``compile_seconds``) and every repeat runs what that
+compile produced.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import time
 from typing import Mapping, Optional, Sequence
 
 from .execute import execute_prepared, execute_resilient, prepare_kernel
+from .plancache import PlanCache
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -112,8 +116,10 @@ def measure_kernel(
     ``warm_median_seconds`` / ``p50`` / ``p95`` / ``p99`` / ``iqr`` /
     ``jitter`` (IQR/median) come from :func:`summarize_samples`,
     ``cold_seconds`` is plan + compile + first run and ``warm_seconds``
-    the best run after the first.  ``use_cache=False`` bypasses the plan
-    cache completely.
+    the best run after the first.  ``use_cache=False`` compiles into a
+    fresh in-memory :class:`~repro.runtime.plancache.PlanCache` that
+    writes nothing: the record then reports a cold compile, once, under
+    ``compile_seconds``.
 
     For ``mpjit`` the record additionally reports ``engine``
     (``"threads"`` when the native twin ran as a thread team,
@@ -140,7 +146,8 @@ def measure_kernel(
         max_workers = config.get("max_workers", max_workers)
     prep = prepare_kernel(
         kernel, params=params, n=n, procs=procs, seed=seed,
-        backend=backend, strip=strip, use_cache=use_cache,
+        backend=backend, strip=strip,
+        cache=None if use_cache else PlanCache(persist=False),
         need_plans=verify,
     )
     pool_snapshot = None
@@ -157,8 +164,7 @@ def measure_kernel(
             from .supervisor import RetryPolicy
 
             seconds, totals, run_digest, recovery = execute_resilient(
-                prep, backend, strip=strip, no_cache=not use_cache,
-                max_workers=max_workers,
+                prep, backend, strip=strip, max_workers=max_workers,
                 policy=RetryPolicy(max_attempts=retries + 1),
             )
             recovery_totals["retries"] += recovery["retries"]
@@ -166,7 +172,7 @@ def measure_kernel(
         else:
             seconds, totals, run_digest = execute_prepared(
                 prep, backend, strip=strip, verify=verify,
-                no_cache=not use_cache, max_workers=max_workers,
+                max_workers=max_workers,
             )
         if digest is not None and run_digest != digest:
             raise RuntimeError(
@@ -221,19 +227,9 @@ def measure_kernel(
     if backend == "cjit":
         from ..codegen import emitc
 
-        if prep.native_modules is not None:
-            native, reason = True, None
-        elif use_cache:
-            native, reason = False, prep.native_reason
-        else:
-            # no-cache runs compile inline inside run_cjit; native status
-            # mirrors compiler presence, the run itself noted any failure
-            native = emitc.find_compiler() is not None
-            reason = None if native else \
-                "no C compiler found (set $REPRO_CC or install cc)"
-        entry: dict = {"native": native}
-        if reason:
-            entry["fallback_reason"] = reason
+        entry: dict = {"native": prep.native_modules is not None}
+        if prep.native_reason:
+            entry["fallback_reason"] = prep.native_reason
         fp = emitc.compiler_fingerprint()
         if fp:
             entry["compiler_fingerprint"] = fp

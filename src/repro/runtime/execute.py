@@ -8,10 +8,13 @@ modules straight from a warm plan-cache alias), :func:`execute_prepared`
 allocates seeded arrays and runs them through a named backend
 (:mod:`repro.runtime.backend`), returning seconds, iteration counters and a
 machine-independent checksum, and :func:`execute_resilient` wraps that run
-in bounded retries down the degradation ladder.  Module backends run over
-views of the shared execution arena (:mod:`repro.runtime.arena`): inputs
-filled in place, hashed in place, run in place by an ``mpjit`` thread
-team or handed to its worker pool by spec.
+in bounded retries down the degradation ladder.  Which compiled modules
+a module backend runs is decided by the prep's plan cache
+(:meth:`~repro.runtime.plancache.PlanCache.resolve`), at prepare time;
+they run over views of the shared execution arena
+(:mod:`repro.runtime.arena`): inputs filled in place, hashed in place,
+run in place by an ``mpjit`` thread team or handed to its worker pool by
+spec.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from ..ir.sequence import Program
 from ..kernels import get_kernel
 from .arena import Layout, borrow, fill_seeded
 from .backend import checksum, get_backend
-from .plancache import default_cache, program_signature
-from .pool import native_twins
+from .plancache import PlanCache, default_cache, program_signature
+from .pool import run_modules
 
 #: Backends that can run a prep's compiled modules directly; every other
 #: backend executes the prep's plans through the backend registry.
@@ -58,8 +61,9 @@ def resolve_params(
 class PreparedKernel:
     """Everything needed to execute one kernel repeatably.
 
-    For the jit backend with a warm program alias, ``modules`` holds the
-    compiled plan modules and ``plans`` stays empty — planning was skipped
+    For a module backend, ``cache`` is the plan cache that resolved the
+    compiled modules and ``modules`` holds the numpy module per plan; with
+    a warm program alias ``plans`` stays empty — planning was skipped
     entirely.  For ``cjit``, ``native_modules`` holds the dlopen'd
     :class:`~repro.codegen.emitc.CJitModule` per plan when the native tier
     is live, and ``native_reason`` records why it is not (the run falls
@@ -81,6 +85,7 @@ class PreparedKernel:
     native_reason: Optional[str] = None
     plan_seconds: float = 0.0
     compile_seconds: float = 0.0
+    cache: Optional[PlanCache] = None
     cache_stats: dict = field(default_factory=dict)
 
     @cached_property
@@ -109,7 +114,7 @@ def prepare_kernel(
     seed: int = 7,
     backend: Optional[str] = None,
     strip: Optional[int] = None,
-    use_cache: bool = True,
+    cache: Optional[PlanCache] = None,
     need_plans: bool = False,
 ) -> PreparedKernel:
     """Fuse every sequence of ``kernel`` and build its execution plans.
@@ -118,41 +123,36 @@ def prepare_kernel(
     reported processor count is the request, each plan carries its own
     clamped grid.
 
-    For ``backend='jit'`` (and ``'mpjit'``, which executes the same
-    compiled modules in parallel) with ``use_cache=True`` the plan cache
-    is consulted first: a warm program alias (same kernel IR, params,
-    procs and strip) yields the compiled modules without running the
-    analysis → derive → fuse → plan pipeline at all.  ``mpjit`` also
-    looks up their native twins (:func:`~repro.runtime.pool.native_twins`,
-    memory then disk, never compiling).  ``cjit`` rides
-    the same alias: when every aliased plan also has a cached ``.so`` the
-    native modules come back without planning or compiling anything;
-    a missing ``.so`` falls through to the planning path, which compiles
-    it (or records the fallback reason).  ``need_plans=True`` forces
-    planning regardless (``verify`` needs the plans for the interpreter
-    oracle).
+    For the :data:`MODULE_BACKENDS` the plan cache (``cache``, default
+    :func:`~repro.runtime.plancache.default_cache`; ``PlanCache(persist=
+    False)`` compiles afresh and writes nothing) resolves the compiled
+    modules (:meth:`~repro.runtime.plancache.PlanCache.resolve`), and the
+    prep keeps it for the runs.  A warm program alias (same kernel IR,
+    params, procs and strip) yields them without running the analysis →
+    derive → fuse → plan pipeline at all; ``cjit`` takes that shortcut
+    only when every aliased plan also has a cached ``.so``, else it plans
+    and compiles (or records the fallback reason).  ``need_plans=True``
+    forces planning regardless (``verify`` needs the plans for the
+    interpreter oracle).
     """
     info = get_kernel(kernel)
     program = info.program()
     run_params = resolve_params(info, program, params=params, n=n)
-    jit_cached = backend in MODULE_BACKENDS and use_cache
-    cache = default_cache() if jit_cached else None
-    alias_key = None
-    if jit_cached:
+    compiled = backend in MODULE_BACKENDS
+    if compiled:
+        if cache is None:
+            cache = default_cache()
         alias_key = program_signature(program, run_params, procs, strip)
         if not need_plans:
             before = cache.stats.snapshot()
             modules = cache.lookup_alias(alias_key)
             if modules is not None:
-                natives = None
-                if backend in ("cjit", "mpjit"):
-                    natives = native_twins([m.signature for m in modules],
-                                           cache)
+                _, natives, _ = cache.resolve(backend, modules=modules)
                 if backend != "cjit" or natives is not None:
                     return PreparedKernel(
                         name=kernel, program=program, params=run_params,
                         plans=[], procs=procs, seed=seed, modules=modules,
-                        native_modules=natives,
+                        native_modules=natives, cache=cache,
                         cache_stats=cache.stats.delta(before),
                     )
     t0 = time.perf_counter()
@@ -163,43 +163,21 @@ def prepare_kernel(
         plans.append(
             build_execution_plan(plan, run_params, num_procs=min(procs, legal))
         )
-    plan_seconds = time.perf_counter() - t0
-    modules = None
-    native_modules = None
-    native_reason = None
-    compile_seconds = 0.0
-    cache_stats: dict = {}
-    if jit_cached:
-        before = cache.stats.snapshot()
-        modules = [cache.get(ep, strip=strip) for ep in plans]
-        cache.link_alias(alias_key, [m.signature for m in modules])
-        if backend == "mpjit":
-            native_modules = native_twins([m.signature for m in modules],
-                                          cache)
-        elif backend == "cjit":
-            native_modules = []
-            for ep in plans:
-                native, reason = cache.get_native(ep, strip=strip)
-                if native is None:
-                    native_modules = None
-                    native_reason = reason
-                    break
-                native_modules.append(native)
-            if native_modules is None:
-                from ..codegen import emitc
-
-                emitc.note_fallback(
-                    native_reason or "native compilation unavailable")
-        cache_stats = cache.stats.delta(before)
-        compile_seconds = (cache_stats.get("compile_seconds", 0.0)
-                           + cache_stats.get("native_compile_seconds", 0.0))
-    return PreparedKernel(
+    prep = PreparedKernel(
         name=kernel, program=program, params=run_params, plans=plans,
-        procs=procs, seed=seed, modules=modules,
-        native_modules=native_modules, native_reason=native_reason,
-        plan_seconds=plan_seconds, compile_seconds=compile_seconds,
-        cache_stats=cache_stats,
+        procs=procs, seed=seed, plan_seconds=time.perf_counter() - t0,
     )
+    if compiled:
+        before = cache.stats.snapshot()
+        prep.modules, prep.native_modules, prep.native_reason = \
+            cache.resolve(backend, plans, strip=strip)
+        cache.link_alias(alias_key, [m.signature for m in prep.modules])
+        prep.cache = cache
+        prep.cache_stats = cache.stats.delta(before)
+        prep.compile_seconds = (
+            prep.cache_stats["compile_seconds"]
+            + prep.cache_stats["native_compile_seconds"])
+    return prep
 
 
 def execute_prepared(
@@ -207,7 +185,6 @@ def execute_prepared(
     backend: str,
     strip: Optional[int] = None,
     verify: bool = False,
-    no_cache: bool = False,
     max_workers: Optional[int] = None,
 ) -> tuple[float, dict[str, int], str]:
     """One timed execution of all sequences: (seconds, counters, checksum).
@@ -215,45 +192,32 @@ def execute_prepared(
     The inputs are filled before the clock starts and hashed after it
     stops; the run itself — including, on the first run, spawning the
     mpjit worker pool — is what the clock sees.  When ``prep`` carries
-    precompiled jit modules, ``backend`` is one of :data:`MODULE_BACKENDS`
+    precompiled modules, ``backend`` is one of :data:`MODULE_BACKENDS`
     and no interpreter verification is requested, the modules run
-    directly over views of the execution arena — serially for
-    ``jit``/``cjit``; for ``mpjit`` as a thread team when native twins
-    exist (resolved at prepare time, or found since in the plan cache's
-    memory tier), else through the persistent pool; otherwise
-    the plans execute through the backend registry over freshly allocated
-    arrays.  A prep without plans (a warm alias hit) cannot run on any
-    other backend and raises ``ValueError``.
+    directly over views of the execution arena
+    (:func:`~repro.runtime.pool.run_modules`): the numpy modules for
+    ``jit``, the native ones when ``cjit``/``mpjit`` have them (for
+    ``mpjit`` resolved at prepare time, or found since in the prep's
+    plan cache's memory tier), else the numpy ones; otherwise the plans
+    execute through the backend registry over freshly allocated arrays.
+    A prep without plans (a warm alias hit) cannot run on any other
+    backend and raises ``ValueError``.
     """
-    totals = {"fused_iterations": 0, "peeled_iterations": 0}
     if (prep.modules is not None and not verify
             and backend in MODULE_BACKENDS):
-        cache_root = None
-        if backend == "mpjit":
-            from .pool import run_mpjit_module
-
-            if prep.native_modules is None:  # compiled since the prep?
-                cache = default_cache()
-                prep.native_modules = native_twins(
-                    [m.signature for m in prep.modules], cache, disk=False)
-                if prep.native_modules is None and cache.persist:
-                    cache_root = str(cache.root)  # pool workers load by it
-        run_modules = prep.modules
+        if backend == "mpjit" and prep.native_modules is None:
+            # compiled since the prep?
+            prep.native_modules = prep.cache.resolve(
+                "mpjit", modules=prep.modules, disk=False)[1]
+        run = prep.modules
         if backend != "jit" and prep.native_modules is not None:
-            run_modules = prep.native_modules  # native tier; else numpy
+            run = prep.native_modules
         with borrow() as arena:
             arrays, specs = arena.layout(prep.layout)
             fill_seeded(arrays.values(), prep.seed)
             t0 = time.perf_counter()
-            for module in run_modules:
-                if backend == "mpjit":
-                    stats = run_mpjit_module(module, arrays, specs=specs,
-                                             max_workers=max_workers,
-                                             cache_root=cache_root)
-                else:
-                    stats = module.run(arrays)
-                for key in totals:
-                    totals[key] += stats.get(key, 0)
+            totals = run_modules(backend, run, arrays, prep.cache,
+                                 specs=specs, max_workers=max_workers)
             seconds = time.perf_counter() - t0
             return seconds, totals, checksum(arrays)
     if not prep.plans:
@@ -264,10 +228,11 @@ def execute_prepared(
     arrays = prep.alloc()
     be = get_backend(backend)
     options: dict = {}
-    if backend in MODULE_BACKENDS and no_cache:
-        options["no_cache"] = True
+    if backend in MODULE_BACKENDS:
+        options["cache"] = prep.cache
     if backend == "mpjit" and max_workers is not None:
         options["max_workers"] = max_workers
+    totals = {"fused_iterations": 0, "peeled_iterations": 0}
     t0 = time.perf_counter()
     for ep in prep.plans:
         stats = be.run(ep, arrays, strip=strip, verify=verify, **options)
@@ -291,7 +256,6 @@ def execute_resilient(
     prep: PreparedKernel,
     backend: str,
     strip: Optional[int] = None,
-    no_cache: bool = False,
     max_workers: Optional[int] = None,
     policy=None,
     breaker=None,
@@ -342,8 +306,7 @@ def execute_resilient(
                                   backend=backend_now)
         try:
             seconds, counters, digest = execute_prepared(
-                prep, backend_now, strip=strip, no_cache=no_cache,
-                max_workers=max_workers,
+                prep, backend_now, strip=strip, max_workers=max_workers,
             )
         except FastExecError as exc:
             failure = classify_failure(exc)

@@ -2,21 +2,17 @@
 
 Executes programs directly from the IR, nest after nest, iteration after
 iteration in lexicographic order — the original (unfused) semantics every
-transformation must preserve.  A compiled variant translates bodies to
-Python source once and ``exec``s them, trading a little startup for a
-large per-iteration speedup (used by the larger randomized tests).
+transformation must preserve.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, MutableMapping, Sequence
+from typing import Mapping, MutableMapping
 
 import numpy as np
 
-from ..ir.expr import Affine
 from ..ir.loop import LoopNest
-from ..ir.sequence import LoopSequence, Program
-from ..ir.stmt import Assign, BinOp, Const, Expr, Load, UnaryOp
+from ..ir.sequence import LoopSequence
 
 
 def run_nest(
@@ -41,102 +37,3 @@ def run_sequence_serial(
     """Original semantics: every nest completes before the next starts."""
     for nest in seq:
         run_nest(nest, params, arrays)
-
-
-def run_program(
-    program: Program,
-    params: Mapping[str, int],
-    arrays: MutableMapping[str, np.ndarray],
-) -> None:
-    """Execute every sequence of a program with original semantics."""
-    for seq in program.sequences:
-        run_sequence_serial(seq, params, arrays)
-
-
-# ---------------------------------------------------------------------------
-# Compiled execution: translate bodies to Python once, then exec.
-# ---------------------------------------------------------------------------
-
-
-def _affine_src(expr: Affine) -> str:
-    parts: list[str] = []
-    for v, c in expr.coeffs:
-        if c == 1:
-            parts.append(v)
-        elif c == -1:
-            parts.append(f"-{v}")
-        else:
-            parts.append(f"{c}*{v}")
-    src = "+".join(parts).replace("+-", "-")
-    if expr.const or not src:
-        if src:
-            src += f"+{expr.const}" if expr.const >= 0 else f"{expr.const}"
-        else:
-            src = str(expr.const)
-    return src
-
-
-def _expr_src(expr: Expr) -> str:
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Load):
-        subs = ",".join(_affine_src(s) for s in expr.ref.subscripts)
-        return f"A_{expr.ref.array}[{subs}]"
-    if isinstance(expr, BinOp):
-        return f"({_expr_src(expr.left)}{expr.op}{_expr_src(expr.right)})"
-    if isinstance(expr, UnaryOp):
-        return f"(-{_expr_src(expr.operand)})"
-    raise TypeError(f"cannot compile {expr!r}")
-
-
-def _stmt_src(st: Assign) -> str:
-    subs = ",".join(_affine_src(s) for s in st.target.subscripts)
-    return f"A_{st.target.array}[{subs}] = {_expr_src(st.rhs)}"
-
-
-def compile_nest(nest: LoopNest, params: Sequence[str]) -> "CompiledNest":
-    """Compile a nest into a Python function of (params..., arrays)."""
-    lines = ["def __kernel__(params, arrays):"]
-    for p in params:
-        lines.append(f"    {p} = params[{p!r}]")
-    for name in sorted(nest.arrays()):
-        lines.append(f"    A_{name} = arrays[{name!r}]")
-    indent = "    "
-    for lp in nest.loops:
-        lines.append(
-            f"{indent}for {lp.var} in range({_affine_src(lp.lower)}, "
-            f"{_affine_src(lp.upper)}+1):"
-        )
-        indent += "    "
-    for st in nest.body:
-        lines.append(f"{indent}{_stmt_src(st)}")
-    src = "\n".join(lines)
-    namespace: dict = {}
-    exec(src, namespace)  # noqa: S102 - generated from our own IR
-    return CompiledNest(namespace["__kernel__"], src)
-
-
-class CompiledNest:
-    """A nest compiled to a Python closure, retaining the source for
-    inspection and debugging."""
-
-    def __init__(self, fn, source: str):
-        self._fn = fn
-        self.source = source
-
-    def __call__(
-        self, params: Mapping[str, int], arrays: MutableMapping[str, np.ndarray]
-    ) -> None:
-        self._fn(dict(params), arrays)
-
-
-def run_sequence_compiled(
-    seq: LoopSequence,
-    params: Mapping[str, int],
-    arrays: MutableMapping[str, np.ndarray],
-    param_names: Sequence[str] | None = None,
-) -> None:
-    """Compiled-path equivalent of :func:`run_sequence_serial`."""
-    names = tuple(param_names) if param_names is not None else tuple(params)
-    for nest in seq:
-        compile_nest(nest, names)(params, arrays)

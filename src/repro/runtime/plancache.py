@@ -24,7 +24,12 @@ structure, amortize across invocations.  This module provides:
   signature (kernel IR + params + procs + strip, computable without
   planning) mapping to the per-sequence plan signatures.  A warm alias
   lets ``repro exec`` skip the analysis → derive → fuse → plan pipeline
-  entirely, not just compilation.
+  entirely, not just compilation;
+* **the resolver**, :meth:`PlanCache.resolve`: the one place that decides
+  which compiled modules the ``jit``/``cjit``/``mpjit`` backends run —
+  numpy, a compiled ``.so`` (or a noted fallback to numpy), or a cached
+  native twin — for ``prepare_kernel``, ``execute_prepared``'s recheck
+  and the backend registry alike.
 
 All cache activity is tallied in :class:`CacheStats` so the CLI can report
 hits/misses and the benchmarks can prove the warm path spends (almost) no
@@ -109,8 +114,8 @@ class PlanCache:
     """Memory LRU over a persistent source directory (either level optional).
 
     ``memory_slots`` bounds the LRU; ``persist=False`` turns the instance
-    into a pure in-memory cache (used by tests and by ``--no-cache``
-    diagnostics).
+    into a pure in-memory cache that touches nothing under its root (used by
+    tests, and a fresh one per ``repro exec --no-cache``).
     """
 
     root: Optional[Path] = None
@@ -367,10 +372,58 @@ class PlanCache:
         self._remember_native(module)
         return module, None
 
+    # -- what a module backend runs ---------------------------------------
+
+    def resolve(
+        self,
+        backend: str,
+        plans: Optional[Sequence[ExecutionPlan]] = None,
+        strip: Optional[int] = None,
+        modules: Optional[list] = None,
+        disk: bool = True,
+    ) -> tuple[list, Optional[list], Optional[str]]:
+        """The compiled modules ``backend`` runs: ``(modules, natives,
+        reason)``, the one place a module backend's modules are chosen.
+
+        ``modules`` are the numpy modules: the ones given (a warm alias's),
+        else each plan's from :meth:`get`, compiling on a miss; ``jit``
+        runs them.  ``natives`` is None or one native module per plan:
+
+        * ``cjit`` with ``plans`` compiles each plan's ``.so`` on a miss
+          (:meth:`get_native`); a failure is the ``reason``, noted once
+          and counted (:func:`~repro.codegen.emitc.note_fallback`), and
+          the run falls back to the numpy modules;
+        * ``mpjit``, and ``cjit`` without ``plans``, never compile: each
+          signature's cached twin (memory, then with ``disk`` any
+          compiler's object on disk), or None when any is missing.  mpjit
+          runs what cjit built, or the numpy modules on the worker pool.
+        """
+        if modules is None:
+            modules = [self.get(ep, strip=strip) for ep in plans]
+        if backend == "jit":
+            return modules, None, None
+        if backend == "mpjit" or plans is None:
+            twins = [self.peek_native(m.signature, disk=disk)
+                     for m in modules]
+            return modules, (twins if all(twins) else None), None
+        natives = []
+        for ep in plans:
+            native, reason = self.get_native(ep, strip=strip)
+            if native is None:
+                from ..codegen.emitc import note_fallback
+
+                note_fallback(reason)
+                return modules, None, reason
+            natives.append(native)
+        return modules, natives, None
+
     # -- program aliases ---------------------------------------------------
 
     def lookup_alias(self, key: str):
-        """All modules for a program-level key, or None when any is missing."""
+        """All modules for a program-level key, or None when any is missing
+        (at once for a non-persistent cache, which links no aliases)."""
+        if not self.persist:
+            return None
         path = self.alias_path(key)
         try:
             signatures = json.loads(path.read_text(encoding="utf-8"))

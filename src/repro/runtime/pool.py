@@ -5,8 +5,10 @@ its *fused* boxes, synchronizes, then runs its *peeled* boxes.  The
 paper's global barrier between the phases is replaced by point-to-point
 sync: each processor signals "fused done", and each peeled phase waits
 only on its named predecessors — the module's ``PEEL_DEPS`` map, derived
-by :func:`repro.core.syncdeps.peel_predecessors`.  The parent picks one
-of two engines per module, once (:func:`native_twins`):
+by :func:`repro.core.syncdeps.peel_predecessors`.  The plan cache picks
+one of two engines per module, once
+(:meth:`~repro.runtime.plancache.PlanCache.resolve`), and
+:func:`run_modules` runs it:
 
 * **threads** — when the plan cache holds the module's native (``cjit``)
   twin, one :meth:`~repro.codegen.emitc.CJitModule.run_team` call runs
@@ -59,7 +61,6 @@ from typing import Mapping, MutableMapping, Optional, Sequence
 import numpy as np
 
 from ..codegen.emitc import TEAM_SLOW, TEAM_STALL, CJitError, CJitModule
-from ..core.execplan import ExecutionPlan
 from . import arena
 from .fastexec import EnvConfigError, FastExecError
 from .faults import active_plan
@@ -265,13 +266,6 @@ def collect_worker_results(queue, workers: Mapping[int, object], sync,
     return results
 
 
-#: Test-only failure injection: when set (before the pool is spawned, so
-#: fork inheritance carries it into the workers), every worker calls it
-#: with ``(worker_id, signature)`` ahead of the fused phase.  Production
-#: code never sets it; chaos plans use the task-tuple directive channel
-#: instead (no fork-inheritance requirement).
-_test_worker_hook = None
-
 #: First element of a control task (settle ack during in-place respawn);
 #: never a valid plan signature.
 _CONTROL = "__control__"
@@ -358,8 +352,6 @@ def _pool_worker(worker_id: int, task_queue, result_queue,
                 modules, signature, cache_root, source
             )
             arrays = attachment.views(specs)
-            if _test_worker_hook is not None:
-                _test_worker_hook(worker_id, signature)
             _apply_worker_fault(fault)
             stall = (fault if fault is not None
                      and fault.get("action") == "stall" else None)
@@ -662,35 +654,51 @@ def pool_stats() -> dict:
     }
 
 
-def native_twins(signatures: Sequence[str], cache,
-                 disk: bool = True) -> Optional[list]:
-    """The native (``cjit``) module of every signature from ``cache``, or
-    None when any is missing: memory first, then — with ``disk`` — the
-    objects on disk.  Never compiles: mpjit runs what cjit built, and a
-    plan without one stays on the pool."""
-    twins = [cache.peek_native(sig, disk=disk) for sig in signatures]
-    return twins if all(twins) else None
+def run_modules(
+    backend: str,
+    modules: Sequence,
+    arrays: MutableMapping[str, np.ndarray],
+    cache,
+    specs: Optional[tuple] = None,
+    max_workers: Optional[int] = None,
+) -> dict[str, int]:
+    """Run the modules ``cache`` resolved for ``backend``
+    (:meth:`~repro.runtime.plancache.PlanCache.resolve`) over ``arrays``
+    in order and sum their counters: serially for ``jit``/``cjit``, each
+    through :func:`run_mpjit_module` for ``mpjit``."""
+    totals = {"fused_iterations": 0, "peeled_iterations": 0}
+    for module in modules:
+        if backend == "mpjit":
+            stats = run_mpjit_module(module, arrays, max_workers=max_workers,
+                                     cache=cache, specs=specs)
+        else:
+            stats = module.run(arrays)
+        for key in totals:
+            totals[key] += stats.get(key, 0)
+    return totals
 
 
 def run_mpjit_module(
     module,
     arrays: MutableMapping[str, np.ndarray],
     max_workers: Optional[int] = None,
-    cache_root: Optional[str] = None,
+    cache=None,
     specs: Optional[tuple] = None,
 ) -> dict[str, int]:
     """Execute one compiled module on ``min(nprocs, available_cpus())``
     workers (``max_workers`` overrides the CPU count), processors dealt
     round-robin.
 
-    A native :class:`~repro.codegen.emitc.CJitModule` (the twin
-    :func:`native_twins` found) runs as one team of threads over
-    ``arrays``; a numpy :class:`~repro.codegen.emitpy.JitModule` runs on
-    the worker pool, which sees only execution-arena specs: ``arrays``
-    are arena views described by ``specs`` (what ``execute_prepared``
-    passes), or — with ``specs=None`` — the caller's own arrays, copied
-    into the arena and back.  With one worker either module runs
-    serially in-process, which is bit-identical by construction."""
+    A native :class:`~repro.codegen.emitc.CJitModule` (a twin the plan
+    cache held) runs as one team of threads over ``arrays``; a numpy
+    :class:`~repro.codegen.emitpy.JitModule` runs on the worker pool,
+    whose cold workers load it by signature from ``cache``'s directory
+    when that persists, else from the source shipped in the task.  The
+    pool sees only execution-arena specs: ``arrays`` are arena views
+    described by ``specs`` (what ``execute_prepared`` passes), or — with
+    ``specs=None`` — the caller's own arrays, copied into the arena and
+    back.  With one worker either module runs serially in-process, which
+    is bit-identical by construction."""
     # Read the env knobs once, before anything runs: a typo'd
     # REPRO_SYNC_TIMEOUT / REPRO_FAULTS raises EnvConfigError naming the
     # variable instead of a worker traceback.
@@ -701,6 +709,8 @@ def run_mpjit_module(
         return module.run(arrays)
     if isinstance(module, CJitModule):
         return _run_team(module, arrays, nworkers, timeout, faults)
+    cache_root = (str(cache.root) if cache is not None and cache.persist
+                  else None)
     if specs is not None:
         return _dispatch(module, nworkers, specs, cache_root, faults)
     with arena.borrow() as space:
@@ -791,34 +801,3 @@ def _fail(exc: FastExecError, pool: Optional[WorkerPool] = None):
     if isinstance(exc, ExecError):
         raise exc
     raise ExecError(failure) from exc
-
-
-def run_mpjit(
-    exec_plan: ExecutionPlan,
-    arrays: MutableMapping[str, np.ndarray],
-    strip: Optional[int] = None,
-    max_workers: Optional[int] = None,
-    no_cache: bool = False,
-    cache=None,
-) -> dict[str, int]:
-    """The ``mpjit`` backend: compiled code, really parallel.
-
-    A plan whose native twin is in the plan cache (:func:`native_twins`)
-    runs as a thread team; otherwise the jit module is compiled (or
-    fetched) exactly like the ``jit`` backend, its source persisted so
-    cold workers can load it by signature, and the pool runs it."""
-    if no_cache:
-        from ..codegen.emitpy import compile_plan
-
-        module = compile_plan(exec_plan, strip=strip)
-        cache_root = None
-    else:
-        if cache is None:
-            from .plancache import default_cache
-
-            cache = default_cache()
-        twins = native_twins([exec_plan.signature(strip=strip)], cache)
-        module = twins[0] if twins else cache.get(exec_plan, strip=strip)
-        cache_root = str(cache.root) if cache.persist else None
-    return run_mpjit_module(module, arrays, max_workers=max_workers,
-                            cache_root=cache_root)

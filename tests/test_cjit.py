@@ -469,8 +469,8 @@ class TestFallback:
         ep = _plan()
         base = _arrays()
         got, ref = copy_arrays(base), copy_arrays(base)
-        get_backend("cjit").run(ep, got, no_cache=True)
-        get_backend("jit").run(ep, ref, no_cache=True)
+        get_backend("cjit").run(ep, got, cache=PlanCache(persist=False))
+        get_backend("jit").run(ep, ref, cache=PlanCache(persist=False))
         assert checksum(got) == checksum(ref)
         assert emitc.fallback_stats()["count"] == 1
 

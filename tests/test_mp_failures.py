@@ -23,13 +23,13 @@ import pytest
 from repro.core import build_execution_plan, derive_shift_peel
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.runtime import pool as pool_mod
+from repro.runtime.backend import get_backend, run_compiled
 from repro.runtime.fastexec import EnvConfigError, FastExecError
 from repro.runtime.pool import (
     P2PSync,
     SyncAborted,
     _resolve_workers,
     pool_stats,
-    run_mpjit,
     shutdown_pool,
     sync_timeout,
 )
@@ -40,6 +40,9 @@ needs_fork = pytest.mark.skipif(
 )
 
 CRASH_BUDGET_SECONDS = 10.0
+
+#: The registry's mpjit runner over a plan and the caller's arrays.
+mpjit = get_backend("mpjit").run
 
 
 def _plan(n=25, procs=3):
@@ -92,16 +95,28 @@ def _wrap_worker_modules(monkeypatch, **entry_points):
         return Wrapped(module), mode
 
     monkeypatch.setattr(pool_mod, "_load_module", loader)
+    return lambda: monkeypatch.setattr(pool_mod, "_load_module", real)
+
+
+def _raise_in_fused(exc):
+    """A ``run_fused`` stand-in raising ``exc`` ahead of the fused phase."""
+    def boom(module, proc, arrays):
+        raise exc
+    return boom
+
+
+def _exit_in_fused(exitcode):
+    """A ``run_fused`` stand-in killing its worker with ``exitcode``."""
+    return lambda module, proc, arrays: os._exit(exitcode)
 
 
 @pytest.fixture(autouse=True)
 def _fresh_pool():
-    """Crash tests must not inherit (or leave behind) a live pool: the
-    injection hook is captured at fork time, and a poisoned sync must
-    not leak into the next test."""
+    """Crash tests must not inherit (or leave behind) a live pool: a
+    patched worker loader is captured at fork time, and a poisoned sync
+    must not leak into the next test."""
     shutdown_pool()
     yield
-    pool_mod._test_worker_hook = None
     shutdown_pool()
 
 
@@ -150,7 +165,7 @@ class TestSyncTimeoutEnv:
         monkeypatch.setenv(pool_mod.ENV_SYNC_TIMEOUT, "soon")
         with pytest.raises(EnvConfigError,
                            match=pool_mod.ENV_SYNC_TIMEOUT):
-            run_mpjit(_plan(), _arrays(), max_workers=2)
+            mpjit(_plan(), _arrays(), max_workers=2)
         assert pool_stats()["alive"] is False  # nothing was spawned
 
     def test_pytest_suite_runs_bounded(self):
@@ -201,7 +216,7 @@ class TestP2PSyncUnit:
         from repro.serve.loadgen import run_loadgen
         from repro.serve.protocol import CONFIG_FIELDS, ExecKey
 
-        for fn in (run_mpjit, pool_mod.run_mpjit_module,
+        for fn in (run_compiled, pool_mod.run_mpjit_module,
                    pool_mod.WorkerPool.run_module, execute_prepared,
                    execute_resilient, measure_kernel, ServeClient.exec,
                    run_loadgen):
@@ -237,16 +252,15 @@ class TestWorkerCount:
 
 class TestMpjitCrashSafety:
     @needs_fork
-    def test_worker_exception_ships_traceback(self, leak_check):
+    def test_worker_exception_ships_traceback(self, monkeypatch,
+                                              leak_check):
         from repro.runtime.supervisor import default_supervisor
 
-        def boom(worker_id, signature):
-            raise ValueError("injected-mpjit-boom")
-
-        pool_mod._test_worker_hook = boom
+        _wrap_worker_modules(monkeypatch, run_fused=_raise_in_fused(
+            ValueError("injected-mpjit-boom")))
         t0 = time.monotonic()
         with pytest.raises(FastExecError) as excinfo:
-            run_mpjit(_plan(), _arrays(), max_workers=2)
+            mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         message = str(excinfo.value)
         assert "injected-mpjit-boom" in message
@@ -256,15 +270,14 @@ class TestMpjitCrashSafety:
         assert pool_stats()["alive"] is True
 
     @needs_fork
-    def test_worker_hard_crash_detected_and_classified(self, leak_check):
+    def test_worker_hard_crash_detected_and_classified(self, monkeypatch,
+                                                       leak_check):
         from repro.runtime.supervisor import ExecError, default_supervisor
 
-        pool_mod._test_worker_hook = (
-            lambda worker_id, signature: os._exit(23)
-        )
+        _wrap_worker_modules(monkeypatch, run_fused=_exit_in_fused(23))
         t0 = time.monotonic()
         with pytest.raises(ExecError) as excinfo:
-            run_mpjit(_plan(), _arrays(), max_workers=2)
+            mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         assert "died without reporting" in str(excinfo.value)
         failure = excinfo.value.failure
@@ -290,24 +303,22 @@ class TestMpjitCrashSafety:
         _wrap_worker_modules(monkeypatch, run_peeled=boom)
         t0 = time.monotonic()
         with pytest.raises(FastExecError, match="injected-peel-boom"):
-            run_mpjit(_plan(), _arrays(), max_workers=2)
+            mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
 
     @needs_fork
-    def test_pool_recovers_after_crash(self, leak_check):
+    def test_pool_recovers_after_crash(self, monkeypatch, leak_check):
         """A failed run poisons the pool; after the supervisor's repair
         (or an explicit teardown) the next run must produce correct
         results.  The explicit shutdown here also discards the repaired
-        workers, which inherited the injection hook at fork time."""
+        workers, which inherited the patched loader at fork time."""
         from repro.runtime.supervisor import default_supervisor
 
-        def boom(worker_id, signature):
-            raise ValueError("poison")
-
-        pool_mod._test_worker_hook = boom
+        restore = _wrap_worker_modules(
+            monkeypatch, run_fused=_raise_in_fused(ValueError("poison")))
         with pytest.raises(FastExecError):
-            run_mpjit(_plan(), _arrays(), max_workers=2)
-        pool_mod._test_worker_hook = None
+            mpjit(_plan(), _arrays(), max_workers=2)
+        restore()
         default_supervisor().wait(timeout=10.0)
         shutdown_pool()
 
@@ -318,7 +329,7 @@ class TestMpjitCrashSafety:
         ref = {k: v.copy() for k, v in base.items()}
         expected = run_parallel(ep, ref)
         got = {k: v.copy() for k, v in base.items()}
-        stats = run_mpjit(ep, got, max_workers=2)
+        stats = mpjit(ep, got, max_workers=2)
         assert stats == {
             "fused_iterations": expected["fused_iterations"],
             "peeled_iterations": expected["peeled_iterations"],
@@ -351,7 +362,7 @@ class TestP2PCrashPropagation:
         _wrap_worker_modules(monkeypatch, run_fused=flaky)
         t0 = time.monotonic()
         with pytest.raises(FastExecError) as excinfo:
-            run_mpjit(_plan(), _arrays(), max_workers=2)
+            mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         assert "died without reporting" in str(excinfo.value)
         assert "exitcode 29" in str(excinfo.value)
@@ -368,13 +379,13 @@ class TestP2PCrashPropagation:
         from repro.runtime import faults
         from repro.runtime.supervisor import ExecError, default_supervisor
 
-        run_mpjit(_plan(), _arrays(), max_workers=2)  # warm
+        mpjit(_plan(), _arrays(), max_workers=2)  # warm
         spawns_before = pool_stats()["spawns"]
         faults.install_plan(faults.FaultPlan.parse(
             "crash@run=1:worker=0:exitcode=37", source="test"))
         t0 = time.monotonic()
         with pytest.raises(ExecError) as excinfo:
-            run_mpjit(_plan(), _arrays(), max_workers=2)
+            mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         assert "died without reporting" in str(excinfo.value)
         assert excinfo.value.failure.kind == "worker_crash"
@@ -393,23 +404,25 @@ class TestP2PCrashPropagation:
         ref = {k: v.copy() for k, v in base.items()}
         run_parallel(ep, ref)
         got = {k: v.copy() for k, v in base.items()}
-        run_mpjit(ep, got, max_workers=2)
+        mpjit(ep, got, max_workers=2)
         assert pool_stats()["last_sync"] == "p2p"
         for name in ref:
             assert np.array_equal(ref[name], got[name]), name
 
     @needs_fork
-    def test_mpjit_exception_during_p2p_ships_traceback(self, leak_check):
+    def test_mpjit_exception_during_p2p_ships_traceback(self, monkeypatch,
+                                                        leak_check):
         from repro.runtime.supervisor import default_supervisor
 
-        def boom(worker_id, signature):
-            if worker_id == 1:
+        def boom(module, proc, arrays):
+            if proc == 1:  # worker 1's only processor of three
                 raise ValueError("injected-p2p-boom")
+            return module.run_fused(proc, arrays)
 
-        pool_mod._test_worker_hook = boom
+        _wrap_worker_modules(monkeypatch, run_fused=boom)
         t0 = time.monotonic()
         with pytest.raises(FastExecError) as excinfo:
-            run_mpjit(_plan(), _arrays(), max_workers=2)
+            mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
         message = str(excinfo.value)
         assert "injected-p2p-boom" in message
@@ -426,7 +439,7 @@ class TestP2PEventTable:
         respawns the pool with a table that fits — one extra spawn, still
         point-to-point, still the reference bits."""
         monkeypatch.setattr(pool_mod, "P2P_EVENT_SLOTS", 2)
-        run_mpjit(_plan(procs=2), _arrays(), max_workers=2)
+        mpjit(_plan(procs=2), _arrays(), max_workers=2)
         spawns = pool_stats()["spawns"]
         assert pool_stats()["p2p_slots"] == 2
         ep = _plan(procs=3)
@@ -437,7 +450,7 @@ class TestP2PEventTable:
         run_parallel(ep, ref)
         for _ in range(2):
             got = {k: v.copy() for k, v in base.items()}
-            run_mpjit(ep, got, max_workers=2)
+            mpjit(ep, got, max_workers=2)
             for name in ref:
                 assert np.array_equal(ref[name], got[name]), name
         stats = pool_stats()
@@ -446,7 +459,7 @@ class TestP2PEventTable:
         assert stats["spawns"] == spawns + 1
 
     def test_pool_stats_report_sync_and_slots(self, leak_check):
-        run_mpjit(_plan(), _arrays(), max_workers=2)
+        mpjit(_plan(), _arrays(), max_workers=2)
         stats = pool_stats()
         assert stats["last_sync"] == "p2p"
         assert stats["p2p_slots"] == pool_mod.P2P_EVENT_SLOTS
@@ -460,7 +473,7 @@ class TestPoolLifecycle:
         ep = _plan()
         spawns_before = pool_stats()["spawns"]
         for _ in range(3):
-            run_mpjit(ep, _arrays(), max_workers=2)
+            mpjit(ep, _arrays(), max_workers=2)
         stats = pool_stats()
         assert stats["alive"] is True
         assert stats["spawns"] == spawns_before + 1
@@ -473,20 +486,20 @@ class TestPoolLifecycle:
     def test_single_worker_bypasses_pool(self, leak_check):
         """With one resolved worker the compiled module runs serially
         in-process — no pool, no shared memory."""
-        run_mpjit(_plan(procs=2), _arrays(), max_workers=1)
+        mpjit(_plan(procs=2), _arrays(), max_workers=1)
         assert pool_stats()["alive"] is False
 
     def test_worker_loads_from_disk_cache_when_cold(self, leak_check):
         """A cold worker fetches the generated source from the on-disk
         plan cache by signature (one compile, no emission)."""
-        run_mpjit(_plan(), _arrays(), max_workers=2)
+        mpjit(_plan(), _arrays(), max_workers=2)
         assert pool_stats()["last_load_modes"] == ["disk", "disk"]
 
     def test_success_leaves_no_shm(self):
         before = _shm_entries()
         if before is None:
             pytest.skip("no /dev/shm on this platform")
-        run_mpjit(_plan(), _arrays(), max_workers=2)
+        mpjit(_plan(), _arrays(), max_workers=2)
         shutdown_pool()
         assert _shm_entries() - before == set()
 
@@ -494,7 +507,7 @@ class TestPoolLifecycle:
         """A daemon's SIGTERM drain and the atexit hook may both reach
         the pool: the second (and third) close must be a silent no-op,
         not a double-close of queues or re-terminate of reaped workers."""
-        run_mpjit(_plan(), _arrays(), max_workers=2)
+        mpjit(_plan(), _arrays(), max_workers=2)
         pool = pool_mod._pool
         assert pool is not None and not pool.closed
         pool.close()          # the explicit daemon-facing alias
@@ -511,10 +524,10 @@ class TestPoolLifecycle:
     def test_pool_respawns_after_close(self, leak_check):
         """Closing the pool must not poison the process: the next run
         transparently spawns a fresh pool."""
-        run_mpjit(_plan(), _arrays(), max_workers=2)
+        mpjit(_plan(), _arrays(), max_workers=2)
         spawns = pool_stats()["spawns"]
         shutdown_pool()
-        counters = run_mpjit(_plan(), _arrays(), max_workers=2)
+        counters = mpjit(_plan(), _arrays(), max_workers=2)
         assert counters["fused_iterations"] > 0
         assert pool_stats()["spawns"] == spawns + 1
         assert pool_stats()["alive"] is True

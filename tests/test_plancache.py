@@ -16,11 +16,12 @@ import pytest
 
 from conftest import copy_arrays
 
+from repro.codegen.emitc import find_compiler
 from repro.codegen.emitpy import JitCompileError, compile_plan, compile_source
 from repro.core import build_execution_plan, derive_shift_peel, max_processors
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.kernels import get_kernel
-from repro.runtime.backend import checksum, get_backend, run_jit
+from repro.runtime.backend import checksum, get_backend
 from repro.runtime.benchmarking import measure_kernel
 from repro.runtime.plancache import (
     PlanCache,
@@ -174,6 +175,25 @@ class TestPlanCacheLevels:
         cache.link_alias("dangling", ["0" * 64])
         assert cache.lookup_alias("dangling") is None
 
+    def test_non_persistent_cache_reads_no_alias(self, tmp_path,
+                                                 monkeypatch):
+        """An alias on disk under a ``persist=False`` cache's root is never
+        read (nor counted as a miss): that cache links no aliases."""
+        from pathlib import Path
+
+        disk = PlanCache(root=tmp_path / "c")
+        module = disk.get(_chain_plan())
+        disk.link_alias("planted", [module.signature])
+        assert disk.alias_path("planted").exists()
+        reads = []
+        real = Path.read_text
+        monkeypatch.setattr(Path, "read_text", lambda path, *a, **k: (
+            reads.append(path), real(path, *a, **k))[1])
+        memory = PlanCache(root=tmp_path / "c", persist=False)
+        assert memory.lookup_alias("planted") is None
+        assert reads == []
+        assert memory.stats.alias_misses == 0
+
     def test_default_cache_honours_env(self, tmp_path):
         # conftest's autouse fixture points REPRO_JIT_CACHE_DIR at tmp_path.
         assert str(default_cache().root).startswith(str(tmp_path))
@@ -187,12 +207,13 @@ class TestJitExecutionThroughCache:
     def test_cached_and_fresh_results_identical(self):
         ep = _chain_plan()
         base = self._arrays()
+        jit = get_backend("jit")
         via_cache = copy_arrays(base)
-        run_jit(ep, via_cache)
+        jit.run(ep, via_cache)
         again = copy_arrays(base)
-        run_jit(ep, again)  # memory hit this time
+        jit.run(ep, again)  # memory hit this time
         no_cache = copy_arrays(base)
-        run_jit(ep, no_cache, no_cache=True)
+        jit.run(ep, no_cache, cache=PlanCache(persist=False))
         vector = copy_arrays(base)
         get_backend("vector").run(ep, vector)
         assert checksum(via_cache) == checksum(again)
@@ -201,7 +222,8 @@ class TestJitExecutionThroughCache:
 
     def test_no_cache_touches_no_files(self, tmp_path):
         ep = _chain_plan()
-        run_jit(ep, self._arrays(), no_cache=True)
+        get_backend("jit").run(ep, self._arrays(),
+                               cache=PlanCache(persist=False))
         cache_root = tmp_path / "jit-cache"
         assert not cache_root.exists() or not any(cache_root.rglob("*.py"))
 
@@ -230,6 +252,59 @@ class TestWarmExecOverhead:
         warm = measure_kernel("ll18", "jit", n=17, procs=2, repeat=1)
         assert cold["checksum"] == warm["checksum"]
         assert warm["plan_seconds"] == 0.0
+
+
+class TestNoCacheRecord:
+    """``repro exec --no-cache`` (``measure_kernel(use_cache=False)``):
+    one cold compile into a fresh in-memory cache, reported under
+    ``compile_seconds``; the repeats run what it compiled and nothing is
+    written to the cache directory."""
+
+    def _record(self, backend, repeat=3, **kw):
+        return measure_kernel("jacobi", backend, n=65, procs=4,
+                              repeat=repeat, use_cache=False, **kw)
+
+    def _assert_cold_once_and_nothing_written(self, record, tmp_path,
+                                              misses="misses"):
+        from repro.runtime.execute import prepare_kernel
+
+        plans = prepare_kernel("jacobi", n=65, procs=4,
+                               backend="vector").plans
+        first, *repeats = record["samples"]
+        assert record["compile_seconds"] == first["compile_seconds"] > 0
+        assert all(s["compile_seconds"] == 0 for s in repeats)
+        assert record["cache"][misses] == len(plans)
+        assert record["cache"]["alias_misses"] == 0
+        cache_dir = tmp_path / "jit-cache"
+        assert not cache_dir.exists() or not any(cache_dir.rglob("*"))
+        ref = measure_kernel("jacobi", "vector", n=65, procs=4, repeat=1)
+        assert record["checksum"] == ref["checksum"]
+
+    def test_jit(self, tmp_path):
+        self._assert_cold_once_and_nothing_written(self._record("jit"),
+                                                   tmp_path)
+
+    @pytest.mark.skipif(find_compiler() is None,
+                        reason="no C compiler on PATH")
+    def test_cjit(self, tmp_path):
+        record = self._record("cjit")
+        assert record["cjit"]["native"] is True
+        assert record["samples"][1]["seconds"] < record["compile_seconds"]
+        self._assert_cold_once_and_nothing_written(record, tmp_path,
+                                                   misses="native_misses")
+
+    def test_mpjit_runs_the_pool_from_inline_source(self, tmp_path):
+        from repro.runtime.pool import pool_stats, shutdown_pool
+
+        shutdown_pool()
+        try:
+            # one run: a worker's first load of a module is the one shown
+            record = self._record("mpjit", repeat=1, max_workers=2)
+            assert record["engine"] == "processes"
+            assert pool_stats()["last_load_modes"] == ["inline", "inline"]
+            self._assert_cold_once_and_nothing_written(record, tmp_path)
+        finally:
+            shutdown_pool()
 
 
 class TestConcurrentCache:

@@ -1,4 +1,4 @@
-"""Interpreter, compiled runner, and the simulated-parallel executor."""
+"""Interpreter and the simulated-parallel executor."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from conftest import alloc_1d, alloc_2d, arrays_equal, copy_arrays
 
 from repro.core import build_execution_plan, derive_shift_peel
 from repro.runtime import (
-    compile_nest,
     run_nest,
     run_parallel,
-    run_sequence_compiled,
     run_sequence_serial,
     run_unfused_parallel,
 )
@@ -30,27 +28,6 @@ class TestInterpreter:
             assert arrays["a"][idx] == b[idx]
         for idx in range(2, 33):
             assert np.isclose(arrays["c"][idx], arrays["a"][idx + 1] + arrays["a"][idx - 1])
-
-    def test_compiled_matches_interpreted(self, fig9_sequence):
-        base = alloc_1d("abcd", SIZE, seed=3)
-        interp = copy_arrays(base)
-        comp = copy_arrays(base)
-        run_sequence_serial(fig9_sequence, PARAMS, interp)
-        run_sequence_compiled(fig9_sequence, PARAMS, comp, ("n",))
-        assert arrays_equal(interp, comp)
-
-    def test_compiled_source_inspectable(self, fig9_sequence):
-        compiled = compile_nest(fig9_sequence[1], ("n",))
-        assert "for i in range" in compiled.source
-        assert "A_c[i]" in compiled.source
-
-    def test_compiled_2d(self, jacobi_sequence):
-        base = alloc_2d("ab", (20, 20), seed=5)
-        interp = copy_arrays(base)
-        comp = copy_arrays(base)
-        run_sequence_serial(jacobi_sequence, {"n": 19}, interp)
-        run_sequence_compiled(jacobi_sequence, {"n": 19}, comp, ("n",))
-        assert arrays_equal(interp, comp)
 
     def test_sequential_inner_loop_order(self):
         # An inner `do` loop with a carried dependence must run in order.

@@ -436,7 +436,7 @@ class TestEngineChoice:
         assert stats["last_load_modes"] == []
 
     def test_registry_run_uses_a_twin_on_disk(self):
-        """``run_mpjit`` finds a ``.so`` another process compiled: the
+        """The registry's mpjit finds a ``.so`` another process compiled: the
         fresh cache instance has nothing in memory."""
         from repro.runtime import plancache
 
