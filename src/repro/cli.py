@@ -363,6 +363,18 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _strip_width(text: str) -> int:
+    """``--strip`` values: Fig. 12's tiles need a width of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree (kept separate for testing)."""
     parser = argparse.ArgumentParser(
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None,
                    help="size parameter value (default: kernel default)")
     p.add_argument("--procs", type=int, default=4)
-    p.add_argument("--strip", type=int, default=None,
+    p.add_argument("--strip", type=_strip_width, default=None,
                    help="strip-mine the fused phase like the interpreter")
     p.add_argument("--repeat", type=int, default=3,
                    help="timing repeats (best is reported)")
@@ -471,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs", type=int, default=4)
     p.add_argument("--backend", default="jit",
                    choices=available_backends())
-    p.add_argument("--strip", type=int, default=None)
+    p.add_argument("--strip", type=_strip_width, default=None)
     p.add_argument("--max-workers", type=int, default=None,
                    help="worker-pool size for mpjit requests (forces "
                         "a real pool on few-core hosts so chaos worker "

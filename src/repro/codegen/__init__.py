@@ -1,12 +1,14 @@
-"""Executable code generation: CIR nodes, strip-mined SPMD, direct method,
-and the numpy-source jit emitter behind the ``jit`` backend."""
+"""Executable code generation: CIR nodes and the direct method (Fig. 11(a)),
+plus the emitters behind the compiled backends — numpy source for ``jit``
+(:mod:`.emitpy`) and C for ``cjit`` (:mod:`.emitc`), both printers of one
+per-processor box schedule,
+:meth:`~repro.core.execplan.ExecutionPlan.rows`."""
 
 from .cir import (
     CodeBarrier,
     CodeBlock,
     CodeFor,
     CodeIf,
-    CodeLet,
     CodeNode,
     CodeStmt,
     Compare,
@@ -24,14 +26,6 @@ from .emitpy import (
     compile_source,
     emit_plan_source,
 )
-from .stripmine import (
-    SpmdProcessorCode,
-    fused_block_code,
-    fused_tile_loops,
-    peeled_loops,
-    run_spmd,
-    spmd_codes,
-)
 
 __all__ = [
     "CODEGEN_VERSION",
@@ -39,25 +33,18 @@ __all__ = [
     "CodeBlock",
     "CodeFor",
     "CodeIf",
-    "CodeLet",
     "CodeNode",
     "CodeStmt",
     "Compare",
     "JitCompileError",
     "JitEmitError",
     "JitModule",
-    "SpmdProcessorCode",
     "block",
     "compile_plan",
     "compile_source",
     "direct_fused_code",
     "emit_plan_source",
-    "fused_block_code",
-    "fused_tile_loops",
     "loop",
-    "peeled_loops",
     "run_code",
     "run_direct",
-    "run_spmd",
-    "spmd_codes",
 ]

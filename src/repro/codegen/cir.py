@@ -1,14 +1,16 @@
 """CIR: a small structured IR for *generated* code.
 
-The loop-nest IR of :mod:`repro.ir` describes source programs; transformed
-code needs richer constructs — ``min``/``max`` loop bounds (strip-mined
-inner loops, Fig. 12), guarded statements (the direct method, Fig. 11(a)),
-and barriers.  CIR provides exactly those nodes, an interpreter (so
-generated code is executable and therefore testable), and a printer.
+The loop-nest IR of :mod:`repro.ir` describes source programs; the direct
+method of Fig. 11(a) (:mod:`.direct`) needs richer constructs — ``min``/
+``max`` loop bounds, guarded statements and barriers.  CIR provides exactly
+those nodes, an interpreter (so the generated code is executable and
+therefore testable), and a printer.  The strip-mined schedule of Fig. 12 is
+not CIR: it is :meth:`~repro.core.execplan.ExecutionPlan.rows`, which the
+executors and emitters walk.
 
-Nodes evaluate bounds against an integer environment, which lets the same
-tree serve both the symbolic rendering (``istart``/``iend`` as free names)
-and concrete per-processor execution (names bound by a prologue).
+Nodes evaluate bounds against an integer environment, so one tree serves
+both the symbolic rendering (free names) and concrete execution (names
+bound by :func:`run_code`).
 """
 
 from __future__ import annotations
@@ -178,20 +180,6 @@ class CodeBarrier(CodeNode):
     def render(self, indent: int = 0) -> list[str]:
         tag = f" ! {self.label}" if self.label else ""
         return [f"{IND * indent}<BARRIER>{tag}"]
-
-
-@dataclass(frozen=True)
-class CodeLet(CodeNode):
-    """``name = affine`` binding in the environment (prologue variables)."""
-
-    name: str
-    value: BoundExpr
-
-    def execute(self, env, arrays) -> None:
-        env[self.name] = self.value.eval(env)
-
-    def render(self, indent: int = 0) -> list[str]:
-        return [f"{IND * indent}{self.name} = {self.value}"]
 
 
 def block(*items: CodeNode) -> CodeBlock:

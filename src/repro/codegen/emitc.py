@@ -88,7 +88,13 @@ from ..ir.access import ArrayRef
 from ..ir.expr import Affine
 from ..ir.loop import LoopNest
 from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
-from .emitpy import CODEGEN_VERSION, JitEmitError, _box_volume
+from .emitpy import (
+    CODEGEN_VERSION,
+    JitEmitError,
+    _box_volume,
+    _linear_src,
+    _split_subscript,
+)
 
 IND = "    "
 
@@ -222,22 +228,6 @@ def _c_double(value: float) -> str:
     return f"({text})"
 
 
-def _linear_c(const: int, terms: Sequence[tuple[str, int]]) -> str:
-    """Render ``sum(c * v_var) + const`` as a C long expression."""
-    parts: list[str] = []
-    for var, coeff in terms:
-        name = f"v_{var}"
-        if coeff == 1:
-            parts.append(name)
-        elif coeff == -1:
-            parts.append(f"-{name}")
-        else:
-            parts.append(f"{coeff}*{name}")
-    if const or not parts:
-        parts.append(str(const))
-    return " + ".join(parts)
-
-
 @dataclass(frozen=True)
 class _ArrayLayout:
     """Global array table of one plan: pointer index and dims offset."""
@@ -304,29 +294,7 @@ class _NestCtx:
         self.params = params
         self.layout = layout
         self.vvar_dim = {nest.loops[d].var: d for d in vdims}
-        self.svars = {
-            nest.loops[d].var for d in range(nest.depth) if d not in vdims
-        }
         self.hazards = [self._self_loads(stmt) for stmt in nest.body]
-
-    def split(self, sub: Affine):
-        """Fold ``sub`` into (const, scalar terms, vector-dim terms)."""
-        const = sub.const
-        terms: list[tuple[str, int]] = []
-        vds: list[tuple[int, int]] = []
-        for var, coeff in sub.coeffs:
-            if var in self.vvar_dim:
-                vds.append((self.vvar_dim[var], coeff))
-            elif var in self.svars:
-                terms.append((var, coeff))
-            elif var in self.params:
-                const += coeff * self.params[var]
-            else:
-                raise CJitEmitError(
-                    f"unknown name {var!r} in subscript of nest "
-                    f"{self.nest.name!r}"
-                )
-        return const, terms, vds
 
     # -- hazard analysis ---------------------------------------------------
 
@@ -347,8 +315,10 @@ class _NestCtx:
                 continue  # another array, or the element reads itself
             dims = []
             for write, read in zip(stmt.target.subscripts, ref.subscripts):
-                wc, wt, wv = self.split(write)
-                rc, rt, rv = self.split(read)
+                wc, wt, wv = _split_subscript(write, self.nest, self.vvar_dim,
+                                              self.params, CJitEmitError)
+                rc, rt, rv = _split_subscript(read, self.nest, self.vvar_dim,
+                                              self.params, CJitEmitError)
                 if wt == rt:
                     dims.append(((wc, wv), (rc, rv)))
             out.append(dims)
@@ -388,11 +358,12 @@ class _NestCtx:
     # -- source fragments --------------------------------------------------
 
     def _index_c(self, sub: Affine) -> str:
-        const, terms, vds = self.split(sub)
+        const, terms, vds = _split_subscript(sub, self.nest, self.vvar_dim,
+                                             self.params, CJitEmitError)
         all_terms = list(terms) + [
             (self.nest.loops[d].var, coeff) for d, coeff in vds
         ]
-        return _linear_c(const, all_terms)
+        return _linear_src(const, all_terms)
 
     def addr_c(self, ref: ArrayRef) -> str:
         """The flat C index expression of ``ref`` (row-major strides)."""
@@ -530,18 +501,17 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
                        strip: Optional[int] = None) -> str:
     """Render ``exec_plan`` as a self-contained C translation unit.
 
-    Same schedule as :func:`emitpy.emit_plan_source` — per processor the
-    fused boxes (``strip`` tiles in the interpreter's order), a barrier,
-    the peeled rectangles — but held as two row tables; the code is one
+    Same schedule as :func:`emitpy.emit_plan_source` — per processor its
+    :meth:`~repro.core.execplan.ExecutionPlan.rows`: the fused boxes
+    (``strip`` tiles in the interpreter's order), a barrier, the peeled
+    rectangles — but held as two row tables; the code is one
     body per (nest, hazard verdict), the exported metadata and the entry
     points the thread team (``run_fused``/``run_peeled``) and the serial
     ``run`` wrapper (``run_plan``) call.
     """
-    from ..runtime.fastexec import _sorted_rects, vector_dims
-    from ..runtime.parallel import fused_tile_boxes
+    from ..runtime.fastexec import vector_dims
 
-    plan = exec_plan.plan
-    nests = list(plan.seq)
+    nests = list(exec_plan.plan.seq)
     layout = _array_layout(nests)
     ctxs = [_NestCtx(nest, vector_dims(nest), exec_plan.params, layout)
             for nest in nests]
@@ -550,32 +520,23 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
     width = 1 + 2 * max(nest.depth for nest in nests)
     bodies: dict[tuple[int, tuple[bool, ...]], int] = {}
 
-    def phase(chunks) -> tuple[list[list[int]], int]:
-        """Table rows and iteration count of (nest_idx, box) chunks."""
-        rows, count = [], 0
-        for k, box in chunks:
-            volume = _box_volume(box)
-            if not volume:
-                continue
+    def phase(rows) -> tuple[list[list[int]], int]:
+        """Table rows and iteration count of one processor phase."""
+        table, count = [], 0
+        for k, box in rows:
             key = (k, ctxs[k].verdict(box))
             row = [bodies.setdefault(key, len(bodies))]
             for bounds in box:
                 row.extend(bounds)
             row.extend([0] * (width - len(row)))
-            rows.append(row)
-            count += volume
-        return rows, count
+            table.append(row)
+            count += _box_volume(box)
+        return table, count
 
     fused, peeled = [], []
-    for proc in exec_plan.processors:
-        if strip is None:
-            chunks = [(k, tuple(proc.fused[k])) for k in range(len(nests))]
-        else:
-            chunks = fused_tile_boxes(proc, plan.depth, nests, plan.shift,
-                                      strip)
-        fused.append(phase(chunks))
-        peeled.append(phase((rect.nest_idx, rect.ranges)
-                            for rect in _sorted_rects(proc)))
+    for fused_rows, peeled_rows in exec_plan.rows(strip):
+        fused.append(phase(fused_rows))
+        peeled.append(phase(peeled_rows))
 
     offsets = [0]
     flat: list[int] = []

@@ -31,7 +31,7 @@ whole-array operations the vector backend performs, in the same order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, MutableMapping, Optional, Sequence
+from typing import Callable, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +94,8 @@ class JitModule:
 
 
 def _linear_src(const: int, terms: Sequence[tuple[str, int]]) -> str:
-    """Render ``sum(c * v_var) + const`` as a Python expression."""
+    """Render ``sum(c * v_var) + const`` — the same text is a Python and
+    a C expression, so both emitters print affine pieces with it."""
     parts: list[str] = []
     for var, coeff in terms:
         name = f"v_{var}"
@@ -107,6 +108,31 @@ def _linear_src(const: int, terms: Sequence[tuple[str, int]]) -> str:
     if const or not parts:
         parts.append(str(const))
     return " + ".join(parts)
+
+
+def _split_subscript(sub: Affine, nest: LoopNest,
+                     vvar_dim: Mapping[str, int], params,
+                     error: type[Exception] = JitEmitError):
+    """Fold ``sub`` into (const, scalar terms, vector-dim terms): the
+    plan's parameters are concrete ints folded into the constant, the
+    nest's vectorized variables map to their dimension (``vvar_dim``) and
+    its other loop variables stay symbolic — the static half of
+    ``fastexec._subscript_index``, shared by both emitters."""
+    const = sub.const
+    terms: list[tuple[str, int]] = []
+    vds: list[tuple[int, int]] = []
+    for var, coeff in sub.coeffs:
+        if var in vvar_dim:
+            vds.append((vvar_dim[var], coeff))
+        elif var in nest.loop_vars:
+            terms.append((var, coeff))
+        elif var in params:
+            const += coeff * params[var]
+        else:
+            raise error(
+                f"unknown name {var!r} in subscript of nest {nest.name!r}"
+            )
+    return const, terms, vds
 
 
 class _BoxCtx:
@@ -128,35 +154,12 @@ class _BoxCtx:
         self.shape = tuple(box[d][1] - box[d][0] + 1 for d in vdims)
         self.params = params
         self.vvar_dim = {nest.loops[d].var: d for d in vdims}
-        self.svars = {
-            nest.loops[d].var for d in range(nest.depth) if d not in vdims
-        }
         self.grids: set[int] = set()
-
-    # -- subscript decomposition (static _subscript_index) ----------------
-
-    def split(self, sub: Affine):
-        """Fold ``sub`` into (const, scalar terms, vector-dim terms)."""
-        const = sub.const
-        terms: list[tuple[str, int]] = []
-        vds: list[tuple[int, int]] = []
-        for var, coeff in sub.coeffs:
-            if var in self.vvar_dim:
-                vds.append((self.vvar_dim[var], coeff))
-            elif var in self.svars:
-                terms.append((var, coeff))
-            elif var in self.params:
-                const += coeff * self.params[var]
-            else:
-                raise JitEmitError(
-                    f"unknown name {var!r} in subscript of nest "
-                    f"{self.nest.name!r}"
-                )
-        return const, terms, vds
 
     def part(self, sub: Affine):
         """One subscript as ('int'|'slice'|'grid', ...) like fastexec."""
-        const, terms, vds = self.split(sub)
+        const, terms, vds = _split_subscript(sub, self.nest, self.vvar_dim,
+                                             self.params)
         if not vds:
             return ("int", const, terms, None)
         if len(vds) == 1 and vds[0][1] == 1:
@@ -310,9 +313,7 @@ def emit_box(nest: LoopNest, box, params,
     """Source lines executing every iteration of ``nest`` inside ``box``
     (the codegen analogue of :func:`~repro.runtime.fastexec.exec_box`):
     vectorized dimensions as literal indexing, the rest as scalar loops
-    in lexicographic order.  Empty boxes produce no code."""
-    if any(hi < lo for lo, hi in box):
-        return []
+    in lexicographic order."""
     if vdims is None:
         from ..runtime.fastexec import vector_dims
 
@@ -337,24 +338,21 @@ def emit_box(nest: LoopNest, box, params,
 # ---------------------------------------------------------------------------
 
 
-def _phase_function(name: str, chunks: list[tuple[int, LoopNest, tuple]],
-                    params, nest_vdims) -> tuple[list[str], int]:
-    """Emit one processor-phase function from (nest_idx, nest, box) chunks.
-
-    Returns (source lines, iteration count).  Empty boxes are dropped; a
-    phase with no work still gets a function so the run loop stays uniform.
-    """
+def _phase_function(name: str, rows, nests: Sequence[LoopNest], params,
+                    nest_vdims) -> tuple[list[str], int]:
+    """Emit one processor-phase function from its ``(nest_idx, box)``
+    rows.  Returns (source lines, iteration count); a phase with no rows
+    still gets a function so the run loop stays uniform."""
     body: list[str] = []
     count = 0
     arrays: set[str] = set()
-    for nest_idx, nest, box in chunks:
-        lines = emit_box(nest, box, params, vdims=nest_vdims[nest_idx])
-        if not lines:
-            continue
+    for nest_idx, box in rows:
+        nest = nests[nest_idx]
         count += _box_volume(box)
         arrays |= nest.arrays()
         body.append(f"{IND}# nest {nest_idx} box={box}")
-        body.extend(f"{IND}{line}" for line in lines)
+        body.extend(f"{IND}{line}" for line in
+                    emit_box(nest, box, params, vdims=nest_vdims[nest_idx]))
     header = [f"def {name}(A):"]
     binds = [f"{IND}a_{a} = A['{a}']" for a in sorted(arrays)]
     if not body:
@@ -368,14 +366,13 @@ def emit_plan_source(exec_plan: ExecutionPlan,
 
     The module exposes ``run(arrays)`` with the vector backend's phase
     structure: every processor's fused function, then (after the barrier
-    point) every processor's peeled function.  ``strip`` reproduces the
-    interpreter's strip-mined tile order, one literal box per tile.
+    point) every processor's peeled function, each printing that
+    processor's :meth:`~repro.core.execplan.ExecutionPlan.rows` (``strip``
+    tiles included) as literal boxes.
     """
-    from ..runtime.fastexec import _sorted_rects, vector_dims
-    from ..runtime.parallel import fused_tile_boxes
+    from ..runtime.fastexec import vector_dims
 
-    plan = exec_plan.plan
-    nests = list(plan.seq)
+    nests = list(exec_plan.plan.seq)
     params = exec_plan.params
     nest_vdims = [vector_dims(nest) for nest in nests]
     signature = exec_plan.signature(strip=strip)
@@ -392,29 +389,17 @@ def emit_plan_source(exec_plan: ExecutionPlan,
     peeled_names: list[str] = []
     fused_counts: list[int] = []
     peeled_counts: list[int] = []
-    for p, proc in enumerate(exec_plan.processors):
-        if strip is None:
-            chunks = [(k, nests[k], tuple(proc.fused[k]))
-                      for k in range(len(nests))]
-        else:
-            chunks = [(k, nests[k], box)
-                      for k, box in fused_tile_boxes(proc, plan.depth, nests,
-                                                     plan.shift, strip)]
-        name = f"_fused_p{p}"
-        src, count = _phase_function(name, chunks, params, nest_vdims)
-        lines.extend(src)
-        lines.append("")
-        fused_names.append(name)
-        fused_counts.append(count)
-
-        rect_chunks = [(rect.nest_idx, nests[rect.nest_idx], rect.ranges)
-                       for rect in _sorted_rects(proc)]
-        name = f"_peeled_p{p}"
-        src, count = _phase_function(name, rect_chunks, params, nest_vdims)
-        lines.extend(src)
-        lines.append("")
-        peeled_names.append(name)
-        peeled_counts.append(count)
+    for p, (fused_rows, peeled_rows) in enumerate(exec_plan.rows(strip)):
+        for phase, rows, names, counts in (
+                ("fused", fused_rows, fused_names, fused_counts),
+                ("peeled", peeled_rows, peeled_names, peeled_counts)):
+            name = f"_{phase}_p{p}"
+            src, count = _phase_function(name, rows, nests, params,
+                                         nest_vdims)
+            lines.extend(src)
+            lines.append("")
+            names.append(name)
+            counts.append(count)
 
     lines.append(f"NPROCS = {len(exec_plan.processors)}")
     lines.append("# Point-to-point sync map: PEEL_DEPS[p] lists the")

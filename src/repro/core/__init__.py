@@ -5,6 +5,7 @@ from .execplan import (
     ExecutionPlan,
     PeeledRect,
     ProcessorPlan,
+    StripError,
     build_execution_plan,
     verify_coverage,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "PeeledRect",
     "ProcessorPlan",
     "ShiftPeelPlan",
+    "StripError",
     "build_execution_plan",
     "check_legality",
     "derive_shift_peel",

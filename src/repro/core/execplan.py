@@ -28,6 +28,12 @@ from .legality import check_legality, domain_hull
 from .schedule import BlockSchedule, GridSchedule, factor_grid
 
 Range = tuple[int, int]  # inclusive (lo, hi); empty when hi < lo
+Box = tuple[Range, ...]  # one Range per nest dimension
+Row = tuple[int, Box]  # (nest_idx, box): one unit of a processor's schedule
+
+
+class StripError(ValueError):
+    """A strip-mining width below 1: Fig. 12's tiles need a positive one."""
 
 
 def range_empty(r: Range) -> bool:
@@ -115,6 +121,73 @@ class ExecutionPlan:
         from .syncdeps import peel_predecessors
 
         return peel_predecessors(self)
+
+    def tile_starts(self, proc: ProcessorPlan, strip: int) -> list[range]:
+        """Origins of ``proc``'s position-space tiles (the control loops
+        of Fig. 12), one ``range`` per fused dimension; the extent is the
+        union over nests of the fused box shifted into position space.
+        Every range is empty when the processor fuses nothing."""
+        if strip < 1:
+            raise StripError(f"strip must be a positive integer, got {strip}")
+        plan = self.plan
+        starts = []
+        for d in range(plan.depth):
+            lo = hi = None
+            for k, box in enumerate(proc.fused):
+                flo, fhi = box[d]
+                if fhi < flo:
+                    continue
+                s = plan.shift(k, d)
+                lo = flo + s if lo is None else min(lo, flo + s)
+                hi = fhi + s if hi is None else max(hi, fhi + s)
+            if lo is None:
+                return [range(0)] * plan.depth
+            starts.append(range(lo, hi + 1, strip))
+        return starts
+
+    def rows(self, strip: Optional[int] = None
+             ) -> tuple[tuple[tuple[Row, ...], tuple[Row, ...]], ...]:
+        """The execution order of the plan: per processor, its
+        :meth:`processor_rows`.  Every executor, both emitters and the
+        simulator walk this one schedule."""
+        return tuple(self.processor_rows(proc, strip)
+                     for proc in self.processors)
+
+    def processor_rows(self, proc: ProcessorPlan,
+                       strip: Optional[int] = None
+                       ) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
+        """``proc``'s fused rows and peeled rows, each a ``(nest_idx, box)``.
+
+        Fused rows are the whole per-nest boxes in sequence order when
+        ``strip`` is None; otherwise Fig. 12's strip-mined order —
+        position-space tiles (:meth:`tile_starts`) lexicographically, per
+        tile each nest's original-iteration rectangle inside it (plus the
+        full range of its non-fused inner dimensions) in sequence order.
+        Peeled rows follow the Sec. 3.4 barrier point: the peeled
+        rectangles, stable-sorted by nest.  Zero-volume boxes are not
+        rows.  A ``strip`` below 1 raises :class:`StripError`.
+        """
+        plan = self.plan
+        ndims = plan.depth
+        if strip is None:
+            fused = [(k, tuple(box)) for k, box in enumerate(proc.fused)]
+        else:
+            fused = []
+            for tile in itertools.product(*self.tile_starts(proc, strip)):
+                for k, fbox in enumerate(proc.fused):
+                    box = []
+                    for d in range(ndims):
+                        s = plan.shift(k, d)
+                        box.append((max(fbox[d][0], tile[d] - s),
+                                    min(fbox[d][1], tile[d] + strip - 1 - s)))
+                    box.extend((lo, hi) for lo, hi in fbox[ndims:])
+                    fused.append((k, tuple(box)))
+        peeled = [(rect.nest_idx, rect.ranges)
+                  for rect in sorted(proc.peeled, key=lambda r: r.nest_idx)]
+        return tuple(
+            tuple(row for row in phase if all(lo <= hi for lo, hi in row[1]))
+            for phase in (fused, peeled)
+        )
 
     def signature(self, strip: Optional[int] = None) -> str:
         """Structural sha256 of everything execution depends on.

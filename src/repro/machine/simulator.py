@@ -19,6 +19,7 @@ and far fewer barriers — reproducing the crossovers of Figs. 22–25.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -111,22 +112,8 @@ def measure_unfused(
 
 
 def _tile_count(exec_plan: ExecutionPlan, proc, strip: int) -> int:
-    plan = exec_plan.plan
-    ndims = plan.depth
-    count = 1
-    for d in range(ndims):
-        lo = hi = None
-        for k in range(plan.num_nests):
-            flo, fhi = proc.fused[k][d]
-            if fhi < flo:
-                continue
-            s = plan.shift(k, d)
-            lo = flo + s if lo is None else min(lo, flo + s)
-            hi = fhi + s if hi is None else max(hi, fhi + s)
-        if lo is None:
-            return 0
-        count *= -(-(hi - lo + 1) // strip)
-    return count
+    """Fig. 12 control-loop trips of ``proc``: its position-space tiles."""
+    return math.prod(map(len, exec_plan.tile_starts(proc, strip)))
 
 
 def measure_fused(

@@ -14,7 +14,6 @@ of the per-axis index vectors, so the whole grid is a sum of broadcast
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -130,58 +129,14 @@ def fused_proc_trace(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One processor's (fused-phase, peeled-phase) traces under the
     strip-mined execution order of Fig. 12 (tiles in lexicographic position
-    order; nests in sequence order within a tile)."""
-    plan = exec_plan.plan
-    params = exec_plan.params
-    nests = list(plan.seq)
-    ndims = plan.depth
+    order; nests in sequence order within a tile) — its
+    :meth:`~repro.core.execplan.ExecutionPlan.processor_rows`."""
+    nests = exec_plan.plan.seq
 
-    pos_lo = [None] * ndims
-    pos_hi = [None] * ndims
-    for k in range(len(nests)):
-        for d in range(ndims):
-            lo, hi = proc.fused[k][d]
-            if hi < lo:
-                continue
-            s = plan.shift(k, d)
-            plo, phi = lo + s, hi + s
-            pos_lo[d] = plo if pos_lo[d] is None else min(pos_lo[d], plo)
-            pos_hi[d] = phi if pos_hi[d] is None else max(pos_hi[d], phi)
+    def trace(rows) -> np.ndarray:
+        parts = [box_trace(nests[k], box, layout, exec_plan.params)
+                 for k, box in rows]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
-    fused_parts: list[np.ndarray] = []
-    if not any(lo is None for lo in pos_lo):
-        tile_starts = [
-            range(pos_lo[d], pos_hi[d] + 1, strip) for d in range(ndims)
-        ]
-        for tile in itertools.product(*tile_starts):
-            for k, nest in enumerate(nests):
-                box: list[Range] = []
-                empty = False
-                for d in range(ndims):
-                    s = plan.shift(k, d)
-                    flo, fhi = proc.fused[k][d]
-                    lo = max(flo, tile[d] - s)
-                    hi = min(fhi, tile[d] + strip - 1 - s)
-                    if hi < lo:
-                        empty = True
-                        break
-                    box.append((lo, hi))
-                if empty:
-                    continue
-                box.extend(proc.fused[k][ndims:])  # inner (non-fused) dims
-                fused_parts.append(box_trace(nest, box, layout, params))
-    fused = (
-        np.concatenate(fused_parts) if fused_parts else np.empty(0, dtype=np.int64)
-    )
-
-    peeled_parts: list[np.ndarray] = []
-    for rect in sorted(proc.peeled, key=lambda r: r.nest_idx):
-        if rect.is_empty():
-            continue
-        peeled_parts.append(
-            box_trace(nests[rect.nest_idx], rect.ranges, layout, params)
-        )
-    peeled = (
-        np.concatenate(peeled_parts) if peeled_parts else np.empty(0, dtype=np.int64)
-    )
-    return fused, peeled
+    fused, peeled = exec_plan.processor_rows(proc, strip)
+    return trace(fused), trace(peeled)

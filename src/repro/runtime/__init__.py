@@ -12,13 +12,7 @@ from .backend import (
 )
 from .fastexec import FastExecError, exec_box, run_vector, vector_dims
 from .interp import run_nest, run_sequence_serial
-from .parallel import (
-    fused_tile_boxes,
-    fused_work,
-    peeled_work,
-    run_parallel,
-    run_unfused_parallel,
-)
+from .parallel import run_parallel, run_unfused_parallel, work_items
 from .plancache import (
     CacheStats,
     PlanCache,
@@ -44,10 +38,7 @@ __all__ = [
     "checksum",
     "default_cache",
     "exec_box",
-    "fused_tile_boxes",
-    "fused_work",
     "get_backend",
-    "peeled_work",
     "pool_stats",
     "program_signature",
     "register_backend",
@@ -58,6 +49,7 @@ __all__ = [
     "run_parallel",
     "run_sequence_serial",
     "run_unfused_parallel",
+    "work_items",
     "shutdown_pool",
     "run_vector",
     "vector_dims",

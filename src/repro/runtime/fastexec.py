@@ -5,9 +5,10 @@ The reference executor (:mod:`repro.runtime.parallel`) interprets an
 test suite can interleave processors adversarially.  That makes it the
 semantic oracle — and makes it thousands of times slower than the hardware.
 This module lowers the *same* plan to whole-array numpy operations:
-:func:`run_vector` executes every processor's fused boxes (nest by nest,
-or strip-mined tile by tile when ``strip`` is given) and then its peeled
-rectangles as vectorized slice/fancy-index assignments.  Within one
+:func:`run_vector` walks the plan's
+:meth:`~repro.core.execplan.ExecutionPlan.rows` — every processor's fused
+boxes (nest by nest, or strip-mined tile by tile when ``strip`` is given),
+then its peeled rectangles — as vectorized slice/fancy-index assignments.  Within one
 processor, executing nest ``k``'s whole fused box before nest ``k+1``'s
 satisfies every dependence the serial original admits (all of them point
 forward in sequence order), and the shift-and-peel construction keeps the
@@ -28,15 +29,14 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Mapping, MutableMapping, Optional, Sequence
+from typing import Mapping, MutableMapping, Optional
 
 import numpy as np
 
-from ..core.execplan import ExecutionPlan, PeeledRect, ProcessorPlan
+from ..core.execplan import Box, ExecutionPlan
 from ..ir.access import ArrayRef
 from ..ir.loop import LoopNest
 from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
-from .parallel import Box, fused_tile_boxes
 
 
 class FastExecError(RuntimeError):
@@ -308,48 +308,6 @@ def exec_box(
 # ---------------------------------------------------------------------------
 
 
-def _sorted_rects(proc: ProcessorPlan) -> list[PeeledRect]:
-    order = sorted(range(len(proc.peeled)),
-                   key=lambda r: proc.peeled[r].nest_idx)
-    return [proc.peeled[r] for r in order]
-
-
-def _run_proc_fused(
-    proc: ProcessorPlan,
-    plan,
-    nests: Sequence[LoopNest],
-    params: Mapping[str, int],
-    arrays: MutableMapping[str, np.ndarray],
-    strip: Optional[int],
-    nest_vdims: Sequence[tuple[int, ...]],
-) -> int:
-    count = 0
-    if strip is None:
-        for k, nest in enumerate(nests):
-            count += exec_box(nest, tuple(proc.fused[k]), params, arrays,
-                              vdims=nest_vdims[k])
-    else:
-        for k, box in fused_tile_boxes(proc, plan.depth, nests, plan.shift,
-                                       strip):
-            count += exec_box(nests[k], box, params, arrays,
-                              vdims=nest_vdims[k])
-    return count
-
-
-def _run_proc_peeled(
-    proc: ProcessorPlan,
-    nests: Sequence[LoopNest],
-    params: Mapping[str, int],
-    arrays: MutableMapping[str, np.ndarray],
-    nest_vdims: Sequence[tuple[int, ...]],
-) -> int:
-    count = 0
-    for rect in _sorted_rects(proc):
-        count += exec_box(nests[rect.nest_idx], rect.ranges, params, arrays,
-                          vdims=nest_vdims[rect.nest_idx])
-    return count
-
-
 def run_vector(
     exec_plan: ExecutionPlan,
     arrays: MutableMapping[str, np.ndarray],
@@ -359,18 +317,18 @@ def run_vector(
     peeled phase.  ``strip`` tiles the fused phase exactly like the
     interpreter (one vectorized box per tile per nest); ``None`` executes
     each processor's whole per-nest box in one shot (fastest)."""
-    plan = exec_plan.plan
-    nests = list(plan.seq)
+    nests = list(exec_plan.plan.seq)
     params = exec_plan.params
     # Hoisted per (nest, plan): the legality analysis is identical for
     # every box of a nest, so strip-mined runs must not redo it per tile.
     nest_vdims = [vector_dims(nest) for nest in nests]
-    fused = 0
-    for proc in exec_plan.processors:
-        fused += _run_proc_fused(proc, plan, nests, params, arrays, strip,
-                                 nest_vdims)
+    rows = exec_plan.rows(strip)
+
+    def run(phase: int) -> int:
+        return sum(exec_box(nests[k], box, params, arrays, vdims=nest_vdims[k])
+                   for proc_rows in rows for k, box in proc_rows[phase])
+
+    fused = run(0)
     # ---- barrier (Sec. 3.4) ----
-    peeled = 0
-    for proc in exec_plan.processors:
-        peeled += _run_proc_peeled(proc, nests, params, arrays, nest_vdims)
+    peeled = run(1)
     return {"fused_iterations": fused, "peeled_iterations": peeled}

@@ -1,9 +1,10 @@
 """Simulated parallel execution of a fused sequence.
 
 Executes an :class:`~repro.core.execplan.ExecutionPlan` the way the target
-machine would: every processor runs its fused block (strip-mined, nests
-interleaved strip by strip), then a single barrier, then the peeled
-iterations.  Because true multithreading would not make iteration
+machine would: every processor runs its fused rows (strip-mined, nests
+interleaved strip by strip), then a single barrier, then its peeled rows —
+the schedule :meth:`~repro.core.execplan.ExecutionPlan.rows` defines for
+every executor.  Because true multithreading would not make iteration
 interleavings reproducible, parallelism is *simulated*: each processor's
 work is a generator of single iterations, and a scheduler interleaves the
 generators — round-robin, reversed, or adversarially at random.  Any legal
@@ -18,86 +19,19 @@ from typing import Iterator, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.execplan import ExecutionPlan, ProcessorPlan
-from ..ir.loop import LoopNest
+from ..core.execplan import ExecutionPlan, Row
 
 
 WorkItem = tuple[int, tuple[int, ...]]  # (nest_idx, iteration vector)
-Box = tuple[tuple[int, int], ...]  # inclusive (lo, hi) per nest dimension
 
 
-def fused_tile_boxes(
-    proc: ProcessorPlan, plan_depth: int, nests: Sequence[LoopNest],
-    shifts, strip: int = 4,
-) -> Iterator[tuple[int, Box]]:
-    """Yield ``(nest_idx, box)`` for the fused phase of one processor in
-    strip-mined order (paper Fig. 12): position-space tiles in
-    lexicographic order; per tile, nests in sequence order.  Each box is
-    the nest's original-iteration rectangle inside the tile, extended with
-    the full range of the nest's non-fused inner dimensions."""
-    ndims = plan_depth
-    # Position-space extent of this processor: union over nests of
-    # (fused range shifted into position space).
-    pos_lo = [None] * ndims
-    pos_hi = [None] * ndims
-    for k in range(len(nests)):
-        for d in range(ndims):
-            lo, hi = proc.fused[k][d]
-            if hi < lo:
-                continue
-            s = shifts(k, d)
-            plo, phi = lo + s, hi + s
-            pos_lo[d] = plo if pos_lo[d] is None else min(pos_lo[d], plo)
-            pos_hi[d] = phi if pos_hi[d] is None else max(pos_hi[d], phi)
-    if any(lo is None for lo in pos_lo):
-        return
-    tile_starts = [
-        range(pos_lo[d], pos_hi[d] + 1, strip) for d in range(ndims)
-    ]
-    for tile in itertools.product(*tile_starts):
-        for k, nest in enumerate(nests):
-            ranges = []
-            empty = False
-            for d in range(ndims):
-                s = shifts(k, d)
-                flo, fhi = proc.fused[k][d]
-                lo = max(flo, tile[d] - s)
-                hi = min(fhi, tile[d] + strip - 1 - s)
-                if hi < lo:
-                    empty = True
-                    break
-                ranges.append((lo, hi))
-            if empty:
-                continue
-            for d in range(ndims, nest.depth):
-                lo, hi = proc.fused[k][d]
-                ranges.append((lo, hi))
-            yield (k, tuple(ranges))
-
-
-def fused_work(
-    proc: ProcessorPlan, plan_depth: int, nests: Sequence[LoopNest],
-    shifts, strip: int = 4,
-) -> Iterator[WorkItem]:
-    """Yield the fused-phase iterations of one processor in strip-mined
-    order (paper Fig. 12): position-space tiles in lexicographic order; per
-    tile, nests in sequence order; per nest, iterations lexicographically."""
-    for k, box in fused_tile_boxes(proc, plan_depth, nests, shifts, strip):
+def work_items(rows: Sequence[Row]) -> Iterator[WorkItem]:
+    """Yield the iterations of one processor's rows (one phase of
+    :meth:`~repro.core.execplan.ExecutionPlan.rows`): rows in order, each
+    box's iterations lexicographically."""
+    for k, box in rows:
         for ivec in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
             yield (k, ivec)
-
-
-def peeled_work(proc: ProcessorPlan) -> Iterator[WorkItem]:
-    """Yield the peeled-phase iterations of one processor: nests in
-    sequence order, rectangles in construction order, iterations
-    lexicographically (Sec. 3.4's dependence-closed grouping)."""
-    rects = sorted(range(len(proc.peeled)), key=lambda r: proc.peeled[r].nest_idx)
-    for r in rects:
-        rect = proc.peeled[r]
-        if rect.is_empty():
-            continue
-        for ivec in rect.iterations():
-            yield (rect.nest_idx, ivec)
 
 
 def _interleave(
@@ -152,14 +86,9 @@ def run_parallel(
     nests = list(plan.seq)
     params = exec_plan.params
     env_base = dict(params)
+    rows = exec_plan.rows(strip)
 
-    def shifts(k: int, d: int) -> int:
-        return plan.shift(k, d)
-
-    fused_streams = [
-        fused_work(proc, plan.depth, nests, shifts, strip=strip)
-        for proc in exec_plan.processors
-    ]
+    fused_streams = [work_items(fused) for fused, _peeled in rows]
     executed = 0
     for _p, (k, ivec) in _interleave(fused_streams, interleave, rng):
         nest = nests[k]
@@ -171,7 +100,7 @@ def run_parallel(
         executed += 1
 
     # ---- barrier (Sec. 3.4) ----
-    peeled_streams = [peeled_work(proc) for proc in exec_plan.processors]
+    peeled_streams = [work_items(peeled) for _fused, peeled in rows]
     peeled_count = 0
     for _p, (k, ivec) in _interleave(peeled_streams, interleave, rng):
         nest = nests[k]

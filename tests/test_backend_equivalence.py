@@ -19,7 +19,7 @@ import pytest
 
 from conftest import copy_arrays, kernel_plans
 
-from repro.core import build_execution_plan, derive_shift_peel
+from repro.core import StripError, build_execution_plan, derive_shift_peel
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.kernels import all_kernels, get_kernel
 from repro.runtime import (
@@ -114,6 +114,19 @@ class TestAllKernelsAllBackends:
         point-to-point sync: processor counts above the worker count
         share a worker, and no strip may change bits or counts."""
         _check_every_strip(kernel, procs, "mpjit", max_workers=2)
+
+
+@pytest.mark.parametrize("backend", ["interp", "vector", "jit", "cjit", "mpjit"])
+@pytest.mark.parametrize("strip", [0, -2])
+def test_non_positive_strip_fails_closed_on_every_backend(backend, strip):
+    """Every backend walks ``ExecutionPlan.rows``, so every one refuses a
+    strip below 1 before touching the arrays (a negative strip used to
+    skip the fused phase and still pass ``--verify``)."""
+    base, plans = _setup("jacobi", 13, 2)
+    got = copy_arrays(base)
+    with pytest.raises(StripError):
+        get_backend(backend).run(plans[0], got, strip=strip)
+    _assert_identical(base, got, (backend, strip))
 
 
 def _seq_1d():

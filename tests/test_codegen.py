@@ -1,29 +1,25 @@
-"""Executable generated code (CIR): nodes, strip-mined SPMD, direct method."""
+"""Executable generated code (CIR): nodes and the direct method."""
 
 import numpy as np
 import pytest
 
-from conftest import alloc_1d, alloc_2d, arrays_equal, copy_arrays
+from conftest import alloc_1d, arrays_equal, copy_arrays
 
 from repro.codegen import (
     CodeBarrier,
     CodeFor,
     CodeIf,
-    CodeLet,
     CodeStmt,
     Compare,
     block,
     direct_fused_code,
-    fused_block_code,
     loop,
     run_code,
     run_direct,
-    run_spmd,
-    spmd_codes,
 )
 from repro.core import build_execution_plan, derive_shift_peel
 from repro.ir import Affine, BoundExpr, assign, load
-from repro.runtime import run_sequence_serial
+from repro.runtime import run_parallel, run_sequence_serial
 
 i = Affine.var("i")
 PARAMS = {"n": 37}
@@ -77,15 +73,6 @@ class TestCirNodes:
         with pytest.raises(ValueError):
             Compare(i, "!=", Affine.constant(5))
 
-    def test_let_binding(self):
-        code = block(
-            CodeLet("lim", BoundExpr.affine(Affine.var("n") - 35)),
-            loop("i", 0, Affine.var("lim"), CodeStmt(assign("a", i, 1.0))),
-        )
-        arrays = {"a": np.zeros(10)}
-        run_code(code, {"n": 37}, arrays)
-        assert arrays["a"].sum() == 3
-
     def test_loop_restores_outer_binding(self):
         code = loop("i", 0, 2, CodeStmt(assign("a", i, 1.0)))
         env = {"i": 99}
@@ -112,84 +99,6 @@ class TestCirNodes:
     def test_bad_step(self):
         with pytest.raises(ValueError):
             loop("i", 0, 1, CodeStmt(assign("a", i, 1.0)), step=0)
-
-
-class TestSpmdCodegen:
-    def _plan(self, seq, procs):
-        plan = derive_shift_peel(seq, ("n",))
-        return build_execution_plan(plan, PARAMS, num_procs=procs)
-
-    @pytest.mark.parametrize("procs", [1, 2, 4])
-    def test_fig9_spmd_matches_oracle(self, fig9_sequence, procs):
-        base = alloc_1d("abcd", SIZE, seed=1)
-        oracle = copy_arrays(base)
-        run_sequence_serial(fig9_sequence, PARAMS, oracle)
-        ep = self._plan(fig9_sequence, procs)
-        for order in (None, list(reversed(range(procs)))):
-            got = copy_arrays(base)
-            run_spmd(ep, got, strip=5, proc_order=order)
-            assert arrays_equal(oracle, got), (procs, order)
-
-    def test_fig13_spmd(self, fig13_sequence):
-        base = alloc_1d("ab", SIZE, seed=2)
-        oracle = copy_arrays(base)
-        run_sequence_serial(fig13_sequence, PARAMS, oracle)
-        ep = self._plan(fig13_sequence, 3)
-        got = copy_arrays(base)
-        run_spmd(ep, got, strip=4, proc_order=[2, 0, 1])
-        assert arrays_equal(oracle, got)
-
-    def test_jacobi_spmd_2d(self, jacobi_sequence):
-        params = {"n": 19}
-        base = alloc_2d("ab", (21, 21), seed=3)
-        oracle = copy_arrays(base)
-        run_sequence_serial(jacobi_sequence, params, oracle)
-        plan = derive_shift_peel(jacobi_sequence, ("n",))
-        ep = build_execution_plan(plan, params, grid_shape=(2, 2))
-        got = copy_arrays(base)
-        run_spmd(ep, got, strip=3, proc_order=[3, 1, 2, 0])
-        assert arrays_equal(oracle, got)
-
-    def test_rendered_code_shape(self, fig9_sequence):
-        ep = self._plan(fig9_sequence, 2)
-        codes = spmd_codes(ep, strip=5)
-        assert len(codes) == 2
-        text = codes[0].render()
-        assert "doall ii = " in text  # strip-mined control loop
-        assert "max(" in text and "min(" in text
-        assert "<BARRIER>" in text
-
-    def test_last_proc_has_empty_peel(self, fig9_sequence):
-        ep = self._plan(fig9_sequence, 2)
-        codes = spmd_codes(ep, strip=5)
-        assert codes[-1].peeled.render() == []
-
-    def test_fused_block_code_whole_domain(self, fig9_sequence):
-        plan = derive_shift_peel(fig9_sequence, ("n",))
-        code = fused_block_code(plan, PARAMS, strip=6, num_procs=3)
-        base = alloc_1d("abcd", SIZE, seed=4)
-        oracle = copy_arrays(base)
-        run_sequence_serial(fig9_sequence, PARAMS, oracle)
-        got = copy_arrays(base)
-        run_code(code, PARAMS, got)
-        assert arrays_equal(oracle, got)
-
-    def test_kernel_spmd(self):
-        from repro.kernels import get_kernel
-
-        info = get_kernel("calc")
-        program = info.program()
-        seq = program.sequences[0]
-        params = {"n": 29}
-        rng = np.random.default_rng(6)
-        base = {d.name: rng.random((30, 30)) + 1.0 for d in program.arrays}
-        oracle = copy_arrays(base)
-        run_sequence_serial(seq, params, oracle)
-        plan = derive_shift_peel(seq, program.params, 1)
-        ep = build_execution_plan(plan, params, num_procs=2)
-        got = copy_arrays(base)
-        run_spmd(ep, got, strip=6, proc_order=[1, 0])
-        assert arrays_equal(oracle, got)
 
 
 class TestDirectMethod:
@@ -219,12 +128,15 @@ class TestDirectMethod:
         assert "d[i-2]" in text
 
     def test_direct_matches_stripmined(self, fig9_sequence):
+        """The direct method agrees with the strip-mined schedule the
+        executors walk (``ExecutionPlan.rows``), here through the
+        interpreter."""
         plan = derive_shift_peel(fig9_sequence, ("n",))
         base = alloc_1d("abcd", SIZE, seed=9)
         a = copy_arrays(base)
         run_direct(plan, PARAMS, a)
         b = copy_arrays(base)
-        run_code(fused_block_code(plan, PARAMS, strip=4), PARAMS, b)
+        run_parallel(build_execution_plan(plan, PARAMS), b, strip=4)
         assert arrays_equal(a, b)
 
     def test_direct_rejects_multidim(self, jacobi_sequence):

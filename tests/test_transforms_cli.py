@@ -213,6 +213,14 @@ class TestCli:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strip", ["0", "-2"])
+    def test_exec_rejects_non_positive_strip(self, strip, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["exec", "jacobi", "--n", "17", "--strip", strip])
+        assert excinfo.value.code == 2
+        assert "argument --strip: must be at least 1" in \
+            capsys.readouterr().err
+
     def test_simulate(self, capsys):
         assert cli_main(
             ["simulate", "jacobi", "--procs", "1,4", "--scale", "8"]
