@@ -53,8 +53,9 @@ identically; a direct statement's vector loops run in the order of its
 target's subscripts (last subscript innermost, i.e. unit stride over the
 row-major array) — with no overlap between what it reads and writes, any
 order stores the same bits.  Arithmetic is plain IEEE-754 double with the
-same expression-tree shape numpy evaluates, compiled with ``-O2`` and
-**without** ``-ffast-math``, so every element's value is bit-identical.
+same expression-tree shape numpy evaluates, compiled with ``-O1
+-fstrict-aliasing`` and **without** ``-ffast-math`` or floating-point
+contraction (:data:`CFLAGS`), so every element's value is bit-identical.
 
 The compiled ``.so`` is cached by :mod:`repro.runtime.plancache` next to
 the ``.py`` source, keyed by the structural plan signature *plus* a
@@ -76,6 +77,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,10 +100,15 @@ from .emitpy import (
 
 IND = "    "
 
-#: Portable IEEE-754 codegen: no ``-ffast-math`` (would break
-#: bit-identity), no ``-march`` (the cache may be shared between machines
-#: of one ISA family).
-CFLAGS = ("-O2", "-shared", "-fPIC")
+#: Portable IEEE-754 codegen: no ``-ffast-math`` and ``-ffp-contract=off``
+#: (a fused multiply-add rounds once where numpy rounds twice, so either
+#: would break bit-identity on a target with FMA), no ``-march`` (the
+#: cache may be shared between machines of one ISA family).  ``-O1``
+#: builds in about two thirds of ``-O2``'s time; ``-fstrict-aliasing``
+#: lets gcc keep a body's box bound ``b[1]`` in a register across the
+#: inner loop's ``double`` stores, which gives back ``-O2``'s inner loops
+#: (nothing here vectorises at ``-O2`` either).
+CFLAGS = ("-O1", "-fstrict-aliasing", "-ffp-contract=off", "-shared", "-fPIC")
 
 ENV_CC = "REPRO_CC"
 
@@ -150,15 +157,17 @@ def find_compiler() -> Optional[str]:
     return None
 
 
-_fingerprints: dict[str, str] = {}
+_identities: dict[str, str] = {}
 
 
 def compiler_fingerprint(compiler: Optional[str] = None) -> Optional[str]:
-    """Short stable digest of (compiler identity, flags), or None.
+    """Short stable digest of (compiler identity, :data:`CFLAGS`), or None.
 
     Part of the ``.so`` cache key and of the auto-tuner's machine
-    fingerprint: a compiler upgrade must recompile cached objects and
-    invalidate persisted tuning winners instead of replaying stale ones.
+    fingerprint: a compiler upgrade or a flag change must recompile cached
+    objects and invalidate persisted tuning winners instead of replaying
+    stale ones.  The identity (``--version``) is asked once per compiler;
+    ``CFLAGS`` is read at every call, as :func:`start_compile` reads it.
     """
     import hashlib
 
@@ -166,22 +175,20 @@ def compiler_fingerprint(compiler: Optional[str] = None) -> Optional[str]:
         compiler = find_compiler()
     if compiler is None:
         return None
-    cached = _fingerprints.get(compiler)
-    if cached is not None:
-        return cached
-    try:
-        out = subprocess.run(
-            [compiler, "--version"], capture_output=True, text=True,
-            timeout=10.0,
-        )
-        identity = (out.stdout or out.stderr).splitlines()[0:1]
-        identity = identity[0] if identity else compiler
-    except (OSError, subprocess.SubprocessError, IndexError):
-        identity = compiler
-    digest = hashlib.sha256(
+    identity = _identities.get(compiler)
+    if identity is None:
+        try:
+            out = subprocess.run(
+                [compiler, "--version"], capture_output=True, text=True,
+                timeout=10.0,
+            )
+            first = (out.stdout or out.stderr).splitlines()[0:1]
+            identity = first[0] if first else compiler
+        except (OSError, subprocess.SubprocessError, IndexError):
+            identity = compiler
+        _identities[compiler] = identity
+    return hashlib.sha256(
         f"{identity}|{' '.join(CFLAGS)}".encode()).hexdigest()[:12]
-    _fingerprints[compiler] = digest
-    return digest
 
 
 # ---------------------------------------------------------------------------
@@ -1226,20 +1233,73 @@ def _validated_module(lib, path: Path, expected_signature: Optional[str],
     )
 
 
-def _run_compiler(cmd: list[str], compiler: str) -> None:
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=COMPILE_TIMEOUT)
-    except (OSError, subprocess.SubprocessError) as exc:
-        raise CJitCompileError(f"{compiler} failed to run: {exc}") from exc
-    if proc.returncode != 0:
-        tail = (proc.stderr or proc.stdout or "").strip()[-500:]
-        raise CJitCompileError(f"{compiler} exited {proc.returncode}: {tail}")
+class PendingCompile:
+    """One running compiler invocation, from :func:`start_compile`.
+
+    :meth:`wait` reaps it and publishes the object atomically;
+    :meth:`cancel` kills it.  Either way the half-written object and the
+    scratch source go, and no child process outlives the call.
+    ``COMPILE_TIMEOUT`` counts from the start.
+    """
+
+    def __init__(self, cmd: list[str], compiler: str, so_path: Path,
+                 tmp_so: Path, scratch: Optional[Path]) -> None:
+        self.so_path = so_path
+        self._cmd, self._compiler = cmd, compiler
+        self._tmp_so, self._scratch = tmp_so, scratch
+        self._timeout = COMPILE_TIMEOUT
+        self._deadline = time.monotonic() + self._timeout
+        try:
+            self._proc = subprocess.Popen(
+                cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True)
+        except (OSError, subprocess.SubprocessError) as exc:
+            self._proc = None
+            self.cancel()
+            raise CJitCompileError(f"{compiler} failed to run: {exc}") from exc
+
+    def wait(self) -> Path:
+        try:
+            try:
+                out, err = self._proc.communicate(
+                    timeout=max(0.0, self._deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                expired = subprocess.TimeoutExpired(self._cmd, self._timeout)
+                raise CJitCompileError(
+                    f"{self._compiler} failed to run: {expired}") from None
+            if self._proc.returncode != 0:
+                tail = (err or out or "").strip()[-500:]
+                raise CJitCompileError(
+                    f"{self._compiler} exited {self._proc.returncode}: {tail}")
+            os.replace(self._tmp_so, self.so_path)
+        finally:
+            # on every path (timeout, nonzero exit, an interrupt) the
+            # compiler is reaped and the half-written object goes; the
+            # scratch source always
+            self.cancel()
+        return self.so_path
+
+    def cancel(self) -> None:
+        """Kill the compiler if it still runs, reap it and drop the
+        half-written object and the scratch source."""
+        if self._proc is not None:
+            if self._proc.poll() is None:
+                self._proc.kill()
+            self._proc.wait()
+            for pipe in (self._proc.stdout, self._proc.stderr):
+                pipe.close()
+        self._tmp_so.unlink(missing_ok=True)
+        if self._scratch is not None:
+            self._scratch.unlink(missing_ok=True)
 
 
-def compile_c(source: str, so_path, compiler: Optional[str] = None,
-              c_path=None, flags: Sequence[str] = CFLAGS) -> Path:
-    """Compile ``source`` into ``so_path`` (atomically) and return it.
+def start_compile(source: str, so_path, compiler: Optional[str] = None,
+                  c_path=None,
+                  flags: Optional[Sequence[str]] = None) -> PendingCompile:
+    """Start compiling ``source`` into ``so_path`` and return at once; the
+    one place a compiler is started.  ``flags`` defaults to
+    :data:`CFLAGS`, read at call time like :func:`compiler_fingerprint`
+    reads it.
 
     ``c_path`` optionally persists the intermediate ``.c`` next to the
     object for post-mortem reading; otherwise a scratch file is used.
@@ -1251,30 +1311,80 @@ def compile_c(source: str, so_path, compiler: Optional[str] = None,
     so_path.parent.mkdir(parents=True, exist_ok=True)
     scratch = None
     if c_path is None:
-        scratch = tempfile.NamedTemporaryFile(
-            mode="w", suffix=".c", dir=so_path.parent, delete=False,
-            encoding="utf-8",
-        )
-        scratch.write(source)
-        scratch.close()
-        c_path = Path(scratch.name)
+        with tempfile.NamedTemporaryFile(
+                mode="w", suffix=".c", dir=so_path.parent, delete=False,
+                encoding="utf-8") as handle:
+            handle.write(source)
+        c_path = scratch = Path(handle.name)
     else:
         c_path = Path(c_path)
         tmp = c_path.with_suffix(f".ctmp{os.getpid()}")
         tmp.write_text(source, encoding="utf-8")
         os.replace(tmp, c_path)
     tmp_so = so_path.with_suffix(f".sotmp{os.getpid()}")
+    flags = CFLAGS if flags is None else flags
+    return PendingCompile([compiler, *flags, "-o", str(tmp_so), str(c_path)],
+                          compiler, so_path, tmp_so, scratch)
+
+
+def compile_c(source: str, so_path, compiler: Optional[str] = None,
+              c_path=None, flags: Optional[Sequence[str]] = None) -> Path:
+    """Compile ``source`` into ``so_path`` (atomically) and return it:
+    :func:`start_compile`, then wait for it."""
+    return start_compile(source, so_path, compiler, c_path, flags).wait()
+
+
+@dataclass
+class NativeBuild:
+    """A plan's C, emitted, with its compile running
+    (:func:`start_plan_native`); :meth:`load` waits and dlopens it."""
+
+    signature: str
+    source: str
+    pending: PendingCompile
+    workdir: Optional[tempfile.TemporaryDirectory] = None
+
+    def load(self) -> CJitModule:
+        try:
+            return load_native(self.pending.wait(),
+                               expected_signature=self.signature,
+                               source=self.source)
+        finally:
+            # dlopen keeps the mapping alive after the directory goes
+            self._drop_workdir()
+
+    def cancel(self) -> None:
+        try:
+            self.pending.cancel()
+        finally:
+            self._drop_workdir()
+
+    def _drop_workdir(self) -> None:
+        if self.workdir is not None:
+            self.workdir.cleanup()
+
+
+def start_plan_native(exec_plan: ExecutionPlan, strip: Optional[int] = None,
+                      compiler: Optional[str] = None, so_path=None,
+                      c_path=None) -> NativeBuild:
+    """Emit ``exec_plan`` and start compiling it into ``so_path`` (a temp
+    dir, gone after :meth:`NativeBuild.load`, when None)."""
+    compiler = compiler or find_compiler()
+    if compiler is None:
+        raise NativeUnavailable(_NO_COMPILER)
+    signature = exec_plan.signature(strip=strip)
+    source = emit_plan_c_source(exec_plan, strip=strip)
+    workdir = None
+    if so_path is None:
+        workdir = tempfile.TemporaryDirectory(prefix="repro-cjit-")
+        so_path = Path(workdir.name) / f"{signature}.so"
     try:
-        _run_compiler([compiler, *flags, "-o", str(tmp_so), str(c_path)],
-                      compiler)
-        os.replace(tmp_so, so_path)
-    finally:
-        # on every failure path (timeout, unrunnable compiler, nonzero
-        # exit) the half-written object goes; the scratch source always
-        tmp_so.unlink(missing_ok=True)
-        if scratch is not None:
-            c_path.unlink(missing_ok=True)
-    return so_path
+        pending = start_compile(source, so_path, compiler, c_path=c_path)
+    except BaseException:
+        if workdir is not None:
+            workdir.cleanup()
+        raise
+    return NativeBuild(signature, source, pending, workdir)
 
 
 def compile_plan_native(exec_plan: ExecutionPlan,
@@ -1286,14 +1396,4 @@ def compile_plan_native(exec_plan: ExecutionPlan,
     :class:`CJitCompileError` when compilation fails — the ``cjit``
     backend converts both into a counted fallback to ``jit``.
     """
-    compiler = compiler or find_compiler()
-    if compiler is None:
-        raise NativeUnavailable(_NO_COMPILER)
-    signature = exec_plan.signature(strip=strip)
-    source = emit_plan_c_source(exec_plan, strip=strip)
-    with tempfile.TemporaryDirectory(prefix="repro-cjit-") as workdir:
-        so_path = Path(workdir) / f"{signature}.so"
-        compile_c(source, so_path, compiler=compiler)
-        # dlopen keeps the mapping alive after the directory is removed.
-        return load_native(so_path, expected_signature=signature,
-                           source=source)
+    return start_plan_native(exec_plan, strip=strip, compiler=compiler).load()

@@ -199,8 +199,9 @@ register_backend(Backend(
 ))
 register_backend(Backend(
     name="cjit",
-    description="plan compiled to native C (cc -O2, signature+compiler-"
-                "fingerprint cached .so, ctypes entry points); falls back "
-                "to jit when no compiler is available",
+    description="plan compiled to native C (cc -O1 -fstrict-aliasing "
+                "-ffp-contract=off, signature+compiler-fingerprint cached "
+                ".so, ctypes entry points); falls back to jit when no "
+                "compiler is available",
     runner=partial(run_compiled, "cjit"),
 ))

@@ -340,37 +340,8 @@ class PlanCache:
         the ``cjit`` backend turns the latter into a counted fallback to
         ``jit``, never an error.
         """
-        from ..codegen import emitc
-
-        compiler = emitc.find_compiler()
-        if compiler is None:
-            return None, "no C compiler found (set $REPRO_CC or install cc)"
-        fingerprint = emitc.compiler_fingerprint(compiler)
-        signature = exec_plan.signature(strip=strip)
-        module = self.peek_native(signature, fingerprint=fingerprint)
-        if module is not None:
-            return module, None
-        self.stats.native_misses += 1
-        t0 = time.perf_counter()
-        try:
-            if not self.persist:
-                module = emitc.compile_plan_native(exec_plan, strip=strip,
-                                                   compiler=compiler)
-            else:
-                source = emitc.emit_plan_c_source(exec_plan, strip=strip)
-                so_path = self.native_path(signature, fingerprint)
-                emitc.compile_c(source, so_path, compiler=compiler,
-                                c_path=self.c_source_path(signature))
-                module = emitc.load_native(so_path,
-                                           expected_signature=signature,
-                                           source=source)
-        except emitc.CJitError as exc:
-            return None, str(exc)
-        except OSError as exc:  # read-only cache directory and kin
-            return None, f"native cache unwritable: {exc}"
-        self.stats.native_compile_seconds += time.perf_counter() - t0
-        self._remember_native(module)
-        return module, None
+        natives, reason = _NativeBatch(self, [exec_plan], strip).finish()
+        return (natives[0] if natives else None), reason
 
     # -- what a module backend runs ---------------------------------------
 
@@ -389,33 +360,36 @@ class PlanCache:
         else each plan's from :meth:`get`, compiling on a miss; ``jit``
         runs them.  ``natives`` is None or one native module per plan:
 
-        * ``cjit`` with ``plans`` compiles each plan's ``.so`` on a miss
-          (:meth:`get_native`); a failure is the ``reason``, noted once
-          and counted (:func:`~repro.codegen.emitc.note_fallback`), and
-          the run falls back to the numpy modules;
+        * ``cjit`` with ``plans`` compiles each plan's ``.so`` on a miss,
+          as :meth:`get_native` does, with ``cc`` started before the numpy
+          modules are built so the two overlap; a failure is the
+          ``reason``, noted once and counted
+          (:func:`~repro.codegen.emitc.note_fallback`), and the run falls
+          back to the numpy modules;
         * ``mpjit``, and ``cjit`` without ``plans``, never compile: each
           signature's cached twin (memory, then with ``disk`` any
           compiler's object on disk), or None when any is missing.  mpjit
           runs what cjit built, or the numpy modules on the worker pool.
         """
+        if backend == "cjit" and plans is not None:
+            batch = _NativeBatch(self, plans, strip)
+            try:
+                if modules is None:
+                    modules = [self.get(ep, strip=strip) for ep in plans]
+                natives, reason = batch.finish()
+            finally:
+                batch.cancel()
+            if reason is not None:
+                from ..codegen.emitc import note_fallback
+
+                note_fallback(reason)
+            return modules, natives, reason
         if modules is None:
             modules = [self.get(ep, strip=strip) for ep in plans]
         if backend == "jit":
             return modules, None, None
-        if backend == "mpjit" or plans is None:
-            twins = [self.peek_native(m.signature, disk=disk)
-                     for m in modules]
-            return modules, (twins if all(twins) else None), None
-        natives = []
-        for ep in plans:
-            native, reason = self.get_native(ep, strip=strip)
-            if native is None:
-                from ..codegen.emitc import note_fallback
-
-                note_fallback(reason)
-                return modules, None, reason
-            natives.append(native)
-        return modules, natives, None
+        twins = [self.peek_native(m.signature, disk=disk) for m in modules]
+        return modules, (twins if all(twins) else None), None
 
     # -- program aliases ---------------------------------------------------
 
@@ -453,6 +427,127 @@ class PlanCache:
     def clear_memory(self) -> None:
         self._memory.clear()
         self._native.clear()
+
+
+class _NativeBatch:
+    """The ``.so`` of each of ``plans``, compiled where missing, with the
+    compiles overlapping each other and whatever the caller does next.
+
+    Construction emits each missing signature's C and starts ``cc`` on it
+    (once per distinct signature, at most
+    :func:`~repro.runtime.pool.available_cpus` at a time), then returns.
+    :meth:`finish` goes through the plans in order: it looks each one up
+    (:meth:`PlanCache.peek_native`) or reaps and loads its compile, and
+    starts the next waiting compile as each one finishes.  Lookups and
+    counts happen there, in plan order, so a batch counts exactly what
+    one :meth:`PlanCache.get_native` per plan in turn would: the first
+    failure ends it, and compiles started for later plans are cancelled
+    uncounted (:meth:`cancel`).
+    """
+
+    def __init__(self, cache: PlanCache, plans: Sequence[ExecutionPlan],
+                 strip: Optional[int]) -> None:
+        from ..codegen.emitc import compiler_fingerprint, find_compiler
+        from .pool import available_cpus
+
+        self.cache, self.plans, self.strip = cache, plans, strip
+        self.compiler = find_compiler()
+        self.builds: dict[int, object] = {}  # NativeBuild, or why not
+        self.start_seconds: dict[int, float] = {}
+        self.waiting: list[int] = []
+        if self.compiler is None:
+            return
+        self.fingerprint = compiler_fingerprint(self.compiler)
+        self.signatures = [ep.signature(strip=strip) for ep in plans]
+        self.slots = available_cpus()
+        seen = set()
+        for i, sig in enumerate(self.signatures):
+            if sig not in seen and not self._cached(sig):
+                self.waiting.append(i)
+            seen.add(sig)
+        self._top_up()
+
+    def _cached(self, signature: str) -> bool:
+        """Whether a lookup may find ``signature``, without counting."""
+        cache = self.cache
+        return signature in cache._native or (
+            cache.persist
+            and cache.native_path(signature, self.fingerprint).exists())
+
+    def _start(self, i: int) -> None:
+        from ..codegen import emitc
+
+        cache, sig = self.cache, self.signatures[i]
+        t0 = time.perf_counter()
+        try:
+            self.builds[i] = emitc.start_plan_native(
+                self.plans[i], strip=self.strip, compiler=self.compiler,
+                so_path=(cache.native_path(sig, self.fingerprint)
+                         if cache.persist else None),
+                c_path=cache.c_source_path(sig) if cache.persist else None)
+        except emitc.CJitError as exc:
+            self.builds[i] = str(exc)
+        except OSError as exc:  # read-only cache directory and kin
+            self.builds[i] = f"native cache unwritable: {exc}"
+        self.start_seconds[i] = time.perf_counter() - t0
+
+    def _top_up(self) -> None:
+        """Start waiting compiles while fewer than ``slots`` run; none
+        after a start that failed."""
+        while self.waiting and len(self.builds) < self.slots:
+            i = self.waiting.pop(0)
+            self._start(i)
+            if isinstance(self.builds[i], str):
+                self.waiting.clear()
+
+    def finish(self) -> tuple[Optional[list], Optional[str]]:
+        """``(natives, None)``, or ``(None, reason)`` for the first plan
+        left without a native module."""
+        from ..codegen import emitc
+
+        if self.compiler is None:
+            return None, emitc._NO_COMPILER
+        cache = self.cache
+        natives = []
+        try:
+            for i, sig in enumerate(self.signatures):
+                if i in self.waiting:
+                    self.waiting.remove(i)
+                    self._start(i)
+                elif i not in self.builds:
+                    module = cache.peek_native(sig,
+                                               fingerprint=self.fingerprint)
+                    if module is not None:
+                        natives.append(module)
+                        continue
+                    self._start(i)  # quarantined after all: a miss
+                cache.stats.native_misses += 1
+                build = self.builds.pop(i)
+                if isinstance(build, str):
+                    return None, build
+                t0 = time.perf_counter()
+                try:
+                    module = build.load()
+                except emitc.CJitError as exc:
+                    return None, str(exc)
+                except OSError as exc:
+                    return None, f"native cache unwritable: {exc}"
+                self._top_up()
+                cache.stats.native_compile_seconds += (
+                    self.start_seconds[i] + time.perf_counter() - t0)
+                cache._remember_native(module)
+                natives.append(module)
+        finally:
+            self.cancel()
+        return natives, None
+
+    def cancel(self) -> None:
+        """Kill and clean up every compile not reaped."""
+        builds, self.builds = self.builds, {}
+        self.waiting.clear()
+        for build in builds.values():
+            if not isinstance(build, str):
+                build.cancel()
 
 
 def program_signature(program, params: Mapping[str, int], procs: int,

@@ -15,6 +15,7 @@ schedule in tables, so neither processors nor strips grow the code.
 
 import os
 import stat
+import tempfile
 import time
 import weakref
 
@@ -28,7 +29,8 @@ from repro.core import build_execution_plan, derive_shift_peel
 from repro.core.execplan import PeeledRect
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.runtime.backend import checksum, get_backend
-from repro.runtime.plancache import PlanCache, default_cache
+from repro.runtime.execute import execute_prepared, prepare_kernel
+from repro.runtime.plancache import CacheStats, PlanCache, default_cache
 
 HAVE_CC = emitc.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -64,6 +66,33 @@ def _plan(procs=2, n=17, scale=2.0):
 def _arrays(size=18, seed=0):
     rng = np.random.default_rng(seed)
     return {name: rng.random(size) + 0.5 for name in "abc"}
+
+
+#: Stub compiler prologue: answer ``--version``, log this process's pid
+#: to ``$STUB_PIDS`` (when set), then shift up to ``-o <object>``.
+_STUB_HEAD = ('[ "$1" = --version ] && { echo stub cc 1.0; exit 0; }\n'
+              '[ -n "$STUB_PIDS" ] && echo $$ >> "$STUB_PIDS"\n'
+              'while [ "$1" != "-o" ]; do shift; done\n')
+#: ... a compiler that writes part of its object and then hangs
+_HANGS = _STUB_HEAD + 'echo partial > "$2"\nexec sleep 5'
+#: ... one that writes part of its object and then fails
+_FAILS = _STUB_HEAD + 'echo partial > "$2"\necho boom >&2\nexit 3'
+
+
+def _stub_compiler(tmp_path, body):
+    stub = tmp_path / "stubcc"
+    stub.write_text(f"#!/bin/sh\n{body}\n")
+    stub.chmod(stub.stat().st_mode | stat.S_IXUSR)
+    return str(stub)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still exists (a zombie, unreaped, counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestCompilerDiscovery:
@@ -289,21 +318,50 @@ class TestArgumentMemo:
         assert view() is None
 
 
+class TestCompileFlags:
+    """What a compile hands the compiler: exactly :data:`emitc.CFLAGS`,
+    read at call time, as the fingerprint reads it."""
+
+    def test_compiler_argv_carries_exactly_cflags(self, tmp_path,
+                                                  monkeypatch):
+        argv = tmp_path / "argv"
+        stub = _stub_compiler(
+            tmp_path, f'printf "%s\\n" "$@" > "{argv}"\n' + _STUB_HEAD
+            + 'echo object > "$2"')
+        so = tmp_path / "objs" / "sig.so"
+        for flags in (emitc.CFLAGS, ("-O0", "-shared", "-fPIC", "-DREBOUND")):
+            monkeypatch.setattr(emitc, "CFLAGS", flags)
+            assert emitc.compile_c("int x;", so, compiler=stub) == so
+            got = argv.read_text().splitlines()
+            assert got[:-3] == list(flags)
+            assert got[-3] == "-o" and got[-1].endswith(".c")
+            assert so.read_text() == "object\n"
+
+    def test_fingerprint_follows_cflags(self, tmp_path, monkeypatch):
+        stub = _stub_compiler(tmp_path, _STUB_HEAD)
+        before = emitc.compiler_fingerprint(stub)
+        monkeypatch.setattr(emitc, "CFLAGS", emitc.CFLAGS + ("-DREBOUND",))
+        assert emitc.compiler_fingerprint(stub) != before
+        monkeypatch.undo()
+        assert emitc.compiler_fingerprint(stub) == before
+
+    def test_flags_keep_bit_identity(self):
+        """No contraction into fused multiply-adds, no fast math, no
+        machine-specific code: the bits may not depend on the target."""
+        flags = emitc.CFLAGS
+        assert [f for f in flags if f.startswith("-ffp-contract")] == \
+            ["-ffp-contract=off"]
+        assert "-ffast-math" not in flags and "-Ofast" not in flags
+        assert not [f for f in flags if f.startswith("-march")]
+
+
 @needs_cc
 class TestCompileCleanup:
-    def _stub_compiler(self, tmp_path, body):
-        stub = tmp_path / "stubcc"
-        stub.write_text(f"#!/bin/sh\n{body}\n")
-        stub.chmod(stub.stat().st_mode | stat.S_IXUSR)
-        return str(stub)
-
     def test_timeout_leaves_no_temporary_object(self, tmp_path, monkeypatch):
         """A compiler that writes its output and then hangs past
         ``COMPILE_TIMEOUT`` must not leave ``<sig>.sotmp<pid>`` behind."""
         monkeypatch.setattr(emitc, "COMPILE_TIMEOUT", 0.2)
-        stub = self._stub_compiler(
-            tmp_path, 'while [ "$1" != "-o" ]; do shift; done\n'
-                      'echo partial > "$2"\nexec sleep 5')
+        stub = _stub_compiler(tmp_path, _HANGS)
         out = tmp_path / "objs"
         with pytest.raises(emitc.CJitCompileError, match="failed to run"):
             emitc.compile_c("int x;", out / "sig.so", compiler=stub)
@@ -314,12 +372,70 @@ class TestCompileCleanup:
         with pytest.raises(emitc.CJitCompileError, match="failed to run"):
             emitc.compile_c("int x;", out / "sig.so",
                             compiler=str(tmp_path / "missing-cc"))
-        failing = self._stub_compiler(
-            tmp_path, 'while [ "$1" != "-o" ]; do shift; done\n'
-                      'echo partial > "$2"\necho boom >&2\nexit 3')
+        failing = _stub_compiler(tmp_path, _FAILS)
         with pytest.raises(emitc.CJitCompileError, match="exited 3: boom"):
             emitc.compile_c("int x;", out / "sig.so", compiler=failing)
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("persist", [True, False])
+    @pytest.mark.parametrize("body", [_HANGS, _FAILS],
+                             ids=["timeout", "failing"])
+    def test_failed_native_miss_leaves_nothing(self, tmp_path, monkeypatch,
+                                               body, persist):
+        """A plan compile that times out or fails leaves no
+        ``.sotmp``, no scratch ``.c`` and no live compiler, and
+        ``get_native`` reports it as the blocking compile did."""
+        monkeypatch.setattr(emitc, "COMPILE_TIMEOUT", 0.2)
+        pids = tmp_path / "pids"
+        monkeypatch.setenv("STUB_PIDS", str(pids))
+        stub = _stub_compiler(tmp_path, body)
+        monkeypatch.setenv(emitc.ENV_CC, stub)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        cache = PlanCache(root=tmp_path / "cache", persist=persist)
+        module, reason = cache.get_native(_plan())
+        assert module is None
+        if body is _HANGS:
+            assert reason.startswith(f"{stub} failed to run: Command '[")
+            assert reason.endswith("' timed out after 0.2 seconds")
+        else:
+            assert reason == f"{stub} exited 3: boom"
+        assert cache.stats.native_misses == 1
+        left = sorted(p.name for p in (tmp_path / "cache").rglob("*"))
+        # only the persisted source, kept for post-mortem
+        assert left == (sorted([f"v{emitc.CODEGEN_VERSION}",
+                                f"{_plan().signature()}.c"]) if persist
+                        else [])
+        assert os.listdir(scratch) == []
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 1
+        assert not [pid for pid in started if _alive(pid)]
+
+    def test_batch_failure_cancels_every_started_compile(self, tmp_path,
+                                                         monkeypatch):
+        """A multi-sequence miss starts its compiles together; the first
+        failure ends it, kills the ones started after it and counts as
+        the sequential misses did: one miss, then the fallback."""
+        import repro.runtime.pool as pool
+
+        monkeypatch.setattr(pool, "available_cpus", lambda: 3)
+        monkeypatch.setattr(emitc, "COMPILE_TIMEOUT", 0.5)
+        pids = tmp_path / "pids"
+        monkeypatch.setenv("STUB_PIDS", str(pids))
+        monkeypatch.setenv(emitc.ENV_CC, _stub_compiler(tmp_path, _HANGS))
+        plans = kernel_plans("hydro2d", 33, 2)[2]
+        assert len(plans) == 3
+        cache = PlanCache(root=tmp_path / "cache")
+        modules, natives, reason = cache.resolve("cjit", plans)
+        assert natives is None and "timed out" in reason
+        assert len(modules) == 3
+        assert cache.stats.native_misses == 1
+        assert emitc.fallback_stats()["count"] == 1
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert len(started) == 3
+        assert not [pid for pid in started if _alive(pid)]
+        assert not list((tmp_path / "cache").rglob("*.sotmp*"))
 
 
 @needs_cc
@@ -436,6 +552,75 @@ class TestNativeCacheLevels:
         loaded.run(a)
         module.run(b)
         assert checksum(a) == checksum(b)
+
+
+_COUNTS = [k for k, v in CacheStats().as_dict().items() if isinstance(v, int)]
+
+
+@needs_cc
+class TestNativeBatch:
+    """A cold multi-sequence cjit miss starts its compiles together and
+    builds the numpy modules while they run; it compiles each distinct
+    signature once and counts what one ``get_native`` per plan counts."""
+
+    @staticmethod
+    def _sequential_counts(root, plans):
+        cache = PlanCache(root=root)
+        for ep in plans:
+            cache.get(ep)
+        for ep in plans:
+            cache.get_native(ep)
+        return {k: cache.stats.as_dict()[k] for k in _COUNTS}
+
+    @pytest.mark.parametrize("kernel,n", [("hydro2d", 33), ("spem", 17)])
+    def test_multi_sequence_miss(self, kernel, n, tmp_path, monkeypatch):
+        from repro.codegen import emitpy
+
+        started, events = [], []
+        start_compile = emitc.start_compile
+        monkeypatch.setattr(emitc, "start_compile", lambda *a, **kw:
+                            started.append(a[1]) or events.append("cc")
+                            or start_compile(*a, **kw))
+        compile_source = emitpy.compile_source
+        monkeypatch.setattr(emitpy, "compile_source", lambda *a, **kw:
+                            events.append("numpy")
+                            or compile_source(*a, **kw))
+        cache = PlanCache(root=tmp_path / "batch")
+        prep = prepare_kernel(kernel, n=n, procs=2, backend="cjit",
+                              cache=cache)
+        assert prep.native_modules is not None
+        signatures = [ep.signature() for ep in prep.plans]
+        assert len(started) == len(set(signatures)) == len(set(started))
+        # cc is running before the first numpy module is built
+        assert events[0] == "cc" and "numpy" in events
+        counts = {k: prep.cache_stats[k] for k in _COUNTS}
+        assert counts == self._sequential_counts(tmp_path / "seq",
+                                                 prep.plans)
+        assert counts["native_misses"] == len(set(signatures))
+        assert execute_prepared(prep, "cjit")[2] == execute_prepared(
+            prepare_kernel(kernel, n=n, procs=2, backend="vector",
+                           need_plans=True), "interp")[2]
+
+    def test_a_repeated_plan_compiles_once(self, tmp_path, monkeypatch):
+        started = []
+        start_compile = emitc.start_compile
+        monkeypatch.setattr(emitc, "start_compile", lambda *a, **kw:
+                            started.append(a[1]) or start_compile(*a, **kw))
+        one, two = _plan(), _plan(scale=3.0)
+        plans = [one, two, one]
+        cache = PlanCache(root=tmp_path / "batch")
+        modules, natives, reason = cache.resolve("cjit", plans)
+        assert reason is None and natives[0] is natives[2]
+        assert len(started) == 2
+        # warm: every plan a lookup, nothing started
+        assert PlanCache(root=tmp_path / "batch").resolve(
+            "cjit", plans)[2] is None
+        assert len(started) == 2
+        counts = {k: cache.stats.as_dict()[k] for k in _COUNTS}
+        assert counts == self._sequential_counts(tmp_path / "seq", plans)
+        assert counts["native_misses"] == 2
+        assert counts["native_memory_hits"] == 1
+
 
 
 class TestFallback:

@@ -408,9 +408,10 @@ class TestEngineChoice:
     def test_cold_mpjit_prep_compiles_nothing_and_uses_the_pool(
             self, monkeypatch):
         def no_cc(*args, **kwargs):
-            raise AssertionError("mpjit ran the C compiler")
+            raise AssertionError("the C compiler ran")
 
-        monkeypatch.setattr(emitc, "compile_c", no_cc)
+        # every compile starts here: a cjit prep on the same patch trips it
+        monkeypatch.setattr(emitc, "start_compile", no_cc)
         prep = prepare_kernel("jacobi", n=33, procs=4, backend="mpjit")
         assert prep.native_modules is None
         assert prep.cache_stats["native_misses"] == 0
@@ -419,6 +420,8 @@ class TestEngineChoice:
         stats = pool_stats()
         assert stats["engine"] == "processes"
         assert stats["last_load_modes"] == ["disk", "disk"]
+        with pytest.raises(AssertionError, match="the C compiler ran"):
+            prepare_kernel("jacobi", n=33, procs=4, backend="cjit")
 
     def test_twin_compiled_after_the_prep_is_found_in_memory(self):
         prep = prepare_kernel("jacobi", n=33, procs=4, backend="mpjit")
@@ -527,10 +530,10 @@ class TestTeamLibrary:
         cc = emitc.find_compiler()
         old_name = emitc.team_file_name(cc)
         emitc.load_team(tmp_path, cc)
-        monkeypatch.setitem(emitc._fingerprints, cc, "0123456789ab")
+        monkeypatch.setitem(emitc._identities, cc, "another cc 1.0")
         new_name = emitc.team_file_name(cc)
         assert new_name != old_name
-        assert new_name.startswith("team.0123456789ab.")
+        assert new_name.startswith(f"team.{emitc.compiler_fingerprint(cc)}.")
         lib = emitc.load_team(tmp_path, cc)
         assert os.path.basename(lib._name) == new_name
         assert sorted(p.name for p in tmp_path.glob("team.*.so")) == \
@@ -555,10 +558,10 @@ class TestTeamLibrary:
         """The team is built at the first team run, never inside a plan
         compile, and no plan-cache counter sees it."""
         calls = []
-        compile_c = emitc.compile_c
-        monkeypatch.setattr(emitc, "compile_c",
+        start_compile = emitc.start_compile
+        monkeypatch.setattr(emitc, "start_compile",
                             lambda *a, **kw: calls.append(a[0]) or
-                            compile_c(*a, **kw))
+                            start_compile(*a, **kw))
         cache = default_cache()
         ep = kernel_plans("jacobi", 33, 4)[2][0]
         cache.get_native(ep)
@@ -568,3 +571,5 @@ class TestTeamLibrary:
         emitc.load_team(cache.team_dir(), emitc.find_compiler())
         assert cache.stats.as_dict() == before
         assert list(cache.version_dir.glob("team.*.so"))
+        # the team build passed the same choke point
+        assert calls[1:] == [emitc.TEAM_SOURCE]
