@@ -27,6 +27,7 @@ table/figure.  The repo's benchmark is ``benchmarks/e2e/run.py``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Sequence
 
@@ -231,9 +232,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
             weight = float(raw)
         except ValueError:
             weight = 0.0
-        if not name or weight <= 0:
+        if not name or weight <= 0 or not math.isfinite(weight):
             print(f"bad --tenant-weight {spec!r} (want NAME=WEIGHT with "
-                  f"a positive weight)", file=sys.stderr)
+                  f"a positive, finite weight)", file=sys.stderr)
             return 2
         weights[name] = weight
     if args.chaos:

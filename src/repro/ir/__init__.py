@@ -18,14 +18,6 @@ from .loop import Loop, LoopNest
 from .printer import format_nest, format_program, format_sequence, side_by_side
 from .sequence import ArrayDecl, LoopSequence, Program, single_sequence_program
 from .stmt import Assign, BinOp, Const, Expr, Load, UnaryOp, as_expr, assign, load
-from .transforms import (
-    TransformError,
-    distribute_nest,
-    interchange,
-    interchange_legal,
-    reversal_legal,
-    strip_mine,
-)
 from .validate import (
     AdmissibilityError,
     AdmissibilityReport,
@@ -50,23 +42,17 @@ __all__ = [
     "LoopNest",
     "LoopSequence",
     "Program",
-    "TransformError",
     "UnaryOp",
     "as_affine",
     "as_expr",
     "assign",
     "canonical_fused_vars",
     "compatible",
-    "distribute_nest",
     "format_nest",
-    "interchange",
-    "interchange_legal",
     "format_program",
     "format_sequence",
     "load",
-    "reversal_legal",
     "side_by_side",
-    "strip_mine",
     "single_sequence_program",
     "validate_program",
     "validate_sequence",

@@ -1,7 +1,11 @@
 """Source emission for transformed loops (the source-to-source back end).
 
-Two renderings of a shift-and-peel plan are produced:
+Three renderings of a shift-and-peel plan are produced:
 
+* :func:`emit_direct` — the direct method of paper Fig. 11(a): one fused
+  loop of guarded, subscript-shifted statements, then the iterations
+  shifting moved past the block end.  This listing is the direct
+  method's only home; what runs is the strip-mined schedule.
 * :func:`emit_stripmined` — the strip-mined fused form of paper Fig. 12 for
   a generic processor block ``istart..iend``: a fused control loop, inner
   loops with shift/peel folded into ``min``/``max`` bounds, a barrier and
@@ -11,7 +15,7 @@ Two renderings of a shift-and-peel plan are produced:
   variables from the processor id, then the fused nest and the peeled
   rectangles.
 
-Both return plain text in the same DSL the parser accepts (modulo the
+All three return plain text in the same DSL the parser accepts (modulo the
 ``min``/``max``/runtime symbols, which are for human consumption).
 """
 

@@ -16,7 +16,6 @@ from .greedy import (
 )
 from .padding import (
     padded_layout,
-    padded_layout_from_decls,
     padding_overhead_bytes,
     padding_sweep,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "greedy_memory_layout",
     "max_strip_elements",
     "padded_layout",
-    "padded_layout_from_decls",
     "padding_overhead_bytes",
     "padding_sweep",
     "partitioned_layout_from_decls",

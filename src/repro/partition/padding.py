@@ -10,9 +10,8 @@ padding-sweep experiments demonstrate.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
-from ..ir.sequence import ArrayDecl
 from ..machine.memory import MemoryLayout, contiguous_layout
 
 
@@ -26,21 +25,6 @@ def padded_layout(
     ``pad_elems`` elements."""
     return contiguous_layout(
         arrays, elem_size=elem_size, pad_inner=pad_elems, base=base
-    )
-
-
-def padded_layout_from_decls(
-    decls: Iterable[ArrayDecl],
-    params: Mapping[str, int],
-    pad_elems: int,
-    base: int = 0,
-) -> MemoryLayout:
-    decls = list(decls)
-    return padded_layout(
-        [(d.name, d.concrete_shape(params)) for d in decls],
-        pad_elems,
-        elem_size=decls[0].elem_size if decls else 8,
-        base=base,
     )
 
 

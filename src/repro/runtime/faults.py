@@ -36,6 +36,7 @@ without any fork-inheritance tricks.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -188,9 +189,13 @@ class FaultPlan:
                     try:
                         clause.seconds = float(value)
                     except ValueError:
+                        clause.seconds = math.nan
+                    if not math.isfinite(clause.seconds) \
+                            or clause.seconds < 0:
                         raise FaultSpecError(
-                            f"{source}: bad seconds {value!r} in {raw!r}"
-                        ) from None
+                            f"{source}: bad seconds {value!r} in {raw!r} "
+                            "(want a finite number >= 0)"
+                        )
                 elif key == "exitcode":
                     try:
                         clause.exitcode = int(value)

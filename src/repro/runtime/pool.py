@@ -53,6 +53,7 @@ comparison.
 from __future__ import annotations
 
 import atexit
+import math
 import os
 import threading
 import time
@@ -102,7 +103,7 @@ def sync_timeout() -> float:
     (fork shares the parent's environ).
 
     Raises :class:`EnvConfigError` naming the variable when it is set to
-    something that is not a positive number; :func:`run_mpjit_module`
+    something that is not a positive, finite number; :func:`run_mpjit_module`
     validates eagerly so the error surfaces in the parent, not as a
     traceback shipped back from a worker."""
     raw = os.environ.get(ENV_SYNC_TIMEOUT)
@@ -114,9 +115,9 @@ def sync_timeout() -> float:
         raise EnvConfigError(
             f"{ENV_SYNC_TIMEOUT} must be a number of seconds, got {raw!r}"
         ) from None
-    if value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise EnvConfigError(
-            f"{ENV_SYNC_TIMEOUT} must be positive, got {raw!r}"
+            f"{ENV_SYNC_TIMEOUT} must be positive and finite, got {raw!r}"
         )
     return value
 

@@ -50,6 +50,7 @@ field names and validation.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
@@ -162,9 +163,13 @@ def parse_request(line: bytes | str) -> Request:
         raise ProtocolError("tenant must be a non-empty string")
     deadline_ms = raw.get("deadline_ms")
     if deadline_ms is not None:
+        # NaN fails both comparisons; Infinity and integers past the
+        # float range fail the upper one (json accepts all three).
         if not isinstance(deadline_ms, (int, float)) \
-                or isinstance(deadline_ms, bool) or deadline_ms <= 0:
-            raise ProtocolError("deadline_ms must be a positive number")
+                or isinstance(deadline_ms, bool) \
+                or not 0 < deadline_ms <= sys.float_info.max:
+            raise ProtocolError("deadline_ms must be a positive, finite "
+                                "number")
         deadline_ms = float(deadline_ms)
     spec = raw.get("spec")
     if spec is not None:

@@ -91,6 +91,9 @@ class TestSpecParsing:
         ("crash@run=", "expected key=value"),
         ("crash@run=1:color=red", "unknown key"),
         ("crash@run=1:seconds=fast", "bad seconds"),
+        ("slow@run=1:seconds=nan", "bad seconds"),
+        ("slow@run=1:seconds=inf", "bad seconds"),
+        ("stall@run=1:seconds=-1", "bad seconds"),
         ("crash@run=1:worker=two", "bad worker"),
         ("", "empty fault spec"),
         (";;", "empty fault spec"),

@@ -152,6 +152,15 @@ class TestSyncTimeoutEnv:
                                match=pool_mod.ENV_SYNC_TIMEOUT):
                 sync_timeout()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_raises_naming_the_variable(self, bad, monkeypatch):
+        """``nan`` would switch the pool's backstop off (``monotonic() >=
+        nan`` is never true) and ``inf`` overflows the team's deadline:
+        both must be the named config error instead."""
+        monkeypatch.setenv(pool_mod.ENV_SYNC_TIMEOUT, bad)
+        with pytest.raises(EnvConfigError, match=pool_mod.ENV_SYNC_TIMEOUT):
+            sync_timeout()
+
     def test_unset_and_blank_fall_back(self, monkeypatch):
         monkeypatch.setenv(pool_mod.ENV_SYNC_TIMEOUT, "")
         assert sync_timeout() == pool_mod.DEFAULT_SYNC_TIMEOUT

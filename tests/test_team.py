@@ -365,6 +365,23 @@ class TestFaults:
             _interp("jacobi", 33, 4)
         assert emitc.team_workers() == workers
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sync_timeout_is_a_config_error(self, bad,
+                                                       monkeypatch):
+        """A non-finite backstop is refused before the team runs, as the
+        config error naming the variable (not a ``ValueError`` or
+        ``OverflowError`` from the deadline arithmetic)."""
+        from repro.runtime.fastexec import EnvConfigError
+
+        prep = self._prep()
+        with monkeypatch.context() as env:
+            env.setenv(pool_mod.ENV_SYNC_TIMEOUT, bad)
+            with pytest.raises(EnvConfigError,
+                               match=pool_mod.ENV_SYNC_TIMEOUT):
+                execute_prepared(prep, "mpjit", max_workers=2)
+        assert execute_prepared(prep, "mpjit", max_workers=2)[2] == \
+            _interp("jacobi", 33, 4)
+
     def test_slow_and_delayed_stall_keep_the_digest(self):
         from repro.runtime import faults
 

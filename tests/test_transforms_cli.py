@@ -1,144 +1,8 @@
-"""Loop transformations (distribution, interchange, strip-mine) and CLI."""
+"""The command-line interface."""
 
 import pytest
 
-from conftest import alloc_2d, arrays_equal, copy_arrays
-
 from repro.cli import main as cli_main
-from repro.ir import (
-    Affine,
-    Loop,
-    LoopNest,
-    TransformError,
-    assign,
-    distribute_nest,
-    interchange,
-    interchange_legal,
-    load,
-    reversal_legal,
-    strip_mine,
-)
-from repro.runtime import run_nest, run_sequence_serial
-
-i = Affine.var("i")
-j = Affine.var("j")
-n = Affine.var("n")
-
-
-def two_stmt_nest():
-    return LoopNest(
-        (Loop.make("j", 1, n - 1), Loop.make("i", 1, n - 1)),
-        (
-            assign("a", (j, i), load("x", j, i) + load("y", j, i)),
-            assign("b", (j, i), load("a", j, i) * 2.0),
-        ),
-        name="L",
-    )
-
-
-class TestDistribution:
-    def test_splits_statements(self):
-        seq = distribute_nest(two_stmt_nest())
-        assert len(seq) == 2
-        assert [len(nest.body) for nest in seq] == [1, 1]
-        assert seq[0].body[0].target.array == "a"
-        assert seq[1].body[0].target.array == "b"
-
-    def test_semantics_preserved(self):
-        nest = two_stmt_nest()
-        params = {"n": 12}
-        base = alloc_2d(["a", "b", "x", "y"], (12, 12), seed=0)
-        direct = copy_arrays(base)
-        run_nest(nest, params, direct)
-        split = copy_arrays(base)
-        run_sequence_serial(distribute_nest(nest), params, split)
-        assert arrays_equal(direct, split)
-
-    def test_distributed_then_refused(self):
-        """Distribution produces a sequence shift-and-peel can re-fuse."""
-        from repro.core import fuse_sequence
-
-        seq = distribute_nest(two_stmt_nest())
-        result = fuse_sequence(seq, ("n",), depth=1)
-        assert result.plan.is_plain_fusion()  # a->b at distance 0
-
-    def test_singleton_noop(self):
-        nest = LoopNest(
-            (Loop.make("i", 0, n),), (assign("a", i, load("b", i)),)
-        )
-        seq = distribute_nest(nest)
-        assert len(seq) == 1
-
-    def test_order_preserved_through_chain(self):
-        nest = LoopNest(
-            (Loop.make("i", 1, n - 1),),
-            (
-                assign("a", i, load("x", i)),
-                assign("b", i, load("a", i)),
-                assign("c", i, load("b", i)),
-            ),
-        )
-        seq = distribute_nest(nest)
-        assert [nest.body[0].target.array for nest in seq] == ["a", "b", "c"]
-
-
-class TestInterchange:
-    def test_legal_swap(self):
-        nest = two_stmt_nest()
-        assert interchange_legal(nest, 0, 1)
-        swapped = interchange(nest, 0, 1)
-        assert swapped.loop_vars == ("i", "j")
-
-    def test_semantics_preserved(self):
-        nest = two_stmt_nest()
-        params = {"n": 10}
-        base = alloc_2d(["a", "b", "x", "y"], (10, 10), seed=1)
-        one = copy_arrays(base)
-        run_nest(nest, params, one)
-        two = copy_arrays(base)
-        run_nest(interchange(nest, 0, 1), params, two)
-        assert arrays_equal(one, two)
-
-    def test_illegal_swap_detected(self):
-        # a[j][i] = a[j-1][i+1]: distance (1, -1); swapping makes it (-1, 1).
-        nest = LoopNest(
-            (Loop.make("j", 1, n - 1, parallel=False),
-             Loop.make("i", 1, n - 2, parallel=False)),
-            (assign("a", (j, i), load("a", j - 1, i + 1)),),
-        )
-        assert not interchange_legal(nest, 0, 1)
-        with pytest.raises(TransformError):
-            interchange(nest, 0, 1)
-
-    def test_bad_levels(self):
-        with pytest.raises(TransformError):
-            interchange(two_stmt_nest(), 0, 5)
-
-    def test_same_level_noop(self):
-        nest = two_stmt_nest()
-        assert interchange(nest, 1, 1) is nest
-
-
-class TestStripMineAndReversal:
-    def test_strip_mine_structure(self):
-        mined = strip_mine(two_stmt_nest(), 0, 8)
-        assert mined.depth == 3
-        assert mined.loop_vars == ("jj", "j", "i")
-
-    def test_strip_mine_bad_args(self):
-        with pytest.raises(TransformError):
-            strip_mine(two_stmt_nest(), 0, 0)
-        with pytest.raises(TransformError):
-            strip_mine(two_stmt_nest(), 9, 4)
-
-    def test_reversal(self):
-        nest = two_stmt_nest()
-        assert reversal_legal(nest, 0)
-        recur = LoopNest(
-            (Loop.make("i", 1, n - 1, parallel=False),),
-            (assign("a", i, load("a", i - 1)),),
-        )
-        assert not reversal_legal(recur, 0)
 
 
 FIG9 = """
