@@ -31,6 +31,7 @@ there is no evidence to shed on, so cold traffic is admitted.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
@@ -159,7 +160,12 @@ class AdmissionController:
         self.max_queue = max_queue
         self.max_batch = max_batch
         self.cost_model = cost_model or CostModel()
-        self._weights = dict(weights or {})
+        self._weights = {tenant: float(w)
+                         for tenant, w in (weights or {}).items()}
+        for tenant, w in self._weights.items():
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(f"weight of tenant {tenant!r} must be "
+                                 f"positive and finite, got {w!r}")
         # OrderedDict so equal-pass ties break round-robin, not by name.
         self._queues: OrderedDict[str, deque[QueuedRequest]] = OrderedDict()
         self._pass: dict[str, float] = {}
@@ -176,7 +182,7 @@ class AdmissionController:
     # -- bookkeeping -------------------------------------------------------
 
     def weight(self, tenant: str) -> float:
-        return max(float(self._weights.get(tenant, 1.0)), 1e-6)
+        return max(self._weights.get(tenant, 1.0), 1e-6)
 
     def _tenant(self, tenant: str) -> dict[str, int]:
         return self._tenant_stats.setdefault(
