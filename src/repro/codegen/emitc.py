@@ -133,6 +133,10 @@ class NativeUnavailable(CJitError):
     """No C compiler on this machine — callers fall back to ``jit``."""
 
 
+class TeamSyncTimeout(CJitError):
+    """A team run's sync wait outlived its timeout (:data:`TEAM_TIMEOUT`)."""
+
+
 _NO_COMPILER = "no C compiler found (set $REPRO_CC or install cc)"
 
 
@@ -1125,7 +1129,7 @@ class CJitModule:
         team (:func:`native_team`) in one call; ctypes releases the GIL.
 
         ``timeout`` bounds every sync wait (seconds; None waits forever)
-        and raises :class:`CJitError` ("no fused-done signal") past it.
+        and raises :class:`TeamSyncTimeout` past it.
         ``faults`` is one ``(action, proc, usec)`` per thread
         (:data:`TEAM_SLOW` / :data:`TEAM_STALL`, 0 for none); production
         runs pass None."""
@@ -1137,7 +1141,8 @@ class CJitModule:
         code = (_team_lib or native_team()).run_team(
             self._plan, *self._marshal(arrays), nthreads, timeout_ms, table)
         if code == TEAM_TIMEOUT:
-            raise CJitError(f"no fused-done signal within {timeout:g}s")
+            raise TeamSyncTimeout(
+                f"no fused-done signal within {timeout:g}s")
         if code < 0:
             raise CJitError("native run_team failed")
         return self._counts()

@@ -65,6 +65,11 @@ class JitCompileError(RuntimeError):
     """Generated (or cached) source failed to compile or looks stale."""
 
 
+class StaleModuleError(JitCompileError):
+    """A compiled module's signature is not the one expected: a stale or
+    corrupted plan-cache entry."""
+
+
 @dataclass(frozen=True)
 class JitModule:
     """A compiled plan: structural signature, source text and entry points.
@@ -476,7 +481,7 @@ def compile_source(source: str,
             "(PEEL_DEPS) — produced by an older codegen"
         )
     if expected_signature is not None and signature != expected_signature:
-        raise JitCompileError(
+        raise StaleModuleError(
             f"stale generated module: signature {signature[:12]}... does "
             f"not match expected {expected_signature[:12]}..."
         )

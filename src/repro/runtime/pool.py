@@ -34,12 +34,13 @@ first casualty (releasing every waiter) and raises a
 :class:`~repro.runtime.supervisor.ExecError` (a
 :class:`~repro.runtime.fastexec.FastExecError` carrying a classified
 :class:`~repro.runtime.supervisor.ExecFailure`) with the worker
-traceback.  A failed pool run poisons the pool; the
-:class:`~repro.runtime.supervisor.PoolSupervisor` repairs it in the
-background — in place (only the corpses are re-forked), or by a full
-respawn when the survivors do not settle.  A failed team run leaves
-nothing to repair: every team thread is parked again before the call
-returns.
+traceback.  Failures are classified where they are detected: the parent
+knows which workers died, and a worker ships its exception's kind with
+its traceback.  A pool whose run failed is killed at once and dropped;
+the next :func:`get_pool` spawns a fresh one, with new queues, events
+and locks — a killed worker may have died holding any of them, so none
+is reused.  A failed team run leaves nothing to replace: every team
+thread is parked again before the call returns.
 
 Deterministic fault injection (:mod:`repro.runtime.faults`) drives both
 engines through the same :meth:`~repro.runtime.faults.FaultPlan.take_worker_faults`:
@@ -61,10 +62,25 @@ from typing import Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 
-from ..codegen.emitc import TEAM_SLOW, TEAM_STALL, CJitError, CJitModule
+from ..codegen.emitc import (
+    TEAM_SLOW,
+    TEAM_STALL,
+    CJitError,
+    CJitModule,
+    TeamSyncTimeout,
+)
 from . import arena
 from .fastexec import EnvConfigError, FastExecError
 from .faults import active_plan
+from .supervisor import (
+    INTERNAL,
+    SYNC_TIMEOUT,
+    WORKER_CRASH,
+    ExecError,
+    ExecFailure,
+    classify_failure,
+    default_supervisor,
+)
 
 #: Fused-done events preallocated per pool.  Multiprocessing sync
 #: primitives travel only through ``Process`` args at spawn time (never
@@ -149,16 +165,6 @@ class P2PSync:
     def abort(self) -> None:
         self.abort_event.set()
 
-    def reset(self) -> None:
-        """Clear the abort flag and every fused-done event.
-
-        Used by in-place pool recovery after a failed run: the replaced
-        workers must not observe a stale abort (or a dead peer's leftover
-        signal) on their first healthy run."""
-        self.abort_event.clear()
-        for ev in self.events:
-            ev.clear()
-
     def signal_fused_done(self, proc: int) -> None:
         self.events[proc].set()
 
@@ -206,28 +212,33 @@ def _resolve_workers(nprocs: int, max_workers: Optional[int]) -> int:
 
 def collect_worker_results(queue, workers: Mapping[int, object], sync,
                            label: str) -> dict[int, tuple]:
-    """Gather one ``(worker_id, ok, payload)`` message per worker.
+    """Gather one ``(worker_id, ok, payload)`` message per worker; a
+    failed worker's payload is ``(kind, traceback)``.
 
     The queue is polled with a short timeout while checking worker
     liveness, so a worker that dies *before* its ``queue.put`` surfaces as
-    a prompt :class:`FastExecError` instead of a 600 s sync hang.  On any
-    failure ``sync.abort()`` is called (releasing the surviving peers)
-    and the queue is drained briefly so the root-cause traceback is
-    reported in preference to the peers' secondary "sync aborted"
-    notices.
+    a prompt failure instead of a 600 s sync hang.  On any failure
+    ``sync.abort()`` is called (releasing the surviving peers) and the
+    queue is drained briefly so the root-cause traceback is reported in
+    preference to the peers' secondary "sync aborted" notices.
+
+    Raises :class:`ExecError`: ``worker_crash`` naming the dead workers
+    and their exit codes when any died, else the kind of the first
+    genuine failure (``sync_timeout`` only when nothing else failed).
     """
     from queue import Empty
 
     results: dict[int, tuple] = {}
-    failures: list[str] = []
+    failures: list[tuple[str, str]] = []
+    dead: dict[int, Optional[int]] = {}
     pending = set(workers)
     suspect: dict[int, int] = {}
     deadline: Optional[float] = None
 
-    def fail(message: str) -> None:
+    def fail(kind: str, message: str) -> None:
         nonlocal deadline
         sync.abort()
-        failures.append(message)
+        failures.append((kind, message))
         if deadline is None:
             deadline = time.monotonic() + _FAILURE_DRAIN_SECONDS
 
@@ -247,43 +258,29 @@ def collect_worker_results(queue, workers: Mapping[int, object], sync,
                 suspect[w] = suspect.get(w, 0) + 1
                 if suspect[w] >= 3:
                     pending.discard(w)
-                    fail(f"{label} worker {w} died without reporting a "
-                         f"result (exitcode {workers[w].exitcode})")
+                    dead[w] = workers[w].exitcode
+                    fail(WORKER_CRASH,
+                         f"{label} worker {w} died without reporting a "
+                         f"result (exitcode {dead[w]})")
             continue
         pending.discard(wid)
         suspect.pop(wid, None)
         if ok:
             results[wid] = payload
         else:
-            fail(f"{label} worker {wid} failed:\n{payload}")
+            kind, text = payload
+            fail(kind, f"{label} worker {wid} failed:\n{text}")
     if failures:
         # Order the genuine tracebacks ahead of sync-abort fallout.
-        failures.sort(key=lambda m: ("sync aborted" in m.splitlines()[-1],
-                                     m))
-        raise FastExecError(
-            f"{label} execution failed ({len(failures)} worker "
-            f"failure(s)):\n" + "\n".join(failures)
-        )
+        failures.sort(key=lambda f: (f[0] == SYNC_TIMEOUT, f[1]))
+        raise ExecError(ExecFailure(
+            kind=WORKER_CRASH if dead else failures[0][0],
+            message=(f"{label} execution failed ({len(failures)} worker "
+                     f"failure(s)):\n"
+                     + "\n".join(message for _, message in failures)),
+            workers=tuple(dead), exitcodes=tuple(dead.values()),
+        ))
     return results
-
-
-#: First element of a control task (settle ack during in-place respawn);
-#: never a valid plan signature.
-_CONTROL = "__control__"
-
-
-def _drain_queue(queue, seconds: float = 0.1) -> None:
-    """Discard queued items until ``queue`` stays empty for ``seconds``
-    (an mp queue's feeder thread can surface items a beat late)."""
-    from queue import Empty
-
-    deadline = time.monotonic() + seconds
-    while True:
-        try:
-            queue.get(timeout=0.02)
-        except (Empty, OSError, ValueError):
-            if time.monotonic() >= deadline:
-                return
 
 
 def _apply_worker_fault(fault: Optional[dict]) -> None:
@@ -294,7 +291,7 @@ def _apply_worker_fault(fault: Optional[dict]) -> None:
     if action == "crash":
         os._exit(int(fault.get("exitcode", 97)))
     elif action == "slow":
-        time.sleep(float(fault.get("seconds") or 0.05))
+        time.sleep(float(fault.get("seconds", 0.05)))
 
 
 def _load_module(modules: dict, signature: str, cache_root: Optional[str],
@@ -326,12 +323,12 @@ def _load_module(modules: dict, signature: str, cache_root: Optional[str],
 
 def _pool_worker(worker_id: int, task_queue, result_queue,
                  p2p: P2PSync) -> None:
-    """One long-lived worker: loop over tasks until the ``None`` sentinel.
+    """One long-lived worker: loop over tasks until the pool kills it.
 
     Each task executes one plan's two-phase schedule for this worker's
     assigned processors, signalling fused-done per processor and waiting
     on each peeled phase's predecessors.  Errors are shipped to the
-    parent as formatted tracebacks; a failure releases the peers by
+    parent as ``(kind, traceback)``; a failure releases the peers by
     aborting the sync.
     """
     import traceback
@@ -340,13 +337,6 @@ def _pool_worker(worker_id: int, task_queue, result_queue,
     attachment = arena.Attachment()
     while True:
         task = task_queue.get()
-        if task is None:
-            break
-        if task[0] == _CONTROL:
-            # settle ack: by construction the worker is idle when it
-            # answers (tasks are consumed in queue order)
-            result_queue.put((worker_id, True, (_CONTROL, task[1])))
-            continue
         signature, cache_root, source, specs, proc_indices, fault = task
         try:
             module, load_mode = _load_module(
@@ -378,9 +368,10 @@ def _pool_worker(worker_id: int, task_queue, result_queue,
             )
         except SyncAborted as exc:
             result_queue.put((worker_id, False,
-                              f"p2p sync aborted ({exc})"))
-        except BaseException:
-            result_queue.put((worker_id, False, traceback.format_exc()))
+                              (SYNC_TIMEOUT, f"p2p sync aborted ({exc})")))
+        except BaseException as exc:
+            result_queue.put((worker_id, False, (classify_failure(exc).kind,
+                                                 traceback.format_exc())))
             p2p.abort()
 
 
@@ -392,7 +383,9 @@ class WorkerPool:
     through the task queues — and indexed by *processor*, so it is
     reused across runs of any plan that fits; the parent clears the used
     slots before each dispatch (runs are strictly serialized, every
-    worker has reported before the next dispatch).
+    worker has reported before the next dispatch).  A pool is never
+    repaired: one whose run failed is shut down and replaced whole
+    (:func:`_fail`, :func:`get_pool`).
     """
 
     def __init__(self, nworkers: int, slots: int) -> None:
@@ -417,27 +410,17 @@ class WorkerPool:
             proc.start()
         self.spawn_seconds = time.perf_counter() - t0
         self.runs = 0
-        self.broken = False
         self.closed = False
         self.last_load_modes: tuple[str, ...] = ()
         self._dirty_events = 0
-        self._control_token = 0
-
-    def healthy(self) -> bool:
-        return not self.broken and all(
-            proc.is_alive() for proc in self.workers.values()
-        )
 
     def run_module(self, module, assignment: Sequence[Sequence[int]],
                    specs: tuple, cache_root: Optional[str],
                    faults) -> tuple[int, int]:
         """Submit one two-phase execution; returns (fused, peeled) totals.
-        ``faults`` is the active fault plan (None in production).
-
-        Any worker failure marks the pool broken (the shared abort event
-        is set and the survivors must settle before reuse) and re-raises
-        promptly.
-        """
+        ``faults`` is the active fault plan (None in production).  Any
+        worker failure raises :class:`ExecError` promptly, and the pool
+        must not run again."""
         assert len(assignment) == self.nworkers
         assert module.nprocs <= len(self.p2p.events)
         for ev in self.p2p.events[:self._dirty_events]:
@@ -451,13 +434,9 @@ class WorkerPool:
                 (module.signature, cache_root, module.source, specs,
                  tuple(procs), injected.get(w))
             )
-        try:
-            results = collect_worker_results(
-                self.result_queue, self.workers, self.p2p, "mpjit"
-            )
-        except FastExecError:
-            self.broken = True
-            raise
+        results = collect_worker_results(
+            self.result_queue, self.workers, self.p2p, "mpjit"
+        )
         self.last_load_modes = tuple(
             results[w][2] for w in sorted(results)
         )
@@ -465,97 +444,27 @@ class WorkerPool:
         peeled = sum(r[1] for r in results.values())
         return fused, peeled
 
-    def respawn_dead(self, settle_seconds: float = 2.0) -> int:
-        """Replace dead workers in place; returns how many were re-forked.
-
-        Warm survivors keep their compiled-module caches and the
-        existing queues / event table are reused — only the corpses pay
-        a fork.
-
-        The abort event stays set while every survivor is rendezvoused
-        through a control ack — a survivor still draining the failed
-        run's sync must observe the abort, report its stale failure and
-        return to its task queue *before* the primitives are reset
-        under it.  Raises :class:`FastExecError` when a survivor fails
-        to settle within ``settle_seconds`` (caller falls back to a
-        full respawn).
-        """
-        import multiprocessing as mp
-        from queue import Empty
-
-        if self.closed:
-            raise FastExecError("cannot respawn into a closed pool")
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else "spawn")
-        dead = [w for w, p in self.workers.items() if not p.is_alive()]
-        alive = [w for w in self.workers if w not in dead]
-        self._control_token += 1
-        token = self._control_token
-        for w in alive:
-            self.task_queues[w].put((_CONTROL, token))
-        pending = set(alive)
-        deadline = time.monotonic() + settle_seconds
-        while pending:
-            if time.monotonic() >= deadline:
-                raise FastExecError(
-                    f"workers {sorted(pending)} did not settle for "
-                    "in-place respawn"
-                )
-            try:
-                wid, ok, payload = self.result_queue.get(timeout=0.05)
-            except (Empty, OSError, ValueError):
-                continue
-            if (ok and isinstance(payload, tuple)
-                    and payload[0] == _CONTROL and payload[1] == token):
-                pending.discard(wid)
-            # anything else is stale fallout from the failed run
-        for w in dead:
-            self.workers[w].join(timeout=0.2)
-            _drain_queue(self.task_queues[w])
-        _drain_queue(self.result_queue, seconds=0.05)
-        self.p2p.reset()
-        self._dirty_events = 0
-        for w in dead:
-            proc = ctx.Process(
-                target=_pool_worker,
-                args=(w, self.task_queues[w], self.result_queue, self.p2p),
-                daemon=True,
-            )
-            proc.start()
-            self.workers[w] = proc
-        self.broken = False
-        return len(dead)
-
     def shutdown(self) -> None:
-        """Stop every worker (sentinel, then terminate stragglers).
+        """Kill every worker, reap it, then close the queues: one path
+        for a healthy pool and a failed one.  ``SIGKILL``, because a
+        worker forked from ``repro serve`` inherits the daemon's signal
+        handlers, and a ``SIGTERM`` would start the daemon's drain
+        instead of ending the worker.
 
         Idempotent: a second call returns immediately, so a daemon's
         SIGTERM drain path and the interpreter's atexit hook can both
-        call it without double-closing queues or re-terminating
+        call it without double-closing queues or re-killing
         already-reaped processes.
         """
         if self.closed:
             return
         self.closed = True
-        for q in self.task_queues:
-            try:
-                q.put(None)
-            except (OSError, ValueError):  # pragma: no cover - queue gone
-                pass
-        deadline = time.monotonic() + 5.0
         for proc in self.workers.values():
-            proc.join(timeout=max(0.1, deadline - time.monotonic()))
+            proc.kill()
         for proc in self.workers.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self.workers.values():
-            proc.join(timeout=5)
+            proc.join()
         for q in [self.result_queue, *self.task_queues]:
-            try:
-                q.close()
-            except (OSError, ValueError):  # pragma: no cover - queue gone
-                pass
-        self.broken = True
+            q.close()
 
     #: Explicit alias for daemon shutdown paths: ``pool.close()`` reads
     #: naturally next to file/socket teardown and is equally idempotent.
@@ -564,50 +473,47 @@ class WorkerPool:
 
 _pool: Optional[WorkerPool] = None
 _spawns = 0
+#: Workers spawned to replace a failed pool; ``_replacing`` is set while
+#: a failed pool's replacement is still to be spawned.
+_respawns = 0
+_replacing = False
 
-#: The last parallel run's engine (``"threads"``/``"processes"``), the
-#: size of the last team and the team runs since :func:`stop_pool`.
-_last = {"engine": None, "team_size": 0, "team_runs": 0}
+#: The last parallel run's engine (``"threads"``/``"processes"``) and
+#: thread or worker count, and the parallel runs of both engines since
+#: :func:`stop_pool` (a failed pool's replacement does not reset them).
+_last = {"engine": None, "size": 0, "runs": 0}
 _last_lock = threading.Lock()
-
-#: Guards ``_pool`` between the exec path and the supervisor's
-#: background recovery thread (reentrant: recovery calls get_pool /
-#: stop_pool while already holding it).
-_lock = threading.RLock()
 
 
 def get_pool(nworkers: int, nprocs: int = 0) -> WorkerPool:
-    """The process-wide pool, (re)spawned when absent, resized, broken or
-    holding fewer fused-done events than ``nprocs`` processors need
-    (the respawned table holds ``max(P2P_EVENT_SLOTS, nprocs)``).
-
-    Serialized against background recovery: a caller arriving while the
-    supervisor is mid-respawn blocks briefly and then finds the healthy
-    pool instead of racing it."""
-    global _pool, _spawns
-    with _lock:
-        if _pool is not None and (
-            _pool.nworkers != nworkers
-            or len(_pool.p2p.events) < nprocs
-            or not _pool.healthy()
-        ):
-            stop_pool()
-        if _pool is None:
-            _pool = WorkerPool(nworkers, max(P2P_EVENT_SLOTS, nprocs))
-            _spawns += 1
-        return _pool
+    """The process-wide pool, spawned when absent (never started, stopped,
+    or dropped after a failed run) and respawned when resized or holding
+    fewer fused-done events than ``nprocs`` processors need (the
+    respawned table holds ``max(P2P_EVENT_SLOTS, nprocs)``)."""
+    global _pool, _spawns, _respawns, _replacing
+    if _pool is not None and (
+        _pool.nworkers != nworkers or len(_pool.p2p.events) < nprocs
+    ):
+        stop_pool()
+    if _pool is None:
+        _pool = WorkerPool(nworkers, max(P2P_EVENT_SLOTS, nprocs))
+        _spawns += 1
+        if _replacing:
+            _respawns += nworkers
+            _replacing = False
+    return _pool
 
 
 def stop_pool() -> None:
     """Stop the process-wide pool's workers (no-op when there is none)
     and restart the run counters."""
-    global _pool
-    with _lock:
-        with _last_lock:
-            _last.update(engine=None, team_size=0, team_runs=0)
-        if _pool is not None:
-            _pool.shutdown()
-            _pool = None
+    global _pool, _replacing
+    with _last_lock:
+        _last.update(engine=None, size=0, runs=0)
+    _replacing = False
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
 
 
 def shutdown_pool() -> None:
@@ -629,19 +535,19 @@ def pool_stats() -> dict:
     thread or worker count (the live pool's size before any run), and
     ``runs`` counts the parallel runs of both engines since the pool was
     last stopped.  Single-worker runs execute serially and count nowhere.
+    ``respawns`` counts the workers spawned to replace failed pools.
     """
-    from .supervisor import _supervisor
-
     pool = _pool
     engine = _last["engine"]
-    if engine == "threads":
-        nworkers = _last["team_size"]
+    if engine is not None:
+        nworkers = _last["size"]
     else:
         nworkers = pool.nworkers if pool is not None else 0
-    runs = _last["team_runs"] + (pool.runs if pool is not None else 0)
+    runs = _last["runs"]
     return {
         "engine": engine,
-        "alive": pool is not None and pool.healthy(),
+        "alive": pool is not None and all(
+            proc.is_alive() for proc in pool.workers.values()),
         "spawns": _spawns,
         "nworkers": nworkers,
         "runs": runs,
@@ -651,7 +557,7 @@ def pool_stats() -> dict:
                             else []),
         "last_sync": "p2p" if runs else None,
         "p2p_slots": len(pool.p2p.events) if pool is not None else 0,
-        "respawns": _supervisor.respawns if _supervisor is not None else 0,
+        "respawns": _respawns,
     }
 
 
@@ -732,7 +638,8 @@ def _team_faults(injected: Mapping[int, dict], nthreads: int) -> list:
     for w, fault in injected.items():
         seconds = fault.get("seconds")
         if fault["action"] == "slow":
-            rows[w] = (TEAM_SLOW, -1, round(1e6 * (seconds or 0.05)))
+            rows[w] = (TEAM_SLOW, -1, round(
+                1e6 * (0.05 if seconds is None else seconds)))
         elif fault["action"] == "stall":
             proc = fault.get("proc")
             rows[w] = (TEAM_STALL, -1 if proc is None else proc,
@@ -744,33 +651,34 @@ def _run_team(module, arrays: MutableMapping[str, np.ndarray],
               nthreads: int, timeout: float, faults) -> dict[str, int]:
     """One run on the process-wide native team (``faults``: the active
     fault plan or None); a failure is classified and recorded like a pool
-    failure."""
+    failure.  An injected ``crash`` fails the run as the ``worker_crash``
+    a dead pool worker produces (a thread cannot die alone)."""
     injected = (faults.take_worker_faults(nthreads)
                 if faults is not None else {})
     with _last_lock:
-        _last.update(engine="threads", team_size=nthreads,
-                     team_runs=_last["team_runs"] + 1)
+        _last.update(engine="threads", size=nthreads, runs=_last["runs"] + 1)
+    crashed = {w: fault["exitcode"] for w, fault in sorted(injected.items())
+               if fault["action"] == "crash"}
+    if crashed:
+        _fail(ExecError(ExecFailure(
+            kind=WORKER_CRASH,
+            message=f"mpjit team threads {list(crashed)} crashed (injected)",
+            workers=tuple(crashed), exitcodes=tuple(crashed.values()))))
     try:
-        for w, fault in sorted(injected.items()):
-            if fault["action"] == "crash":
-                raise FastExecError(
-                    f"mpjit worker {w} died without reporting a result "
-                    f"(exitcode {fault['exitcode']}; injected into a team "
-                    f"run)")
         return module.run_team(
             arrays, nthreads, timeout=timeout,
             faults=_team_faults(injected, nthreads) if injected else None)
     except CJitError as exc:
-        _fail(FastExecError(f"mpjit team run failed: {exc}"))
-    except FastExecError as exc:
-        _fail(exc)
+        _fail(ExecError(ExecFailure(
+            kind=(SYNC_TIMEOUT if isinstance(exc, TeamSyncTimeout)
+                  else INTERNAL),
+            message=f"mpjit team run failed: {exc}")))
 
 
 def _dispatch(module, nworkers: int, specs: tuple,
               cache_root: Optional[str], faults) -> dict[str, int]:
     """One pool run over arena ``specs`` (``faults``: the active fault
-    plan or None); failures are classified and the pool handed to the
-    supervisor."""
+    plan or None); a failed run's pool is killed (:func:`_fail`)."""
     nprocs = module.nprocs
     pool = None
     try:
@@ -778,27 +686,27 @@ def _dispatch(module, nworkers: int, specs: tuple,
             tuple(range(w, nprocs, nworkers)) for w in range(nworkers)
         ]
         pool = get_pool(nworkers, nprocs)
-        _last["engine"] = "processes"
+        with _last_lock:
+            _last.update(engine="processes", size=nworkers,
+                         runs=_last["runs"] + 1)
         fused, peeled = pool.run_module(module, assignment, specs,
                                         cache_root, faults)
         return {"fused_iterations": fused, "peeled_iterations": peeled}
     except FastExecError as exc:
-        # The abort event is set and the pool is marked broken: the
-        # supervisor repairs it in the background while the caller
-        # decides whether to retry (possibly degraded).
         _fail(exc, pool)
 
 
 def _fail(exc: FastExecError, pool: Optional[WorkerPool] = None):
-    """Classify ``exc``, record it (and hand a broken ``pool`` to the
-    supervisor), then raise it as an ``ExecError``."""
-    from .supervisor import ExecError, classify_failure, default_supervisor
-
+    """Classify ``exc`` and record it, kill ``pool`` (the one the failed
+    run used, if any) so the next :func:`get_pool` spawns a fresh one,
+    then raise ``exc`` as an ``ExecError``."""
+    global _pool, _replacing
     failure = classify_failure(exc)
-    supervisor = default_supervisor()
-    supervisor.record_failure(failure, pool=pool)
-    if pool is not None and not pool.healthy():
-        supervisor.recover_in_background(pool)
+    default_supervisor().record_failure(failure, pool=pool)
+    if pool is not None:
+        if _pool is pool:
+            _pool, _replacing = None, True
+        pool.shutdown()
     if isinstance(exc, ExecError):
         raise exc
     raise ExecError(failure) from exc

@@ -1,22 +1,19 @@
-"""Supervised recovery: failure taxonomy, pool respawn, breaker, retry.
+"""Recovery policy: failure taxonomy, failure records, breaker, retry.
 
-PR 3/7 made the multiprocess path *detect* failures well — dead or
-raising workers surface as :class:`FastExecError` with tracebacks in
-well under a second — but every failure was terminal for the caller and
-for the pool.  This module adds the recovery half:
+The mpjit engines detect failures promptly — dead or raising workers
+surface in well under a second, and :mod:`repro.runtime.pool` kills a
+pool whose run failed so the next run gets a fresh one.  This module
+holds what the caller does next:
 
 * :class:`ExecFailure` — a structured failure record with a small error
   taxonomy (``worker_crash`` / ``sync_timeout`` / ``compile_error`` /
   ``cache_corrupt`` / ``overload``, plus an ``internal`` fallback),
-  derived from an exception by :func:`classify_failure` and carried on
-  :class:`ExecError` so the serve layer can answer with machine-readable
-  failures instead of opaque strings.
-* :class:`PoolSupervisor` — quarantines dead-worker records and respawns
-  the pool **in the background** the moment a failure is reported, so
-  the spawn cost overlaps the caller's retry instead of serializing
-  with it.  The pool is repaired *in place* first (only the dead
-  workers are re-forked; warm survivors keep their compiled-module
-  caches), with a full respawn only when the survivors do not settle.
+  carried on :class:`ExecError` so the serve layer can answer with
+  machine-readable failures instead of opaque strings.  Failures are
+  classified where they are detected; :func:`classify_failure` maps the
+  remaining exception types onto the taxonomy.
+* :class:`PoolSupervisor` — the failure records: counts per kind, the
+  last failure and a ring of dead pool workers.
 * :class:`CircuitBreaker` — per-signature consecutive-failure counts
   that step the backend down the degradation ladder
   ``mpjit → jit → vector`` (every rung is bit-identical by
@@ -35,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .fastexec import FastExecError
-from .pool import SyncAborted
 
 # -- error taxonomy -----------------------------------------------------
 
@@ -89,40 +85,22 @@ class ExecError(FastExecError):
 
 
 def classify_failure(exc: BaseException) -> ExecFailure:
-    """Map an exception from the exec path onto the failure taxonomy."""
-    from ..codegen.emitpy import JitCompileError
+    """Map an exception from the exec path onto the failure taxonomy, by
+    type: an :class:`ExecError` carries its own, a ``JitCompileError`` is
+    ``compile_error`` (``cache_corrupt`` when the module is stale), and
+    anything else is ``internal`` — retryable only for a
+    :class:`FastExecError`."""
+    from ..codegen.emitpy import JitCompileError, StaleModuleError
 
     if isinstance(exc, ExecError):
         return exc.failure
     msg = str(exc)
     if isinstance(exc, JitCompileError):
-        kind = COMPILE_ERROR
-        if "signature mismatch" in msg or "stale" in msg:
-            kind = CACHE_CORRUPT
-        return ExecFailure(kind=kind, message=msg)
-    if isinstance(exc, SyncAborted):
-        return ExecFailure(kind=SYNC_TIMEOUT, message=msg)
-    if "died without reporting a result" in msg:
-        import re
-
-        workers = tuple(
-            int(w) for w in re.findall(r"worker (\d+) died", msg)
-        )
-        exitcodes = tuple(
-            int(c) for c in re.findall(r"exitcode (-?\d+)", msg)
-        )
-        return ExecFailure(kind=WORKER_CRASH, message=msg,
-                           workers=workers, exitcodes=exitcodes)
-    if "JitCompileError" in msg:
-        kind = COMPILE_ERROR
-        if "signature mismatch" in msg or "stale" in msg:
-            kind = CACHE_CORRUPT
-        return ExecFailure(kind=kind, message=msg)
-    if "no fused-done signal" in msg or "sync aborted" in msg:
-        return ExecFailure(kind=SYNC_TIMEOUT, message=msg)
-    if isinstance(exc, FastExecError):
-        return ExecFailure(kind=INTERNAL, message=msg)
-    return ExecFailure(kind=INTERNAL, message=msg, retryable=False)
+        return ExecFailure(kind=(CACHE_CORRUPT
+                                 if isinstance(exc, StaleModuleError)
+                                 else COMPILE_ERROR), message=msg)
+    return ExecFailure(kind=INTERNAL, message=msg,
+                       retryable=isinstance(exc, FastExecError))
 
 
 # -- degradation ladder -------------------------------------------------
@@ -230,27 +208,21 @@ class RetryPolicy:
                    self.backoff_base * self.backoff_factor ** (attempt - 1))
 
 
-# -- pool supervision ---------------------------------------------------
+# -- failure records ----------------------------------------------------
 
 
 class PoolSupervisor:
-    """Quarantine dead workers and respawn the pool off the hot path.
+    """The record of mpjit failures, for ``repro serve``'s ``health``.
 
-    :func:`repro.runtime.pool.run_mpjit_module` reports every mpjit
-    failure here; for a pool failure the supervisor records the casualty
-    (worker id, exitcode, run, kind) and kicks a background thread that
-    repairs the process-wide pool under the pool module's lock — in
-    place when the survivors settle, full respawn otherwise.  The
-    caller's retry (or the next request) then finds a healthy pool
-    instead of paying the spawn cost synchronously.  A thread-team
-    failure is only counted: its threads are parked again when the call
-    returns."""
+    :func:`repro.runtime.pool.run_mpjit_module` reports every failure
+    here: counts per kind, the last failure, and — for a pool failure,
+    before the pool is killed — each dead worker (id, exit code, run,
+    kind).  Recovery itself is not its job: the failed pool is replaced
+    at the next run, and a thread team's threads are parked again when
+    the call returns."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self.respawns = 0       # workers re-forked
-        self.recoveries = 0     # successful recovery events
         self.failures: dict = {}
         self.quarantined: deque = deque(maxlen=16)
         self.last_failure: Optional[dict] = None
@@ -275,65 +247,12 @@ class PoolSupervisor:
                             "kind": failure.kind,
                         })
 
-    def recover_in_background(self, pool) -> None:
-        """Repair the process-wide pool on a daemon thread (idempotent:
-        a recovery already in flight is left to finish)."""
-        with self._lock:
-            if self._thread is not None and self._thread.is_alive():
-                return
-            thread = threading.Thread(
-                target=self._recover, args=(pool,),
-                daemon=True, name="repro-pool-supervisor",
-            )
-            self._thread = thread
-        thread.start()
-
-    def wait(self, timeout: Optional[float] = None) -> None:
-        """Block until any in-flight recovery finishes (tests/teardown)."""
-        with self._lock:
-            thread = self._thread
-        if thread is not None:
-            thread.join(timeout)
-
-    def _recover(self, broken_pool) -> None:
-        from . import pool as pool_mod
-
-        with pool_mod._lock:
-            # Somebody (an explicit shutdown_pool, a resize, a fixture
-            # teardown) already replaced or retired this pool: recovering
-            # it now would leak workers past the owner's cleanup.
-            if pool_mod._pool is not broken_pool or broken_pool.closed:
-                return
-            try:
-                replaced = broken_pool.respawn_dead()
-            except FastExecError:
-                replaced = None
-            if replaced is not None and broken_pool.healthy():
-                with self._lock:
-                    self.respawns += replaced
-                    self.recoveries += 1
-                return
-            nworkers = broken_pool.nworkers
-            pool_mod.stop_pool()
-            try:
-                pool_mod.get_pool(nworkers, len(broken_pool.p2p.events))
-            except Exception:  # pragma: no cover - spawn failed; next
-                return         # get_pool will surface the real error
-            with self._lock:
-                self.respawns += nworkers
-                self.recoveries += 1
-
     def stats(self) -> dict:
         with self._lock:
             return {
-                "respawns": self.respawns,
-                "recoveries": self.recoveries,
                 "failures": dict(self.failures),
                 "quarantined": list(self.quarantined),
                 "last_failure": self.last_failure,
-                "recovering": (
-                    self._thread is not None and self._thread.is_alive()
-                ),
             }
 
 
@@ -358,10 +277,7 @@ def default_breaker() -> CircuitBreaker:
 
 
 def reset_defaults() -> None:
-    """Fresh supervisor/breaker state (test isolation).  Waits out any
-    in-flight recovery so a test's teardown cannot race it."""
+    """Fresh supervisor/breaker state (test isolation)."""
     global _supervisor, _breaker
-    if _supervisor is not None:
-        _supervisor.wait(timeout=10.0)
     _supervisor = None
     _breaker = None

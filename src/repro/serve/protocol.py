@@ -36,9 +36,10 @@ structured ``failure`` object (the runtime's error taxonomy —
     {"id": 1, "ok": false, "status": "error", "error": "...",
      "failure": {"kind": "worker_crash", "retryable": true, ...}}
 
-``health`` reports liveness beyond ``status``: pool supervision
-(respawns, quarantined workers), circuit-breaker state, failure counts
-by kind, and the active fault plan.  ``chaos`` installs a deterministic
+``health`` reports liveness beyond ``status``: the pool (with
+``respawns``, the workers spawned to replace failed pools), the failure
+records (counts by kind, the last failure, dead workers),
+circuit-breaker state, and the active fault plan.  ``chaos`` installs a deterministic
 fault plan at runtime (spec grammar in :mod:`repro.runtime.faults`);
 an empty ``spec`` clears it.
 

@@ -535,11 +535,8 @@ class FusionServer:
             self._executor.shutdown(wait=True)
             from ..runtime import faults
             from ..runtime.pool import shutdown_pool
-            from ..runtime.supervisor import default_supervisor
 
             # Clear any runtime-installed fault plan (env-based plans
-            # are unaffected) and let an in-flight background respawn
-            # settle before the pool is retired for good.
+            # are unaffected) before the pool is retired for good.
             faults.install_plan(None)
-            default_supervisor().wait(timeout=5.0)
             shutdown_pool()

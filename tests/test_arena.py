@@ -32,7 +32,6 @@ from repro.runtime.supervisor import (
     CircuitBreaker,
     ExecError,
     RetryPolicy,
-    default_supervisor,
 )
 
 HAVE_CC = emitc.find_compiler() is not None
@@ -235,13 +234,14 @@ class TestLifecycle:
         first = arena._shared.segment
         faults.install_plan(faults.FaultPlan.parse(spec, source="test"))
         try:
-            with pytest.raises(ExecError):
+            with pytest.raises(ExecError) as excinfo:
                 execute_prepared(prep, "mpjit", max_workers=2)
         finally:
             faults.install_plan(None)
+        assert excinfo.value.failure.kind == {
+            "crash@run=1": "worker_crash", "stall@run=1": "sync_timeout"}[spec]
         assert arena._shared.segment is None
         assert first.lstrip("/") not in _segments()
-        default_supervisor().wait(timeout=10.0)
         assert execute_prepared(prep, "mpjit", max_workers=2)[2] == want
         assert arena._shared.segment not in (None, first)
 

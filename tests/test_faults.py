@@ -168,34 +168,93 @@ class TestDeterministicFiring:
         assert plan.take_cache_fault() is False
 
 
+class _Queue:
+    """A result queue holding ``items``; empty afterwards."""
+
+    def __init__(self, items):
+        self.items = list(items)
+
+    def get(self, timeout):
+        import queue
+
+        if not self.items:
+            raise queue.Empty
+        return self.items.pop(0)
+
+
+class _Worker:
+    def __init__(self, exitcode=None):
+        self.exitcode = exitcode
+
+    def is_alive(self):
+        return self.exitcode is None
+
+
+class _Sync:
+    aborted = False
+
+    def abort(self):
+        self.aborted = True
+
+
+def _collect(workers, items):
+    """The failure :func:`collect_worker_results` raises for ``items``."""
+    from repro.runtime.pool import collect_worker_results
+
+    sync = _Sync()
+    with pytest.raises(ExecError) as excinfo:
+        collect_worker_results(_Queue(items), workers, sync, "mpjit")
+    assert sync.aborted
+    return excinfo.value.failure
+
+
 class TestClassifyFailure:
     def test_jit_compile_error_kinds(self):
-        from repro.codegen.emitpy import JitCompileError
+        """By type, not by message: only a stale module is corrupt."""
+        from repro.codegen.emitpy import JitCompileError, StaleModuleError
 
-        assert (classify_failure(JitCompileError("syntax error")).kind
+        assert (classify_failure(JitCompileError("stale syntax error")).kind
                 == "compile_error")
         assert (classify_failure(
-            JitCompileError("signature mismatch: stale entry")).kind
+            StaleModuleError("signature mismatch")).kind
             == "cache_corrupt")
 
     def test_worker_death_extracts_casualties(self):
-        from repro.runtime.fastexec import FastExecError
-
-        failure = classify_failure(FastExecError(
-            "mpjit worker 1 died without reporting a result (exitcode 97)"))
+        """The dead workers and their exit codes come from the pool's
+        liveness poll, and a death outranks the peers' sync fallout."""
+        failure = _collect(
+            {0: _Worker(exitcode=97), 1: _Worker()},
+            [(1, False, ("sync_timeout", "p2p sync aborted (a peer "
+                                         "failed first)"))])
         assert failure.kind == "worker_crash"
-        assert failure.workers == (1,)
+        assert failure.workers == (0,)
         assert failure.exitcodes == (97,)
         assert failure.retryable is True
+        assert "worker 0 died without reporting" in failure.message
 
-    def test_sync_messages_map_to_sync_timeout(self):
+    def test_root_cause_outranks_sync_fallout(self):
+        """A worker ships its exception's kind; a peer's sync abort names
+        the run only when nothing else failed."""
+        fallout = (0, False, ("sync_timeout", "p2p sync aborted"))
+        failure = _collect({0: _Worker(), 1: _Worker()}, [
+            fallout, (1, False, ("compile_error", "JitCompileError: x"))])
+        assert failure.kind == "compile_error"
+        assert failure.message.index("JitCompileError") \
+            < failure.message.index("p2p sync aborted")
+        assert (failure.workers, failure.exitcodes) == ((), ())
+        failure = _collect({0: _Worker(), 1: _Worker()}, [
+            fallout, (1, False, ("sync_timeout", "no fused-done signal"))])
+        assert failure.kind == "sync_timeout"
+
+    def test_messages_are_not_parsed(self):
         from repro.runtime.fastexec import FastExecError
-        from repro.runtime.pool import SyncAborted
 
-        assert classify_failure(SyncAborted("x")).kind == "sync_timeout"
-        for msg in ("no fused-done signal from processor 2",
-                    "p2p sync aborted (a peer failed first)"):
-            assert classify_failure(FastExecError(msg)).kind == "sync_timeout"
+        for msg in ("mpjit worker 1 died without reporting a result "
+                    "(exitcode 97)", "no fused-done signal from processor 2",
+                    "p2p sync aborted (a peer failed first)",
+                    "JitCompileError: stale"):
+            failure = classify_failure(FastExecError(msg))
+            assert (failure.kind, failure.workers) == ("internal", ())
 
     def test_exec_error_passthrough_and_fallbacks(self):
         from repro.runtime.fastexec import FastExecError

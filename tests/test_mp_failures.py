@@ -6,7 +6,8 @@ inject failures into one worker — a Python exception (the traceback must
 travel to the parent) and a hard ``os._exit`` (the liveness poll must
 notice) — and assert that the run raises
 :class:`~repro.runtime.fastexec.FastExecError` well under 10 seconds,
-leaks no shared-memory segments and leaves no live child processes.
+leaks no shared-memory segments and leaves no live child processes.  A
+pool whose run failed is killed; the next run spawns a fresh one.
 Failure injection relies on ``fork`` start-method inheritance (the
 monkeypatched module state is visible in the forked worker), so the
 crash tests skip on platforms without ``fork``.
@@ -25,6 +26,7 @@ from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.runtime import pool as pool_mod
 from repro.runtime.backend import get_backend, run_compiled
 from repro.runtime.fastexec import EnvConfigError, FastExecError
+from repro.runtime.faults import FaultPlan
 from repro.runtime.pool import (
     P2PSync,
     SyncAborted,
@@ -259,12 +261,22 @@ class TestWorkerCount:
         assert _resolve_workers(4, None) == 1
 
 
+class TestWorkerFaultDirective:
+    def test_slow_sleeps_its_seconds_even_zero(self, monkeypatch):
+        """An explicit ``seconds=0`` is no delay; only an absent
+        ``seconds`` defaults to 50 ms."""
+        slept = []
+        monkeypatch.setattr(pool_mod.time, "sleep", slept.append)
+        plan = FaultPlan.parse("slow@run=1:seconds=0;slow@run=2")
+        for _ in range(2):
+            pool_mod._apply_worker_fault(plan.take_worker_faults(2)[0])
+        assert slept == [0.0, 0.05]
+
+
 class TestMpjitCrashSafety:
     @needs_fork
     def test_worker_exception_ships_traceback(self, monkeypatch,
                                               leak_check):
-        from repro.runtime.supervisor import default_supervisor
-
         _wrap_worker_modules(monkeypatch, run_fused=_raise_in_fused(
             ValueError("injected-mpjit-boom")))
         t0 = time.monotonic()
@@ -274,16 +286,23 @@ class TestMpjitCrashSafety:
         message = str(excinfo.value)
         assert "injected-mpjit-boom" in message
         assert "Traceback" in message
-        # The poisoned pool is repaired off the hot path, not abandoned.
-        default_supervisor().wait(timeout=10.0)
-        assert pool_stats()["alive"] is True
+        assert excinfo.value.failure.kind == "internal"
+        # The failed pool is killed at once, not kept for repair.
+        assert pool_stats()["alive"] is False
+        assert pool_mod._pool is None
 
     @needs_fork
     def test_worker_hard_crash_detected_and_classified(self, monkeypatch,
                                                        leak_check):
+        """Both workers die: the failure names them and their exit codes,
+        the dead-worker records are taken before the pool is killed, and
+        the next run spawns a replacement (``respawns`` counts its
+        workers)."""
         from repro.runtime.supervisor import ExecError, default_supervisor
 
-        _wrap_worker_modules(monkeypatch, run_fused=_exit_in_fused(23))
+        restore = _wrap_worker_modules(monkeypatch,
+                                       run_fused=_exit_in_fused(23))
+        spawns, respawns = pool_stats()["spawns"], pool_stats()["respawns"]
         t0 = time.monotonic()
         with pytest.raises(ExecError) as excinfo:
             mpjit(_plan(), _arrays(), max_workers=2)
@@ -292,14 +311,19 @@ class TestMpjitCrashSafety:
         failure = excinfo.value.failure
         assert failure.kind == "worker_crash"
         assert failure.retryable is True
-        assert 23 in failure.exitcodes
-        supervisor = default_supervisor()
-        supervisor.wait(timeout=10.0)
-        assert pool_stats()["alive"] is True
-        stats = supervisor.stats()
-        assert stats["recoveries"] >= 1
-        assert stats["failures"].get("worker_crash", 0) >= 1
-        assert any(q["exitcode"] == 23 for q in stats["quarantined"])
+        assert sorted(zip(failure.workers, failure.exitcodes)) == \
+            [(0, 23), (1, 23)]
+        stats = default_supervisor().stats()
+        assert stats["failures"] == {"worker_crash": 1}
+        assert [(q["worker"], q["exitcode"]) for q in stats["quarantined"]] \
+            == [(0, 23), (1, 23)]
+        assert pool_stats()["alive"] is False
+        restore()
+        mpjit(_plan(), _arrays(), max_workers=2)
+        stats = pool_stats()
+        assert stats["alive"] is True
+        assert stats["spawns"] == spawns + 2
+        assert stats["respawns"] == respawns + 2
 
     @needs_fork
     def test_peel_phase_exception_after_barrier(self, monkeypatch,
@@ -317,19 +341,14 @@ class TestMpjitCrashSafety:
 
     @needs_fork
     def test_pool_recovers_after_crash(self, monkeypatch, leak_check):
-        """A failed run poisons the pool; after the supervisor's repair
-        (or an explicit teardown) the next run must produce correct
-        results.  The explicit shutdown here also discards the repaired
-        workers, which inherited the patched loader at fork time."""
-        from repro.runtime.supervisor import default_supervisor
-
+        """A failed run kills its pool; the next run spawns a fresh one
+        (forked after the patched loader is restored) and must produce
+        correct results."""
         restore = _wrap_worker_modules(
             monkeypatch, run_fused=_raise_in_fused(ValueError("poison")))
         with pytest.raises(FastExecError):
             mpjit(_plan(), _arrays(), max_workers=2)
         restore()
-        default_supervisor().wait(timeout=10.0)
-        shutdown_pool()
 
         ep = _plan()
         base = _arrays()
@@ -377,34 +396,32 @@ class TestP2PCrashPropagation:
         assert "exitcode 29" in str(excinfo.value)
 
     @needs_fork
-    def test_mpjit_crash_before_fused_done_repaired_in_place(
+    def test_mpjit_crash_before_fused_done_replaces_the_pool(
         self, leak_check
     ):
         """A pool worker dying before any fused-done signal: dependents
-        fail fast, the supervisor re-forks only the corpse (warm
-        survivors keep their modules — ``spawns`` does not move, and
-        ``respawns`` counts the one dead worker), and the next run
-        produces the reference bits."""
+        fail fast, the whole pool — survivor included — is killed, the
+        next run spawns a fresh one (``spawns`` moves by one, ``respawns``
+        by its two workers, and ``runs`` keeps counting) and produces the
+        reference bits."""
         from repro.runtime import faults
-        from repro.runtime.supervisor import ExecError, default_supervisor
+        from repro.runtime.supervisor import ExecError
 
         mpjit(_plan(), _arrays(), max_workers=2)  # warm
-        spawns_before = pool_stats()["spawns"]
+        spawns, respawns = pool_stats()["spawns"], pool_stats()["respawns"]
+        survivor = pool_mod._pool.workers[1]
         faults.install_plan(faults.FaultPlan.parse(
             "crash@run=1:worker=0:exitcode=37", source="test"))
         t0 = time.monotonic()
         with pytest.raises(ExecError) as excinfo:
             mpjit(_plan(), _arrays(), max_workers=2)
         assert time.monotonic() - t0 < CRASH_BUDGET_SECONDS
-        assert "died without reporting" in str(excinfo.value)
-        assert excinfo.value.failure.kind == "worker_crash"
+        failure = excinfo.value.failure
+        assert (failure.kind, failure.workers, failure.exitcodes) == \
+            ("worker_crash", (0,), (37,))
         faults.install_plan(None)
-        supervisor = default_supervisor()
-        supervisor.wait(timeout=10.0)
-        stats = pool_stats()
-        assert stats["alive"] is True
-        assert stats["spawns"] == spawns_before  # in-place, not teardown
-        assert stats["respawns"] == 1  # only the corpse was re-forked
+        assert not survivor.is_alive()
+        assert pool_stats()["alive"] is False
 
         ep = _plan()
         base = _arrays()
@@ -414,15 +431,48 @@ class TestP2PCrashPropagation:
         run_parallel(ep, ref)
         got = {k: v.copy() for k, v in base.items()}
         mpjit(ep, got, max_workers=2)
-        assert pool_stats()["last_sync"] == "p2p"
+        stats = pool_stats()
+        assert stats["last_sync"] == "p2p"
+        assert stats["spawns"] == spawns + 1
+        assert stats["respawns"] == respawns + 2
+        assert stats["runs"] == 3  # the replacement keeps the run count
         for name in ref:
             assert np.array_equal(ref[name], got[name]), name
 
     @needs_fork
+    def test_crash_loop_recovers_promptly(self, leak_check):
+        """20 injected worker crashes in a row, each followed at once by
+        a clean run: every clean run spawns one fresh pool, finishes
+        within 2 s and matches the interpreter bit for bit.  A dead
+        worker may have held a queue's lock, so nothing of its pool may
+        be waited on."""
+        from repro.runtime import faults
+        from repro.runtime.execute import execute_prepared, prepare_kernel
+        from repro.runtime.supervisor import ExecError
+
+        want = execute_prepared(prepare_kernel(
+            "calc", n=65, procs=4, backend="interp"), "interp")[2]
+        prep = prepare_kernel("calc", n=65, procs=4, backend="mpjit")
+        assert execute_prepared(prep, "mpjit", max_workers=2)[2] == want
+        for _ in range(20):
+            spawns = pool_stats()["spawns"]
+            faults.install_plan(faults.FaultPlan.parse(
+                "crash@run=1:worker=0", source="test"))
+            try:
+                with pytest.raises(ExecError) as excinfo:
+                    execute_prepared(prep, "mpjit", max_workers=2)
+            finally:
+                faults.install_plan(None)
+            assert excinfo.value.failure.kind == "worker_crash"
+            t0 = time.monotonic()
+            digest = execute_prepared(prep, "mpjit", max_workers=2)[2]
+            assert time.monotonic() - t0 < 2.0
+            assert digest == want
+            assert pool_stats()["spawns"] == spawns + 1
+
+    @needs_fork
     def test_mpjit_exception_during_p2p_ships_traceback(self, monkeypatch,
                                                         leak_check):
-        from repro.runtime.supervisor import default_supervisor
-
         def boom(module, proc, arrays):
             if proc == 1:  # worker 1's only processor of three
                 raise ValueError("injected-p2p-boom")
@@ -436,8 +486,9 @@ class TestP2PCrashPropagation:
         message = str(excinfo.value)
         assert "injected-p2p-boom" in message
         assert "Traceback" in message
-        default_supervisor().wait(timeout=10.0)
-        assert pool_stats()["alive"] is True
+        # the root cause, not the peer's sync-abort fallout, names the kind
+        assert excinfo.value.failure.kind == "internal"
+        assert pool_stats()["alive"] is False
 
 
 class TestP2PEventTable:

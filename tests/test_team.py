@@ -382,6 +382,16 @@ class TestFaults:
         assert execute_prepared(prep, "mpjit", max_workers=2)[2] == \
             _interp("jacobi", 33, 4)
 
+    def test_explicit_zero_seconds_is_no_delay(self):
+        """``slow@…:seconds=0`` is no delay in the team's fault table;
+        only an absent ``seconds`` defaults to 50 ms."""
+        from repro.runtime.faults import FaultPlan
+
+        plan = FaultPlan.parse("slow@run=1:seconds=0;slow@run=1:worker=1")
+        assert pool_mod._team_faults(plan.take_worker_faults(3), 3) == [
+            (emitc.TEAM_SLOW, -1, 0), (emitc.TEAM_SLOW, -1, 50000),
+            (0, 0, 0)]
+
     def test_slow_and_delayed_stall_keep_the_digest(self):
         from repro.runtime import faults
 
