@@ -133,24 +133,29 @@ def cmd_exec(args: argparse.Namespace) -> int:
     import functools
     import json
 
+    from .core import FusionLegalityError, StripError
     from .runtime.benchmarking import measure_kernel
 
     json_to_stdout = args.json == "-"
     print = functools.partial(  # noqa: A001 - deliberate local rebind
         builtins.print, file=sys.stderr if json_to_stdout else sys.stdout)
-    record = measure_kernel(
-        args.kernel,
-        args.backend,
-        n=args.n,
-        procs=args.procs,
-        strip=args.strip,
-        repeat=args.repeat,
-        verify=args.verify,
-        use_cache=args.use_cache,
-        max_workers=args.max_workers,
-        autotune=args.autotune,
-        retries=args.retries,
-    )
+    try:
+        record = measure_kernel(
+            args.kernel,
+            args.backend,
+            n=args.n,
+            procs=args.procs,
+            strip=args.strip,
+            repeat=args.repeat,
+            verify=args.verify,
+            use_cache=args.use_cache,
+            max_workers=args.max_workers,
+            autotune=args.autotune,
+            retries=args.retries,
+        )
+    except (FusionLegalityError, StripError) as exc:
+        print(f"repro exec: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     print(f"{record['kernel']} [{record['shape']}] on backend "
           f"{record['backend']} with {record['procs']} processors:")
     if "autotune" in record:

@@ -248,10 +248,6 @@ class _ArrayLayout:
     index: dict[str, int]
     dims_offset: dict[str, int]
 
-    @property
-    def total_dims(self) -> int:
-        return sum(self.ndims[name] for name in self.order)
-
     def spec_string(self) -> str:
         return ",".join(f"{name}:{self.ndims[name]}" for name in self.order)
 

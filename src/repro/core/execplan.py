@@ -55,9 +55,6 @@ class PeeledRect:
     nest_idx: int
     ranges: tuple[Range, ...]
 
-    def is_empty(self) -> bool:
-        return any(range_empty(r) for r in self.ranges)
-
     def iteration_count(self) -> int:
         total = 1
         for r in self.ranges:

@@ -52,10 +52,6 @@ class FusionResult:
     def max_procs(self, params: Mapping[str, int]) -> tuple[int, ...]:
         return max_processors(self.plan, params)
 
-    def table2_rows(self):
-        """(loop number, shift vector, peel vector) rows as in Table 2."""
-        return self.plan.table_rows()
-
     def summary_line(self) -> str:
         max_shift = self.plan.max_shift
         max_peel = self.plan.max_peel

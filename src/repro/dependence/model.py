@@ -78,10 +78,6 @@ class Dependence:
                 return False
         return False
 
-    @property
-    def is_loop_independent(self) -> bool:
-        return all(d == 0 for d in self.distance)
-
     def direction(self) -> tuple[int, ...]:
         """Sign vector of the distance (the paper's sig(d))."""
         return tuple((d > 0) - (d < 0) for d in self.distance)
@@ -126,13 +122,5 @@ class DependenceSummary:
     def forward(self) -> tuple[Dependence, ...]:
         return tuple(d for d in self.deps if d.is_forward)
 
-    def on_array(self, array: str) -> tuple[Dependence, ...]:
-        return tuple(d for d in self.deps if d.array == array)
-
     def edge_count(self) -> int:
         return len(self.deps)
-
-    def max_abs_distance(self, dim: int = 0) -> int:
-        if not self.deps:
-            return 0
-        return max(abs(d.distance[dim]) for d in self.deps)

@@ -39,9 +39,6 @@ class ChainGraph:
     def out_edges(self, v: int) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.src == v)
 
-    def in_edges(self, v: int) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.dst == v)
-
     def topological_order(self) -> range:
         """Vertices in topological order.  Edges always point from earlier
         to later nests, so program order *is* a topological order (the paper

@@ -64,9 +64,6 @@ class Affine:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    def depends_on(self, name: str) -> bool:
-        return any(v == name for v, _ in self.coeffs)
-
     def uses_only(self, names: Iterable[str]) -> bool:
         allowed = set(names)
         return all(v in allowed for v, _ in self.coeffs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .expr import Affine, as_affine
 from .stmt import Assign
@@ -124,12 +124,6 @@ class LoopNest:
     def with_name(self, name: str) -> "LoopNest":
         return replace(self, name=name)
 
-    def shift_body(self, var: str, delta: int) -> "LoopNest":
-        """Substitute ``var -> var + delta`` in the body only (subscripts)."""
-        return LoopNest(
-            self.loops, tuple(st.shift_var(var, delta) for st in self.body), self.name
-        )
-
     # -- enumeration -----------------------------------------------------------
 
     def iteration_space(self, params: Mapping[str, int]) -> Iterator[tuple[int, ...]]:
@@ -145,9 +139,6 @@ class LoopNest:
         for lp in self.loops:
             total *= lp.trip_count(params)
         return total
-
-    def env_for(self, ivec: Sequence[int]) -> dict[str, int]:
-        return dict(zip(self.loop_vars, ivec))
 
     def __str__(self) -> str:
         from .printer import format_nest

@@ -47,11 +47,6 @@ class RunMeasurement:
     barriers: int
     peeled_refs: int = 0
 
-    @property
-    def misses_per_proc(self) -> float:
-        """Average misses per processor."""
-        return self.misses / self.num_procs
-
     def speedup_over(self, baseline: "RunMeasurement") -> float:
         """Speedup of this run relative to ``baseline`` (time ratio)."""
         return baseline.time_cycles / self.time_cycles

@@ -264,7 +264,8 @@ def execute_resilient(
     """:func:`execute_prepared` with bounded retries and degradation.
 
     Exec requests are idempotent (fresh arrays every attempt), so a
-    failed attempt is retried after a deterministic exponential backoff
+    failed attempt whose kind :data:`~repro.runtime.supervisor.RETRYABLE`
+    marks retryable is retried after a deterministic exponential backoff
     (:class:`~repro.runtime.supervisor.RetryPolicy`), stepping down the
     backend ladder ``mpjit → jit → vector`` — every rung bit-identical
     by construction, so a degraded answer differs only in latency.  The

@@ -3,15 +3,18 @@
 The mpjit engines detect failures promptly — dead or raising workers
 surface in well under a second, and :mod:`repro.runtime.pool` kills a
 pool whose run failed so the next run gets a fresh one.  This module
-holds what the caller does next:
+holds what the caller does next, and is the one place it is decided:
 
-* :class:`ExecFailure` — a structured failure record with a small error
-  taxonomy (``worker_crash`` / ``sync_timeout`` / ``compile_error`` /
-  ``cache_corrupt`` / ``overload``, plus an ``internal`` fallback),
-  carried on :class:`ExecError` so the serve layer can answer with
-  machine-readable failures instead of opaque strings.  Failures are
-  classified where they are detected; :func:`classify_failure` maps the
-  remaining exception types onto the taxonomy.
+* :data:`RETRYABLE` — the recovery table: is a failure of each kind
+  (``worker_crash`` / ``sync_timeout`` / ``compile_error`` /
+  ``cache_corrupt`` / ``overload`` / ``invalid_input``, plus an
+  ``internal`` fallback) retried one rung down the degradation ladder?
+* :class:`ExecFailure` — a structured failure record whose
+  ``retryable`` is read from that table, carried on :class:`ExecError`
+  so the serve layer can answer with machine-readable failures instead
+  of opaque strings.  Failures are classified where they are detected;
+  :func:`classify_failure` maps the remaining exception types onto the
+  taxonomy.
 * :class:`PoolSupervisor` — the failure records: counts per kind, the
   last failure and a ring of dead pool workers.
 * :class:`CircuitBreaker` — per-signature consecutive-failure counts
@@ -40,14 +43,26 @@ SYNC_TIMEOUT = "sync_timeout"
 COMPILE_ERROR = "compile_error"
 CACHE_CORRUPT = "cache_corrupt"
 OVERLOAD = "overload"
+#: the request itself is wrong (a Theorem 1 violation, a bad strip)
+INVALID_INPUT = "invalid_input"
 #: fallback for failures the taxonomy cannot name (e.g. an application
 #: exception raised inside a worker's compute phase)
 INTERNAL = "internal"
 
-FAILURE_KINDS = (
-    WORKER_CRASH, SYNC_TIMEOUT, COMPILE_ERROR, CACHE_CORRUPT, OVERLOAD,
-    INTERNAL,
-)
+#: The recovery table: is a failure of this kind retried one rung down
+#: :data:`DEGRADE_LADDER`?  DESIGN.md §5d's taxonomy table has the same
+#: rows (``tests/test_faults.py`` compares them).
+RETRYABLE = {
+    WORKER_CRASH: True,
+    SYNC_TIMEOUT: True,
+    COMPILE_ERROR: True,  # ``vector`` runs without generated code
+    CACHE_CORRUPT: True,
+    OVERLOAD: True,
+    INVALID_INPUT: False,  # the same input fails on every rung
+    INTERNAL: True,
+}
+
+FAILURE_KINDS = tuple(RETRYABLE)
 
 #: how much of a failure message travels on the wire / into records
 _MESSAGE_LIMIT = 2000
@@ -59,9 +74,16 @@ class ExecFailure:
 
     kind: str
     message: str
-    retryable: bool = True
     workers: tuple = ()
     exitcodes: tuple = ()
+
+    def __post_init__(self) -> None:
+        if self.kind not in RETRYABLE:
+            raise ValueError(f"unknown failure kind {self.kind!r}")
+
+    @property
+    def retryable(self) -> bool:
+        return RETRYABLE[self.kind]
 
     def as_dict(self) -> dict:
         return {
@@ -87,20 +109,23 @@ class ExecError(FastExecError):
 def classify_failure(exc: BaseException) -> ExecFailure:
     """Map an exception from the exec path onto the failure taxonomy, by
     type: an :class:`ExecError` carries its own, a ``JitCompileError`` is
-    ``compile_error`` (``cache_corrupt`` when the module is stale), and
-    anything else is ``internal`` — retryable only for a
-    :class:`FastExecError`."""
+    ``compile_error`` (``cache_corrupt`` when the module is stale), a
+    ``FusionLegalityError`` or ``StripError`` is ``invalid_input``, and
+    anything else is ``internal``."""
     from ..codegen.emitpy import JitCompileError, StaleModuleError
+    from ..core import FusionLegalityError, StripError
 
     if isinstance(exc, ExecError):
         return exc.failure
-    msg = str(exc)
-    if isinstance(exc, JitCompileError):
-        return ExecFailure(kind=(CACHE_CORRUPT
-                                 if isinstance(exc, StaleModuleError)
-                                 else COMPILE_ERROR), message=msg)
-    return ExecFailure(kind=INTERNAL, message=msg,
-                       retryable=isinstance(exc, FastExecError))
+    if isinstance(exc, StaleModuleError):
+        kind = CACHE_CORRUPT
+    elif isinstance(exc, JitCompileError):
+        kind = COMPILE_ERROR
+    elif isinstance(exc, (FusionLegalityError, StripError)):
+        kind = INVALID_INPUT
+    else:
+        kind = INTERNAL
+    return ExecFailure(kind=kind, message=str(exc))
 
 
 # -- degradation ladder -------------------------------------------------

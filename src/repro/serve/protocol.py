@@ -31,7 +31,11 @@ their ``ok`` responses before the process exits.
 An exec that fails after the server's retries additionally carries a
 structured ``failure`` object (the runtime's error taxonomy —
 ``worker_crash`` / ``sync_timeout`` / ``compile_error`` /
-``cache_corrupt`` / ``overload``)::
+``cache_corrupt`` / ``overload`` / ``invalid_input`` / ``internal``,
+with ``retryable`` read from :data:`repro.runtime.supervisor.RETRYABLE`).
+``invalid_input`` is a request that passes the field checks here but
+cannot be run on any backend — e.g. ``jacobi`` at ``n=3`` violates
+Theorem 1 — so it comes back with ``retryable: false``::
 
     {"id": 1, "ok": false, "status": "error", "error": "...",
      "failure": {"kind": "worker_crash", "retryable": true, ...}}

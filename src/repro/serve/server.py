@@ -217,10 +217,7 @@ class FusionServer:
         try:
             prep = self._prepare(batch.signature, key)
         except Exception as exc:  # noqa: BLE001 - reported per member
-            failure = classify_failure(exc) if isinstance(
-                exc, FastExecError) else None
-            payload = (failure.as_dict() if failure is not None
-                       else {"kind": "compile_error", "retryable": False})
+            payload = classify_failure(exc).as_dict()
             message = f"{type(exc).__name__}: {exc}"
             return [("err", payload, message) for _ in batch.requests]
         results: list[tuple] = []

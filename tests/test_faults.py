@@ -4,7 +4,8 @@ Chaos engineering is only trustworthy when the chaos itself is
 deterministic: the same spec against the same request sequence must
 fire the same faults.  These tests pin the spec grammar (good and bad,
 with errors naming their source), the plan's run/exec counters, the
-failure taxonomy of :func:`classify_failure`, the circuit breaker's
+failure taxonomy of :func:`classify_failure`, the recovery table (against
+DESIGN.md §5d and against the ladder it drives), the circuit breaker's
 step-down/probe-up state machine, the retry policy's deterministic
 backoff, and — end to end — :func:`execute_resilient` recovering from
 an injected worker crash by degrading one rung down the ladder while
@@ -13,6 +14,7 @@ still producing the reference bits.
 
 import dataclasses
 import multiprocessing as mp
+import pathlib
 
 import pytest
 
@@ -21,6 +23,8 @@ from repro.runtime import backend as backend_mod
 from repro.runtime import faults
 from repro.runtime.faults import FaultPlan, FaultSpecError, _parse_indices
 from repro.runtime.supervisor import (
+    FAILURE_KINDS,
+    RETRYABLE,
     CircuitBreaker,
     ExecError,
     ExecFailure,
@@ -264,11 +268,87 @@ class TestClassifyFailure:
         assert classify_failure(FastExecError("weird")).kind == "internal"
         unknown = classify_failure(ValueError("app bug"))
         assert unknown.kind == "internal"
-        assert unknown.retryable is False
+        assert unknown.retryable is RETRYABLE["internal"]
+
+    def test_invalid_input_kinds(self):
+        """A Theorem 1 violation or a bad strip fails on every rung."""
+        from repro.core import FusionLegalityError, StripError
+
+        for exc in (FusionLegalityError("block size 1 < Nt=3"),
+                    StripError("strip must be a positive integer")):
+            failure = classify_failure(exc)
+            assert failure.kind == "invalid_input"
+            assert failure.retryable is False
 
     def test_as_dict_truncates_message(self):
         failure = ExecFailure(kind="internal", message="x" * 5000)
         assert len(failure.as_dict()["message"]) == 2000
+
+
+def _design_recovery_table() -> list:
+    """``(kind, retryable)`` rows of DESIGN.md §5d's taxonomy table."""
+    design = pathlib.Path(__file__).resolve().parents[1] / "DESIGN.md"
+    section = design.read_text(encoding="utf-8").split(
+        "## 5d.", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("| \n").split("|")]
+            verdict = {"yes": True, "no": False}.get(cells[-1], cells[-1])
+            rows.append((cells[0].strip("`"), verdict))
+    return rows
+
+
+class TestRecoveryTable:
+    def test_every_kind_has_one_answer(self):
+        assert FAILURE_KINDS == tuple(RETRYABLE)
+        assert all(isinstance(v, bool) for v in RETRYABLE.values())
+        # the same input fails on every rung; everything else steps down
+        assert [k for k, v in RETRYABLE.items() if not v] == [
+            "invalid_input"]
+
+    def test_design_table_matches_code(self):
+        assert _design_recovery_table() == list(RETRYABLE.items())
+
+    def test_retryable_is_not_a_field(self):
+        assert "retryable" not in {
+            f.name for f in dataclasses.fields(ExecFailure)}
+        with pytest.raises(TypeError):
+            ExecFailure(kind="internal", message="x", retryable=False)
+        with pytest.raises(ValueError, match="unknown failure kind"):
+            ExecFailure(kind="gremlins", message="x")
+
+    @pytest.mark.parametrize("kind", FAILURE_KINDS)
+    def test_ladder_follows_the_table(self, kind, monkeypatch):
+        """A failure of ``kind`` raised by the jit rung's modules: a
+        retryable kind steps down to ``vector`` and returns the jit
+        bits; any other raises after one attempt."""
+        from repro.runtime import execute
+        from repro.runtime.execute import execute_resilient, prepare_kernel
+
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="jit")
+        reference = execute.execute_prepared(prep, "jit")[2]
+        calls = []
+
+        def failing_run_modules(backend, *args, **kwargs):
+            calls.append(backend)
+            raise ExecError(ExecFailure(kind=kind, message="injected"))
+
+        monkeypatch.setattr(execute, "run_modules", failing_run_modules)
+        policy = RetryPolicy(max_attempts=3, backoff_base=0.0)
+        if RETRYABLE[kind]:
+            _s, _c, digest, recovery = execute_resilient(
+                prep, "jit", policy=policy, breaker=CircuitBreaker())
+            assert digest == reference
+            assert recovery["retries"] == 1
+            assert recovery["backend_used"] == "vector"
+            assert recovery["attempts"] == [{"backend": "jit", "kind": kind}]
+        else:
+            with pytest.raises(ExecError) as excinfo:
+                execute_resilient(prep, "jit", policy=policy,
+                                  breaker=CircuitBreaker())
+            assert excinfo.value.failure.kind == kind
+        assert calls == ["jit"]
 
 
 class TestCircuitBreaker:

@@ -362,6 +362,20 @@ class TestServerEndToEnd:
         assert health["ok"], health
         assert good["ok"], good
 
+    def test_theorem1_violation_is_invalid_input(self, harness):
+        """``n=3`` passes the protocol's field check, but jacobi's block
+        size 1 is below Nt=3 on any processor count: the daemon names
+        the cause, says a retry cannot help, and then serves a valid
+        request."""
+        with harness.client() as c:
+            bad = c.exec("jacobi", req_id=1, n=3, backend="jit")
+            good = c.exec("jacobi", req_id=2, n=33, backend="jit")
+        assert not bad["ok"], bad
+        assert bad["failure"]["kind"] == "invalid_input", bad
+        assert bad["failure"]["retryable"] is False
+        assert "FusionLegalityError" in bad["error"]
+        assert good["ok"], good
+
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
     def test_non_finite_deadline_refused_daemon_stays_healthy(
             self, harness, deadline):

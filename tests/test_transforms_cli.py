@@ -85,6 +85,18 @@ class TestCli:
         assert "argument --strip: must be at least 1" in \
             capsys.readouterr().err
 
+    def test_exec_theorem1_violation_fails_closed(self, capsys):
+        """jacobi at n=3 has block size 1 < Nt=3: one line naming the
+        error and exit 2, not a traceback."""
+        rc = cli_main(["exec", "jacobi", "--n", "3", "--backend", "jit"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip()
+        assert err.startswith("repro exec: FusionLegalityError: ")
+        assert "Theorem 1 violated" in err
+        assert "\n" not in err and "Traceback" not in err
+        assert captured.out == ""
+
     def test_simulate(self, capsys):
         assert cli_main(
             ["simulate", "jacobi", "--procs", "1,4", "--scale", "8"]
