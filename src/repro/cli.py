@@ -418,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="size parameter value (default: kernel default)")
     p.add_argument("--procs", type=int, default=4)
     p.add_argument("--strip", type=_strip_width, default=None,
-                   help="strip-mine the fused phase like the interpreter")
+                   help="strip-mine the fused phase at run time "
+                        "(cjit, the mpjit team, vector, interp; the numpy "
+                        "modules run whole boxes, with the same bits)")
     p.add_argument("--repeat", type=int, default=3,
                    help="timing repeats (best is reported)")
     p.add_argument("--verify", action="store_true",

@@ -11,11 +11,13 @@ does — *schedule as data, bodies as code*:
 * one function per (nest, hazard-verdict tuple),
   ``static int nest_<k>_<mask>(double **A, const long *D, const long *b)``,
   whose loop bounds are read from the box ``b`` it is handed, so ``cc``
-  compiles each loop body once however many processors or strips the
-  plan has;
-* two ``static const long`` schedule tables — fused rows and peeled rows,
-  each row a body index plus box bounds, with per-processor row offsets
-  (empty boxes are simply not rows; ``strip=`` tiles are rows, i.e. data);
+  compiles each loop body once however many processors the plan has and
+  at whatever strip it runs;
+* two exported ``const long`` tables of the whole-box schedule — fused
+  rows and peeled rows, each row a body index plus box bounds, with
+  per-processor row offsets (empty boxes are simply not rows) — and,
+  for the strip-mined walk, each body's nest shift per fused dimension
+  and each processor's position-space tile extent;
 * the same exported metadata the Python module carries — signature,
   ``NPROCS``, per-processor iteration counts and the ``PEEL_DEPS``
   point-to-point sync map — as ``REPRO_*`` symbols, so a cold process can
@@ -28,34 +30,41 @@ does — *schedule as data, bodies as code*:
   deliberately *not* part of the structural plan signature, mirroring how
   the numpy module reads them off the arrays it is handed).
 
-The parallel schedule is not in the object: :data:`TEAM_SOURCE` is one
-plan-independent library per process (:func:`native_team`) whose
-``run_team`` takes a plan's entry points and ``PEEL_DEPS`` tables, which
-:func:`load_native` resolves once per object.  Its threads persist and
-park between runs; it is built at the first team run, once per compiler,
-so it costs no plan a compile.
+The parallel schedule and the strip are not in the object:
+:data:`TEAM_SOURCE` is one plan-independent library per process
+(:func:`native_team`) whose ``run_team`` takes a plan's entry points and
+tables, which :func:`load_native` resolves once per object, plus the
+run's strip.  At a strip its ``run_tiled`` walks a processor's fused rows
+tile by tile in Fig. 12's order (a serial run at a strip is a team of
+one), so one object serves every strip and the code grows with the
+nests, not the tiles.  The team's threads persist and park between runs;
+the library is built at its first run, once per compiler, so it costs no
+plan a compile.
 
-Bit-identity with the interpreter is preserved by construction.  The
-numpy module executes each statement as "evaluate the RHS over the whole
-box, then store"; a naive C loop interleaves loads and stores
+Bit-identity with the interpreter is preserved by construction.  The numpy
+module executes each statement as "evaluate the RHS over the whole box,
+then store"; a naive C loop interleaves loads and stores
 element-by-element.  The two agree unless a statement *reads the array it
 writes* at overlapping locations inside the vectorized sub-box, so the
 emitter performs that hazard analysis per (statement, box): provably safe
 statements (identical subscripts, or a dimension with provably disjoint
 index ranges) become direct elementwise loops, anything else evaluates
 into a scratch buffer first and stores after — exactly numpy's
-semantics.  The verdict can differ between boxes of one nest (a small
-strip can separate a read from the write that a whole block overlaps), so
-a nest gets one body per distinct verdict tuple and each table row names
-the body proved safe for its box.  Scalar (non-vectorized) dimensions stay
-ordered outer loops in both tiers, so dependences they carry behave
-identically; a direct statement's vector loops run in the order of its
-target's subscripts (last subscript innermost, i.e. unit stride over the
-row-major array) — with no overlap between what it reads and writes, any
-order stores the same bits.  Arithmetic is plain IEEE-754 double with the
-same expression-tree shape numpy evaluates, compiled with ``-O1
--fstrict-aliasing`` and **without** ``-ffast-math`` or floating-point
-contraction (:data:`CFLAGS`), so every element's value is bit-identical.
+semantics.  The verdict can differ between boxes of one nest (a narrow box
+can separate a read from the write that a wider one overlaps), so a nest
+gets one body per distinct verdict tuple and each table row names the
+body proved safe for its box.  A strip's tile of a row keeps the row's
+body: read and write ranges disjoint over a box stay disjoint over every
+sub-box of it, and a buffered store is always correct.  Scalar
+(non-vectorized) dimensions stay ordered outer loops in both tiers, so
+dependences they carry behave identically; a direct statement's vector
+loops run in the order of its target's subscripts (last subscript
+innermost, i.e. unit stride over the row-major array) — with no overlap
+between what it reads and writes, any order stores the same
+bits.  Arithmetic is plain IEEE-754 double with the same expression-tree
+shape numpy evaluates, compiled with ``-O1 -fstrict-aliasing`` and
+**without** ``-ffast-math`` or floating-point contraction
+(:data:`CFLAGS`), so every element's value is bit-identical.
 
 The compiled ``.so`` is cached by :mod:`repro.runtime.plancache` next to
 the ``.py`` source, keyed by the structural plan signature *plus* a
@@ -493,28 +502,49 @@ def _table_lines(name: str, per_proc: Sequence[Sequence[Sequence[int]]]
     """One phase's schedule: ``<name>_ROWS`` (row = body index, then
     ``lo, hi`` per dimension) and ``<name>_OFF`` (processor ``p`` owns
     rows ``OFF[p] .. OFF[p+1]``)."""
-    lines = [f"static const long {name}_ROWS[] = {{"]
+    lines = [f"const long {name}_ROWS[] = {{"]
     offsets = [0]
     for p, rows in enumerate(per_proc):
         lines.append(f"/* proc {p} */")
         lines.extend(f"{','.join(map(str, row))}," for row in rows)
         offsets.append(offsets[-1] + len(rows))
     lines.append("0};")
-    lines.append("static " + _long_array(f"{name}_OFF", offsets))
+    lines.append(_long_array(f"{name}_OFF", offsets))
     return lines
 
 
-def emit_plan_c_source(exec_plan: ExecutionPlan,
-                       strip: Optional[int] = None) -> str:
+def _tiling_lines(exec_plan: ExecutionPlan, body_nests: Sequence[int],
+                  width: int) -> list[str]:
+    """What the team library's ``run_tiled`` reads besides the fused
+    table: ``REPRO_DEPTH`` (fused dims), ``REPRO_ROW_WIDTH``, the shift of
+    body ``b``'s nest in fused dim ``d`` at ``REPRO_SHIFTS[b * DEPTH + d]``
+    and processor ``p``'s tile extent (the strip-independent ``lo, hi``
+    of :meth:`~repro.core.execplan.ExecutionPlan.tile_starts`; ``lo >
+    hi``: nothing fused) at ``REPRO_EXTENTS[2 * (p * DEPTH + d)]``."""
+    depth = exec_plan.plan.depth
+    extents = [bound for proc in exec_plan.processors
+               for tiles in exec_plan.tile_starts(proc, 1)
+               for bound in (tiles.start, tiles.stop - 1)]
+    shifts = [exec_plan.plan.shift(k, d) for k in body_nests
+              for d in range(depth)]
+    return ["/* For the team library's run_tiled. */",
+            f"const long REPRO_DEPTH = {depth};",
+            f"const long REPRO_ROW_WIDTH = {width};",
+            _long_array("REPRO_SHIFTS", shifts),
+            _long_array("REPRO_EXTENTS", extents)]
+
+
+def emit_plan_c_source(exec_plan: ExecutionPlan) -> str:
     """Render ``exec_plan`` as a self-contained C translation unit.
 
     Same schedule as :func:`emitpy.emit_plan_source` — per processor its
-    :meth:`~repro.core.execplan.ExecutionPlan.rows`: the fused boxes
-    (``strip`` tiles in the interpreter's order), a barrier, the peeled
-    rectangles — but held as two row tables; the code is one
-    body per (nest, hazard verdict), the exported metadata and the entry
-    points the thread team (``run_fused``/``run_peeled``) and the serial
-    ``run`` wrapper (``run_plan``) call.
+    whole-box :meth:`~repro.core.execplan.ExecutionPlan.rows`: the fused
+    boxes, a barrier, the peeled rectangles — but held as two row tables;
+    the code is one body per (nest, hazard verdict), the exported
+    metadata and the entry points the thread team
+    (``run_fused``/``run_peeled``) and the serial ``run`` wrapper
+    (``run_plan``) call.  At a strip the team library's ``run_tiled``
+    walks the fused table instead.
     """
     from ..runtime.fastexec import vector_dims
 
@@ -522,7 +552,7 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
     layout = _array_layout(nests)
     ctxs = [_NestCtx(nest, vector_dims(nest), exec_plan.params, layout)
             for nest in nests]
-    signature = exec_plan.signature(strip=strip)
+    signature = exec_plan.signature()
     nprocs = len(exec_plan.processors)
     width = 1 + 2 * max(nest.depth for nest in nests)
     bodies: dict[tuple[int, tuple[bool, ...]], int] = {}
@@ -541,7 +571,7 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
         return table, count
 
     fused, peeled = [], []
-    for fused_rows, peeled_rows in exec_plan.rows(strip):
+    for fused_rows, peeled_rows in exec_plan.rows():
         fused.append(phase(fused_rows))
         peeled.append(phase(peeled_rows))
 
@@ -568,6 +598,7 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
         "   REPRO_PEEL_DEPS_OFF[p+1]). */",
         _long_array("REPRO_PEEL_DEPS_OFF", offsets),
         _long_array("REPRO_PEEL_DEPS", flat),
+        *_tiling_lines(exec_plan, [k for k, _ in bodies], width),
         "",
     ]
     names = []
@@ -578,7 +609,7 @@ def emit_plan_c_source(exec_plan: ExecutionPlan,
                      f"{[s for s, v in enumerate(verdict) if v] or 'none'} */")
         lines.extend(ctxs[k].body_lines(names[-1], verdict))
         lines.append("")
-    lines.append("static int (*const BODIES[])(double **, const long *, "
+    lines.append("int (*const BODIES[])(double **, const long *, "
                  f"const long *) = {{{', '.join(names) or '0'}}};")
     lines.append("")
     lines.extend(_table_lines("FUSED", [rows for rows, _ in fused]))
@@ -626,13 +657,18 @@ TEAM_TIMEOUT = -2
 #: The team library is the only code that starts threads (plan objects
 #: are compiled without ``-pthread``).  It is control code: on a 2-vCPU
 #: x86 box ``-O2`` doubles its build (≈210 vs ≈105 ms) and moves no run
-#: time, which the wake-up and the plan's bodies dominate.
+#: time, which the wake-up and the plan's bodies dominate; nor does
+#: ``-O1`` move the tiled walk (cjit calc n=513 and ll18 n=511 at strip
+#: 32, 60 alternating in-process runs: 1.77 vs 1.78 ms, 2.42 vs 2.34).
 TEAM_FLAGS = ("-O0", "-shared", "-fPIC", "-pthread")
 
 TEAM_SOURCE = """\
 /* Generated by repro.codegen.emitc — do not edit.  The process-wide SPMD
    team (Sec. 3.4, point-to-point sync), one library for every plan: a run
-   hands it a plan's run_fused/run_peeled and PEEL_DEPS tables.  Thread t
+   hands it a plan's run_fused/run_peeled, PEEL_DEPS and tiling tables and
+   the run's strip (0: whole boxes).  At a strip, a processor's fused rows
+   are tiled here (run_tiled; a serial run at a strip is a team of one),
+   so no plan object holds a tiler.  Thread t
    runs processors t, t+T, ...  After a processor's fused rows it sets
    done[p] (release); before its peeled rows it acquires done[q] of each
    predecessor q.  The caller is thread 0.  Worker threads are created on
@@ -655,12 +691,19 @@ TEAM_SOURCE = """\
 #endif
 
 typedef long (*phase_fn)(long proc, double **arrays, const long *dims);
+typedef int (*body_fn)(double **A, const long *D, const long *b);
 
-/* What a run needs of one plan object, resolved once when it is loaded. */
+/* What a run needs of one plan object, resolved once when it is loaded:
+   its entry points, PEEL_DEPS, and for run_tiled its BODIES, FUSED_ROWS,
+   FUSED_OFF, REPRO_FUSED_COUNTS, REPRO_SHIFTS, REPRO_EXTENTS,
+   REPRO_DEPTH and REPRO_ROW_WIDTH. */
 typedef struct {
     phase_fn fused, peeled;
     long nprocs;
     const long *deps_off, *deps;
+    body_fn const *bodies;
+    const long *rows, *off, *counts, *shifts, *extents;
+    long depth, width;
 } team_plan;
 
 enum { SLOW = 1, STALL = 2, SPIN = 1 << 10, YIELD = 1 << 14 };
@@ -688,7 +731,7 @@ static struct {
     const team_plan *plan;
     double **A;
     const long *D, *faults;
-    long nthreads, deadline_ns, done_cap;
+    long nthreads, strip, deadline_ns, done_cap;
     atomic_int *done;
     atomic_int stop, joining;
     atomic_uint pending;   /* workers still in the run */
@@ -735,6 +778,49 @@ static void fail(slot *s, int status) {
     atomic_store(&T.stop, 1);
 }
 
+/* Processor p's fused rows at strip s, in ExecutionPlan.processor_rows'
+   order (Fig. 12): tile origins t over p's extent lexicographically, and
+   per tile each whole-box fused row in nest order, clipped in fused dim d
+   to [t[d] - shift, t[d] + s - 1 - shift]; a row whose clip is empty is
+   skipped.  A clipped row runs its whole box's body (disjoint read and
+   write ranges stay disjoint in a sub-box).  The iteration count, or -1
+   when a body failed or p is out of range. */
+long run_tiled(const team_plan *pl, long p, long s, double **A,
+               const long *D) {
+    if (p < 0 || p >= pl->nprocs || s < 1) return -1;
+    const long nd = pl->depth, w = pl->width;
+    const long *ext = pl->extents + 2 * nd * p;
+    long t[nd], b[w - 1];
+    if (ext[0] > ext[1]) return pl->counts[p];  /* nothing fused */
+    for (long d = 0; d < nd; d++) t[d] = ext[2 * d];
+    for (;;) {
+        for (long r = pl->off[p]; r < pl->off[p + 1]; r++) {
+            const long *row = pl->rows + r * w;
+            const long *shift = pl->shifts + nd * row[0];
+            long d = 0;
+            memcpy(b, row + 1, sizeof b);
+            for (; d < nd; d++) {
+                long lo = t[d] - shift[d], hi = lo + s - 1;
+                if (b[2 * d] < lo) b[2 * d] = lo;
+                if (b[2 * d + 1] > hi) b[2 * d + 1] = hi;
+                if (b[2 * d] > b[2 * d + 1]) break;
+            }
+            if (d == nd && pl->bodies[row[0]](A, D, b)) return -1;
+        }
+        long d = nd - 1;  /* the next origin, the last dim fastest */
+        while (d >= 0 && (t[d] += s) > ext[2 * d + 1]) {
+            t[d] = ext[2 * d];
+            d--;
+        }
+        if (d < 0) return pl->counts[p];
+    }
+}
+
+static long fused_phase(const team_plan *pl, long p, long s, double **A,
+                        const long *D) {
+    return s > 0 ? run_tiled(pl, p, s, A, D) : pl->fused(p, A, D);
+}
+
 /* Thread s->tid's processors of the current run: fused rows and signals,
    then acquires and peeled rows. */
 static void run_share(slot *s) {
@@ -745,7 +831,8 @@ static void run_share(slot *s) {
     s->status = 0;
     if (f && f[0] == SLOW) pause_us(f[2]);
     for (long p = s->tid; p < pl->nprocs; p += T.nthreads) {
-        if ((n = pl->fused(p, T.A, T.D)) < 0) { fail(s, -1); return; }
+        if ((n = fused_phase(pl, p, T.strip, T.A, T.D)) < 0)
+            { fail(s, -1); return; }
         s->count += n;
         if (f && f[0] == STALL && (f[1] < 0 || f[1] == p)) {
             if (f[2] < 0) continue;  /* withhold the signal */
@@ -822,10 +909,10 @@ static int grow(long n) {
     return err;
 }
 
-static long serial(const team_plan *pl, double **A, const long *D) {
+static long serial(const team_plan *pl, double **A, const long *D, long s) {
     long count = 0, n;
     for (long p = 0; p < pl->nprocs; p++) {
-        if ((n = pl->fused(p, A, D)) < 0) return -1;
+        if ((n = fused_phase(pl, p, s, A, D)) < 0) return -1;
         count += n;
     }
     for (long p = 0; p < pl->nprocs; p++) {
@@ -835,15 +922,15 @@ static long serial(const team_plan *pl, double **A, const long *D) {
     return count;
 }
 
-/* The whole schedule of pl on min(nthreads, nprocs) threads: the
-   iteration count, -1 when a body failed, -2 when a sync wait outlived
-   timeout_ms (0: no deadline).  faults is NULL or {action, proc, usec}
-   per thread (slow: sleep usec before the fused phase; stall: delay
-   proc's signal, or withhold it when usec < 0; proc < 0 means every
-   processor).  When the team cannot grow to nthreads, the run is
-   serial. */
+/* The whole schedule of pl at strip (0: whole boxes) on min(nthreads,
+   nprocs) threads: the iteration count, -1 when a body failed, -2 when a
+   sync wait outlived timeout_ms (0: no deadline).  faults is NULL or
+   {action, proc, usec} per thread (slow: sleep usec before the fused
+   phase; stall: delay proc's signal, or withhold it when usec < 0; proc
+   < 0 means every processor).  When the team cannot grow to nthreads,
+   the run is serial. */
 long run_team(const team_plan *pl, double **A, const long *D, long nthreads,
-              long timeout_ms, const long *faults) {
+              long strip, long timeout_ms, const long *faults) {
     const long np = pl->nprocs;
     long count, status;
     if (nthreads > np) nthreads = np;
@@ -858,11 +945,12 @@ long run_team(const team_plan *pl, double **A, const long *D, long nthreads,
     }
     if (np > T.done_cap || grow(nthreads - 1)) {
         pthread_mutex_unlock(&T.lock);
-        return serial(pl, A, D);
+        return serial(pl, A, D, strip);
     }
     T.plan = pl;
     T.A = A;
     T.D = D;
+    T.strip = strip;
     T.faults = faults;
     T.nthreads = nthreads;
     T.deadline_ns = timeout_ms > 0 ? now_ns() + timeout_ms * 1000000L : 0;
@@ -919,12 +1007,17 @@ __attribute__((constructor)) static void install_fork_handlers(void) {
 
 
 class _TeamPlan(ctypes.Structure):
-    """``team_plan`` of :data:`TEAM_SOURCE`: one object's entry points and
-    ``PEEL_DEPS`` tables, resolved once at :func:`load_native`."""
+    """``team_plan`` of :data:`TEAM_SOURCE`: one object's entry points,
+    ``PEEL_DEPS`` and tiling tables, resolved once at
+    :func:`load_native`."""
 
     _fields_ = [("fused", ctypes.c_void_p), ("peeled", ctypes.c_void_p),
                 ("nprocs", ctypes.c_long), ("deps_off", ctypes.c_void_p),
-                ("deps", ctypes.c_void_p)]
+                ("deps", ctypes.c_void_p), ("bodies", ctypes.c_void_p),
+                ("rows", ctypes.c_void_p), ("off", ctypes.c_void_p),
+                ("counts", ctypes.c_void_p), ("shifts", ctypes.c_void_p),
+                ("extents", ctypes.c_void_p), ("depth", ctypes.c_long),
+                ("width", ctypes.c_long)]
 
 
 #: The process-wide team library (None until the first team run) and the
@@ -959,13 +1052,15 @@ def _open_team(path: Path):
         lib = ctypes.CDLL(str(path))
     except OSError as exc:
         raise CJitCompileError(f"cannot load {path.name}: {exc}") from exc
+    plan, arrays, dims = (ctypes.POINTER(_TeamPlan),
+                          ctypes.POINTER(ctypes.c_void_p),
+                          ctypes.POINTER(ctypes.c_long))
     try:
-        lib.run_team.argtypes = [
-            ctypes.POINTER(_TeamPlan), ctypes.POINTER(ctypes.c_void_p),
-            ctypes.POINTER(ctypes.c_long), ctypes.c_long, ctypes.c_long,
-            ctypes.POINTER(ctypes.c_long),
-        ]
-        lib.run_team.restype = ctypes.c_long
+        lib.run_team.argtypes = [plan, arrays, dims, ctypes.c_long,
+                                 ctypes.c_long, ctypes.c_long, dims]
+        lib.run_tiled.argtypes = [plan, ctypes.c_long, ctypes.c_long,
+                                  arrays, dims]
+        lib.run_team.restype = lib.run_tiled.restype = ctypes.c_long
         lib.team_workers.argtypes = []
         lib.team_workers.restype = ctypes.c_long
     except AttributeError as exc:
@@ -998,8 +1093,9 @@ def load_team(directory: Optional[Path], compiler: str):
 
 
 def native_team():
-    """The process-wide team library, loaded at the first team run from
-    the plan cache's version dir (a temp dir for a non-persistent cache).
+    """The process-wide team library, loaded at the first team or tiled
+    run from the plan cache's version dir (a temp dir for a
+    non-persistent cache).
     Raises :class:`NativeUnavailable` without a compiler and
     :class:`CJitCompileError` when the build fails."""
     global _team_lib
@@ -1037,6 +1133,10 @@ class CJitModule:
     ``run``/``run_fused``/``run_peeled`` take the same arguments as the
     Python :class:`~repro.codegen.emitpy.JitModule` entry points;
     ``run_team`` runs the parallel schedule on the process-wide team.
+    ``run`` and ``run_team`` also take the run's ``strip``: None runs the
+    object's own whole-box entry points, a width tiles the fused rows in
+    the team library (:func:`native_team`), which raises
+    :class:`NativeUnavailable` without a compiler to build it.
     Pointers and concrete shapes are marshalled from the arrays dict once
     per call — so once per ``run`` — and memoized while the same array
     objects keep their shape, strides and dtype.
@@ -1111,18 +1211,24 @@ class CJitModule:
         return {"fused_iterations": sum(self.fused_counts),
                 "peeled_iterations": sum(self.peeled_counts)}
 
-    def run(self, arrays: MutableMapping[str, np.ndarray]) -> dict:
+    def run(self, arrays: MutableMapping[str, np.ndarray],
+            strip: Optional[int] = None) -> dict:
         """The whole serial schedule in one native call: the arrays are
-        marshalled once, ``run_plan`` walks both tables."""
+        marshalled once, ``run_plan`` walks both tables.  At a strip the
+        run is a team of one."""
+        if strip is not None:
+            return self.run_team(arrays, 1, strip=strip)
         if self._lib.run_plan(*self._marshal(arrays)) < 0:
             raise CJitError("native run_plan failed")
         return self._counts()
 
     def run_team(self, arrays: MutableMapping[str, np.ndarray],
-                 nthreads: int, timeout: Optional[float] = None,
+                 nthreads: int, strip: Optional[int] = None,
+                 timeout: Optional[float] = None,
                  faults: Optional[Sequence[Sequence[int]]] = None) -> dict:
-        """The SPMD schedule on ``nthreads`` threads of the process-wide
-        team (:func:`native_team`) in one call; ctypes releases the GIL.
+        """The SPMD schedule at ``strip`` on ``nthreads`` threads of the
+        process-wide team (:func:`native_team`) in one call; ctypes
+        releases the GIL.
 
         ``timeout`` bounds every sync wait (seconds; None waits forever)
         and raises :class:`TeamSyncTimeout` past it.
@@ -1135,7 +1241,8 @@ class CJitModule:
             flat = [int(v) for row in faults for v in row]
             table = (ctypes.c_long * len(flat))(*flat)
         code = (_team_lib or native_team()).run_team(
-            self._plan, *self._marshal(arrays), nthreads, timeout_ms, table)
+            self._plan, *self._marshal(arrays), nthreads,
+            0 if strip is None else min(strip, 1 << 32), timeout_ms, table)
         if code == TEAM_TIMEOUT:
             raise TeamSyncTimeout(
                 f"no fused-done signal within {timeout:g}s")
@@ -1199,11 +1306,19 @@ def _validated_module(lib, path: Path, expected_signature: Optional[str],
         lib.run_peeled.restype = ctypes.c_long
         lib.run_plan.argtypes = lib.run_fused.argtypes[1:]
         lib.run_plan.restype = ctypes.c_long
+        depth, width = (_read_longs(lib, name, 1)[0]
+                        for name in ("REPRO_DEPTH", "REPRO_ROW_WIDTH"))
+
+        def address(name: str) -> int:
+            return ctypes.addressof(ctypes.c_long.in_dll(lib, name))
+
         plan = _TeamPlan(
             ctypes.cast(lib.run_fused, ctypes.c_void_p).value,
             ctypes.cast(lib.run_peeled, ctypes.c_void_p).value, nprocs,
-            ctypes.addressof(ctypes.c_long.in_dll(lib, "REPRO_PEEL_DEPS_OFF")),
-            ctypes.addressof(ctypes.c_long.in_dll(lib, "REPRO_PEEL_DEPS")))
+            *map(address, ("REPRO_PEEL_DEPS_OFF", "REPRO_PEEL_DEPS", "BODIES",
+                           "FUSED_ROWS", "FUSED_OFF", "REPRO_FUSED_COUNTS",
+                           "REPRO_SHIFTS", "REPRO_EXTENTS")),
+            depth, width)
     except (ValueError, AttributeError) as exc:
         raise CJitCompileError(
             f"{path.name} lacks the native entry points/metadata "
@@ -1365,7 +1480,7 @@ class NativeBuild:
             self.workdir.cleanup()
 
 
-def start_plan_native(exec_plan: ExecutionPlan, strip: Optional[int] = None,
+def start_plan_native(exec_plan: ExecutionPlan,
                       compiler: Optional[str] = None, so_path=None,
                       c_path=None) -> NativeBuild:
     """Emit ``exec_plan`` and start compiling it into ``so_path`` (a temp
@@ -1373,8 +1488,8 @@ def start_plan_native(exec_plan: ExecutionPlan, strip: Optional[int] = None,
     compiler = compiler or find_compiler()
     if compiler is None:
         raise NativeUnavailable(_NO_COMPILER)
-    signature = exec_plan.signature(strip=strip)
-    source = emit_plan_c_source(exec_plan, strip=strip)
+    signature = exec_plan.signature()
+    source = emit_plan_c_source(exec_plan)
     workdir = None
     if so_path is None:
         workdir = tempfile.TemporaryDirectory(prefix="repro-cjit-")
@@ -1389,7 +1504,6 @@ def start_plan_native(exec_plan: ExecutionPlan, strip: Optional[int] = None,
 
 
 def compile_plan_native(exec_plan: ExecutionPlan,
-                        strip: Optional[int] = None,
                         compiler: Optional[str] = None) -> CJitModule:
     """Emit and compile ``exec_plan`` without touching any cache.
 
@@ -1397,4 +1511,4 @@ def compile_plan_native(exec_plan: ExecutionPlan,
     :class:`CJitCompileError` when compilation fails — the ``cjit``
     backend converts both into a counted fallback to ``jit``.
     """
-    return start_plan_native(exec_plan, strip=strip, compiler=compiler).load()
+    return start_plan_native(exec_plan, compiler=compiler).load()

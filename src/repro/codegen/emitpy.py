@@ -21,6 +21,11 @@ self-contained Python module:
 * iteration counters precomputed as module constants, since box volumes
   are known at generation time.
 
+A module lowers the whole-box schedule only
+(:meth:`~repro.core.execplan.ExecutionPlan.rows` at ``strip=None``) and
+serves every strip: strip-mining a legal plan changes no stored bit, and
+printing each tile as a box would grow the source with the tiles.
+
 The generated module is compiled with :func:`compile`/``exec`` into a
 :class:`JitModule` whose ``run(arrays)`` callable returns the same
 counters as :func:`~repro.runtime.fastexec.run_vector` and is bit-identical
@@ -52,7 +57,10 @@ from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 #: mpjit runs them on.
 #: v6: the team left the objects for one process-wide library
 #: (``emitc.TEAM_SOURCE``); objects are built without ``-pthread``.
-CODEGEN_VERSION = 6
+#: v7: the strip left every artifact: modules lower the whole-box rows
+#: only, and native objects export the tables the team library tiles at
+#: run time (``BODIES``, ``FUSED_ROWS``/``FUSED_OFF``, shifts, extents).
+CODEGEN_VERSION = 7
 
 IND = "    "
 
@@ -365,22 +373,21 @@ def _phase_function(name: str, rows, nests: Sequence[LoopNest], params,
     return header + binds + body, count
 
 
-def emit_plan_source(exec_plan: ExecutionPlan,
-                     strip: Optional[int] = None) -> str:
+def emit_plan_source(exec_plan: ExecutionPlan) -> str:
     """Render ``exec_plan`` as a self-contained Python/numpy module.
 
     The module exposes ``run(arrays)`` with the vector backend's phase
     structure: every processor's fused function, then (after the barrier
     point) every processor's peeled function, each printing that
-    processor's :meth:`~repro.core.execplan.ExecutionPlan.rows` (``strip``
-    tiles included) as literal boxes.
+    processor's whole-box :meth:`~repro.core.execplan.ExecutionPlan.rows`
+    as literal boxes.
     """
     from ..runtime.fastexec import vector_dims
 
     nests = list(exec_plan.plan.seq)
     params = exec_plan.params
     nest_vdims = [vector_dims(nest) for nest in nests]
-    signature = exec_plan.signature(strip=strip)
+    signature = exec_plan.signature()
 
     lines: list[str] = [
         '"""Generated by repro.codegen.emitpy — do not edit."""',
@@ -394,7 +401,7 @@ def emit_plan_source(exec_plan: ExecutionPlan,
     peeled_names: list[str] = []
     fused_counts: list[int] = []
     peeled_counts: list[int] = []
-    for p, (fused_rows, peeled_rows) in enumerate(exec_plan.rows(strip)):
+    for p, (fused_rows, peeled_rows) in enumerate(exec_plan.rows()):
         for phase, rows, names, counts in (
                 ("fused", fused_rows, fused_names, fused_counts),
                 ("peeled", peeled_rows, peeled_names, peeled_counts)):
@@ -490,10 +497,7 @@ def compile_source(source: str,
                      nprocs=nprocs, peel_deps=peel_deps)
 
 
-def compile_plan(exec_plan: ExecutionPlan,
-                 strip: Optional[int] = None) -> JitModule:
+def compile_plan(exec_plan: ExecutionPlan) -> JitModule:
     """Emit and compile ``exec_plan`` without touching any cache."""
-    return compile_source(
-        emit_plan_source(exec_plan, strip=strip),
-        expected_signature=exec_plan.signature(strip=strip),
-    )
+    return compile_source(emit_plan_source(exec_plan),
+                          expected_signature=exec_plan.signature())

@@ -36,6 +36,12 @@ class StripError(ValueError):
     """A strip-mining width below 1: Fig. 12's tiles need a positive one."""
 
 
+def check_strip(strip: Optional[int]) -> None:
+    """Raise :class:`StripError` unless ``strip`` is None or at least 1."""
+    if strip is not None and strip < 1:
+        raise StripError(f"strip must be a positive integer, got {strip}")
+
+
 def range_empty(r: Range) -> bool:
     return r[1] < r[0]
 
@@ -124,8 +130,7 @@ class ExecutionPlan:
         of Fig. 12), one ``range`` per fused dimension; the extent is the
         union over nests of the fused box shifted into position space.
         Every range is empty when the processor fuses nothing."""
-        if strip < 1:
-            raise StripError(f"strip must be a positive integer, got {strip}")
+        check_strip(strip)
         plan = self.plan
         starts = []
         for d in range(plan.depth):
@@ -192,12 +197,15 @@ class ExecutionPlan:
         Two plans share a signature exactly when they execute identically:
         the kernel IR (loop bounds, ``doall`` flags, statement bodies), the
         bound parameters, the derived shifts/peels, the processor grid and
-        every processor's concrete fused boxes and peeled rectangles, plus
-        the ``strip`` setting.  This is the key of the jit plan cache
-        (:mod:`repro.runtime.plancache`): a cache hit replays generated
-        code, so any structural difference — including hand-mutated
-        processor boxes, as the degenerate-range tests build — must change
-        the digest.
+        every processor's concrete fused boxes and peeled rectangles.  This
+        is the key of the jit plan cache (:mod:`repro.runtime.plancache`):
+        a cache hit replays generated code, so any structural difference —
+        including hand-mutated processor boxes, as the degenerate-range
+        tests build — must change the digest.
+
+        The strip is run-time data, not part of any compiled artifact, so
+        nothing in the package passes ``strip``; the parameter stays for
+        callers that key a digest by it (the e2e benchmark passes None).
         """
         digest = hashlib.sha256()
 

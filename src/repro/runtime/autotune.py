@@ -8,7 +8,10 @@ with measured dynamic feedback.  This module closes that loop:
 * :func:`candidate_configs` enumerates a small set of plausible
   ``(backend, strip, workers)`` configurations for a processor
   count on this machine (serial compiled code always; the pooled
-  parallel path only when there is more than one core to win with);
+  parallel path only when there is more than one core to win with).
+  Strips are timed for ``cjit`` only: its one ``.so`` per plan tiles at
+  any strip, while a numpy module runs whole boxes at every strip, so a
+  ``jit`` strip candidate would time the same code twice;
 * :func:`resolve_config` times each candidate on the real kernel (best
   of a few repeats, through the same
   :func:`~repro.runtime.execute.prepare_kernel` /
@@ -47,9 +50,8 @@ from .pool import available_cpus
 
 SCHEMA = "repro-autotune/1"
 
-#: Strip-size candidates per backend.  ``None`` (whole-box, no tiling) is
-#: almost always right for the numpy codegen; one moderate tile size
-#: covers shapes where cache blocking wins.
+#: Strip-size candidates for ``cjit``: whole boxes, and one moderate tile
+#: size for shapes where cache blocking wins.  Both run the same ``.so``.
 _STRIP_CANDIDATES = (None, 32)
 
 
@@ -98,7 +100,7 @@ def tuning_key(program, params: Mapping[str, int], procs: int) -> str:
     """The persistent store key: structural program signature (kernel IR,
     params, procs — strip excluded, the tuner chooses it) plus the
     machine fingerprint."""
-    base = program_signature(program, params, procs, strip=None)
+    base = program_signature(program, params, procs)
     digest = hashlib.sha256()
     digest.update(f"{SCHEMA}|{base}|{machine_fingerprint()}".encode())
     return digest.hexdigest()
@@ -108,8 +110,9 @@ def candidate_configs(procs: int,
                       cpu_count: Optional[int] = None) -> list[dict]:
     """The configurations worth timing for ``procs`` on this machine.
 
-    Serial compiled code (``jit``) is always a candidate, and so is the
-    native tier (``cjit``) when a C compiler is present; the parallel
+    Serial compiled code (``jit``, whole boxes) is always a candidate,
+    and so is the native tier (``cjit``, at each of
+    :data:`_STRIP_CANDIDATES`) when a C compiler is present; the parallel
     path (``mpjit``) joins only when both the plan and the
     machine (its usable CPUs) have parallelism to exploit.  Worker counts:
     all cores, plus a half-cores option on big hosts (smaller pools can
@@ -120,9 +123,7 @@ def candidate_configs(procs: int,
     ``max_workers=None`` (stored winners stay portable across hosts)."""
     if cpu_count is None:
         cpu_count = available_cpus()
-    cands = [
-        {"backend": "jit", "strip": strip} for strip in _STRIP_CANDIDATES
-    ]
+    cands = [{"backend": "jit", "strip": None}]
     from ..codegen.emitc import find_compiler
 
     if find_compiler() is not None:
@@ -245,10 +246,8 @@ def resolve_config(
     t0 = time.perf_counter()
     timed: list[dict] = []
     for cand in candidate_configs(procs):
-        prep = prepare_kernel(
-            kernel, params=params, n=n, procs=procs, seed=seed,
-            backend=cand["backend"], strip=cand.get("strip"),
-        )
+        prep = prepare_kernel(kernel, params=params, n=n, procs=procs,
+                              seed=seed, backend=cand["backend"])
         best = None
         for _ in range(max(1, repeat)):
             seconds, _counters, _digest = execute_prepared(

@@ -20,7 +20,9 @@ plan cache resolves which compiled module a backend runs
 * ``jit`` — the plan lowered once to literal numpy source
   (:mod:`repro.codegen.emitpy`), compiled and memoized through the
   two-level plan cache (:mod:`repro.runtime.plancache`), then executed as
-  straight-line compiled code on every call.
+  straight-line compiled code on every call.  It ignores ``strip``: a
+  legal plan stores the same bits at every strip, and the module holds
+  the whole-box schedule only.
 * ``mpjit`` — the same compiled plans executed in parallel: each thread
   or worker runs only its processors' ``run_fused``/``run_peeled`` entry
   points (the paper's two-phase SPMD schedule, compiled), synchronizing
@@ -30,9 +32,10 @@ plan cache resolves which compiled module a backend runs
 * ``cjit`` — the plan lowered to a C translation unit
   (:mod:`repro.codegen.emitc`), compiled with the system C compiler into
   a ``.so`` cached next to the ``.py`` source, and called through
-  ``ctypes`` — no numpy per-statement overhead at all.  When no
-  compiler is present or compilation fails it falls back to ``jit``
-  with a one-line note and a counter, never an error.
+  ``ctypes`` — no numpy per-statement overhead at all.  One ``.so``
+  serves every strip: at a strip the process-wide team library tiles its
+  fused rows.  When no compiler is present or compilation fails it falls
+  back to ``jit`` with a one-line note and a counter, never an error.
 
 ``Backend.run(..., verify=True)`` cross-checks any fast backend against
 the interpreter on the spot and raises :class:`BackendMismatch` unless the
@@ -94,10 +97,8 @@ class Backend:
                 exec_plan, oracle, strip=strip, interleave=interleave, rng=rng,
             )
         if self.is_reference:
-            stats = self.runner(
-                exec_plan, arrays, interleave=interleave,
-                strip=strip if strip is not None else 4, rng=rng,
-            )
+            stats = self.runner(exec_plan, arrays, interleave=interleave,
+                                strip=strip, rng=rng)
         else:
             stats = self.runner(exec_plan, arrays, strip=strip, **options)
         if oracle is not None:
@@ -162,13 +163,13 @@ def run_compiled(
     :func:`~repro.runtime.plancache.default_cache`) by
     :meth:`~repro.runtime.plancache.PlanCache.resolve` and run over
     ``arrays`` in place by :func:`~repro.runtime.pool.run_modules`, as
-    ``execute_prepared`` runs a prep's.  ``max_workers`` caps mpjit's
-    workers."""
+    ``execute_prepared`` runs a prep's.  The modules serve every strip;
+    ``strip`` goes to the run.  ``max_workers`` caps mpjit's workers."""
     if cache is None:
         cache = default_cache()
-    modules, natives, _ = cache.resolve(backend, [exec_plan], strip=strip)
+    modules, natives, _ = cache.resolve(backend, [exec_plan])
     return run_modules(backend, natives or modules, arrays, cache,
-                       max_workers=max_workers)
+                       strip=strip, max_workers=max_workers)
 
 
 register_backend(Backend(

@@ -17,7 +17,12 @@ import math
 import time
 from typing import Mapping, Optional, Sequence
 
-from .execute import execute_prepared, execute_resilient, prepare_kernel
+from .execute import (
+    execute_prepared,
+    execute_resilient,
+    prepare_kernel,
+    ran_strip,
+)
 from .plancache import PlanCache
 
 
@@ -101,6 +106,9 @@ def measure_kernel(
 
     The checksum must be identical across repeats (execution is
     deterministic); a mismatch raises ``RuntimeError`` immediately.
+    ``strip`` goes to the runs only (no compiled module depends on it);
+    the record's ``strip`` is the one the last run executed
+    (:func:`~repro.runtime.execute.ran_strip`: None for a numpy module).
 
     Every repeat is kept as its own sample under ``samples`` — a dict of
     ``seconds`` plus that repeat's share of the cost phases the jit cache
@@ -146,7 +154,7 @@ def measure_kernel(
         max_workers = config.get("max_workers", max_workers)
     prep = prepare_kernel(
         kernel, params=params, n=n, procs=procs, seed=seed,
-        backend=backend, strip=strip,
+        backend=backend,
         cache=None if use_cache else PlanCache(persist=False),
         need_plans=verify,
     )
@@ -159,6 +167,7 @@ def measure_kernel(
     counters = None
     samples: list[dict] = []
     recovery_totals = {"retries": 0, "degraded_runs": 0}
+    backend_used = backend
     for index in range(max(1, repeat)):
         if retries > 0 and not verify:
             from .supervisor import RetryPolicy
@@ -169,6 +178,7 @@ def measure_kernel(
             )
             recovery_totals["retries"] += recovery["retries"]
             recovery_totals["degraded_runs"] += int(recovery["degraded"])
+            backend_used = recovery["backend_used"]
         else:
             seconds, totals, run_digest = execute_prepared(
                 prep, backend, strip=strip, verify=verify,
@@ -203,6 +213,7 @@ def measure_kernel(
         "backend": backend,
         "shape": prep.shape,
         "procs": procs,
+        "strip": ran_strip(prep, backend_used, strip),
         "seconds": round(min(run_times), 6),
         "iterations": counters["fused_iterations"] + counters["peeled_iterations"],
         "checksum": digest,

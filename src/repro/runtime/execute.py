@@ -11,7 +11,9 @@ machine-independent checksum, and :func:`execute_resilient` wraps that run
 in bounded retries down the degradation ladder.  Which compiled modules
 a module backend runs is decided by the prep's plan cache
 (:meth:`~repro.runtime.plancache.PlanCache.resolve`), at prepare time;
-they run over views of the shared execution arena
+the strip is not: it is set when a run starts, and the same modules
+serve every strip (:func:`ran_strip` names the one a run used).  They
+run over views of the shared execution arena
 (:mod:`repro.runtime.arena`): inputs filled in place, hashed in place,
 run in place by an ``mpjit`` thread team or handed to its worker pool by
 spec.
@@ -113,7 +115,6 @@ def prepare_kernel(
     procs: int = 4,
     seed: int = 7,
     backend: Optional[str] = None,
-    strip: Optional[int] = None,
     cache: Optional[PlanCache] = None,
     need_plans: bool = False,
 ) -> PreparedKernel:
@@ -128,7 +129,7 @@ def prepare_kernel(
     False)`` compiles afresh and writes nothing) resolves the compiled
     modules (:meth:`~repro.runtime.plancache.PlanCache.resolve`), and the
     prep keeps it for the runs.  A warm program alias (same kernel IR,
-    params, procs and strip) yields them without running the analysis →
+    params and procs) yields them without running the analysis →
     derive → fuse → plan pipeline at all; ``cjit`` takes that shortcut
     only when every aliased plan also has a cached ``.so``, else it plans
     and compiles (or records the fallback reason).  ``need_plans=True``
@@ -142,7 +143,7 @@ def prepare_kernel(
     if compiled:
         if cache is None:
             cache = default_cache()
-        alias_key = program_signature(program, run_params, procs, strip)
+        alias_key = program_signature(program, run_params, procs)
         if not need_plans:
             before = cache.stats.snapshot()
             modules = cache.lookup_alias(alias_key)
@@ -170,7 +171,7 @@ def prepare_kernel(
     if compiled:
         before = cache.stats.snapshot()
         prep.modules, prep.native_modules, prep.native_reason = \
-            cache.resolve(backend, plans, strip=strip)
+            cache.resolve(backend, plans)
         cache.link_alias(alias_key, [m.signature for m in prep.modules])
         prep.cache = cache
         prep.cache_stats = cache.stats.delta(before)
@@ -193,8 +194,8 @@ def execute_prepared(
     stops; the run itself — including, on the first run, spawning the
     mpjit worker pool — is what the clock sees.  When ``prep`` carries
     precompiled modules, ``backend`` is one of :data:`MODULE_BACKENDS`
-    and no interpreter verification is requested, the modules run
-    directly over views of the execution arena
+    and no interpreter verification is requested, the modules run at
+    ``strip`` directly over views of the execution arena
     (:func:`~repro.runtime.pool.run_modules`): the numpy modules for
     ``jit``, the native ones when ``cjit``/``mpjit`` have them (for
     ``mpjit`` resolved at prepare time, or found since in the prep's
@@ -217,7 +218,8 @@ def execute_prepared(
             fill_seeded(arrays.values(), prep.seed)
             t0 = time.perf_counter()
             totals = run_modules(backend, run, arrays, prep.cache,
-                                 specs=specs, max_workers=max_workers)
+                                 strip=strip, specs=specs,
+                                 max_workers=max_workers)
             seconds = time.perf_counter() - t0
             return seconds, totals, checksum(arrays)
     if not prep.plans:
@@ -240,6 +242,15 @@ def execute_prepared(
             totals[key] += stats.get(key, 0)
     seconds = time.perf_counter() - t0
     return seconds, totals, checksum(arrays)
+
+
+def ran_strip(prep: PreparedKernel, backend: str,
+              strip: Optional[int]) -> Optional[int]:
+    """The strip a run of ``prep`` on ``backend`` at ``strip`` executed:
+    None for a numpy module (``jit``, cjit's fallback, the ``mpjit``
+    pool), which runs whole boxes only, else ``strip``."""
+    numpy = backend == "jit" or prep.native_modules is None
+    return None if backend in MODULE_BACKENDS and numpy else strip
 
 
 def _prep_signature(prep: PreparedKernel) -> str:

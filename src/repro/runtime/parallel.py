@@ -77,7 +77,7 @@ def run_parallel(
     exec_plan: ExecutionPlan,
     arrays: MutableMapping[str, np.ndarray],
     interleave: str = "roundrobin",
-    strip: int = 4,
+    strip: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> dict[str, int]:
     """Execute the fused phase (interleaved), the barrier, then the peeled

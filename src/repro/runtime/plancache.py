@@ -7,8 +7,10 @@ structure, amortize across invocations.  This module provides:
 
 * an **in-memory LRU** keyed by the structural plan signature
   (:meth:`~repro.core.execplan.ExecutionPlan.signature`: kernel IR hash +
-  params + grid + boxes + strip), so repeated executions inside one
-  process reuse the compiled module directly;
+  params + grid + boxes), so repeated executions inside one process reuse
+  the compiled module directly.  The strip is not part of any key: it is
+  run-time data (one ``.py`` and one ``.so`` per plan serve every strip,
+  so a strip sweep compiles once);
 * a **persistent on-disk cache** of generated source under a
   version-stamped directory (``$REPRO_JIT_CACHE_DIR`` or
   ``~/.cache/repro/jit``, then ``v<CODEGEN_VERSION>/<signature>.py``), so
@@ -21,8 +23,8 @@ structure, amortize across invocations.  This module provides:
   additionally by a compiler fingerprint so a toolchain change
   recompiles instead of re-dlopening a foreign object;
 * **program aliases**: a second index keyed by the *program-level*
-  signature (kernel IR + params + procs + strip, computable without
-  planning) mapping to the per-sequence plan signatures.  A warm alias
+  signature (kernel IR + params + procs, computable without planning)
+  mapping to the per-sequence plan signatures.  A warm alias
   lets ``repro exec`` skip the analysis → derive → fuse → plan pipeline
   entirely, not just compilation;
 * **the resolver**, :meth:`PlanCache.resolve`: the one place that decides
@@ -265,18 +267,18 @@ class PlanCache:
             self._remember(module)
         return module
 
-    def get(self, exec_plan: ExecutionPlan, strip: Optional[int] = None):
+    def get(self, exec_plan: ExecutionPlan):
         """The main entry: cached module for ``exec_plan``, compiling (and
         persisting) it on a miss."""
         from ..codegen.emitpy import compile_source, emit_plan_source
 
-        signature = exec_plan.signature(strip=strip)
+        signature = exec_plan.signature()
         module = self.peek(signature)
         if module is not None:
             return module
         self.stats.misses += 1
         t0 = time.perf_counter()
-        source = emit_plan_source(exec_plan, strip=strip)
+        source = emit_plan_source(exec_plan)
         module = compile_source(source, expected_signature=signature)
         self.stats.compile_seconds += time.perf_counter() - t0
         self._store_disk(module)
@@ -331,8 +333,7 @@ class PlanCache:
             return module
         return None
 
-    def get_native(self, exec_plan: ExecutionPlan,
-                   strip: Optional[int] = None):
+    def get_native(self, exec_plan: ExecutionPlan):
         """Cached native module for ``exec_plan``, compiling on a miss.
 
         Returns ``(module, reason)``: ``(CJitModule, None)`` on success,
@@ -340,7 +341,7 @@ class PlanCache:
         the ``cjit`` backend turns the latter into a counted fallback to
         ``jit``, never an error.
         """
-        natives, reason = _NativeBatch(self, [exec_plan], strip).finish()
+        natives, reason = _NativeBatch(self, [exec_plan]).finish()
         return (natives[0] if natives else None), reason
 
     # -- what a module backend runs ---------------------------------------
@@ -349,12 +350,13 @@ class PlanCache:
         self,
         backend: str,
         plans: Optional[Sequence[ExecutionPlan]] = None,
-        strip: Optional[int] = None,
         modules: Optional[list] = None,
         disk: bool = True,
     ) -> tuple[list, Optional[list], Optional[str]]:
         """The compiled modules ``backend`` runs: ``(modules, natives,
         reason)``, the one place a module backend's modules are chosen.
+        They serve every strip: the run passes its strip to them
+        (:func:`~repro.runtime.pool.run_modules`).
 
         ``modules`` are the numpy modules: the ones given (a warm alias's),
         else each plan's from :meth:`get`, compiling on a miss; ``jit``
@@ -372,10 +374,10 @@ class PlanCache:
           runs what cjit built, or the numpy modules on the worker pool.
         """
         if backend == "cjit" and plans is not None:
-            batch = _NativeBatch(self, plans, strip)
+            batch = _NativeBatch(self, plans)
             try:
                 if modules is None:
-                    modules = [self.get(ep, strip=strip) for ep in plans]
+                    modules = [self.get(ep) for ep in plans]
                 natives, reason = batch.finish()
             finally:
                 batch.cancel()
@@ -385,7 +387,7 @@ class PlanCache:
                 note_fallback(reason)
             return modules, natives, reason
         if modules is None:
-            modules = [self.get(ep, strip=strip) for ep in plans]
+            modules = [self.get(ep) for ep in plans]
         if backend == "jit":
             return modules, None, None
         twins = [self.peek_native(m.signature, disk=disk) for m in modules]
@@ -445,12 +447,12 @@ class _NativeBatch:
     uncounted (:meth:`cancel`).
     """
 
-    def __init__(self, cache: PlanCache, plans: Sequence[ExecutionPlan],
-                 strip: Optional[int]) -> None:
+    def __init__(self, cache: PlanCache,
+                 plans: Sequence[ExecutionPlan]) -> None:
         from ..codegen.emitc import compiler_fingerprint, find_compiler
         from .pool import available_cpus
 
-        self.cache, self.plans, self.strip = cache, plans, strip
+        self.cache, self.plans = cache, plans
         self.compiler = find_compiler()
         self.builds: dict[int, object] = {}  # NativeBuild, or why not
         self.start_seconds: dict[int, float] = {}
@@ -458,7 +460,7 @@ class _NativeBatch:
         if self.compiler is None:
             return
         self.fingerprint = compiler_fingerprint(self.compiler)
-        self.signatures = [ep.signature(strip=strip) for ep in plans]
+        self.signatures = [ep.signature() for ep in plans]
         self.slots = available_cpus()
         seen = set()
         for i, sig in enumerate(self.signatures):
@@ -481,7 +483,7 @@ class _NativeBatch:
         t0 = time.perf_counter()
         try:
             self.builds[i] = emitc.start_plan_native(
-                self.plans[i], strip=self.strip, compiler=self.compiler,
+                self.plans[i], compiler=self.compiler,
                 so_path=(cache.native_path(sig, self.fingerprint)
                          if cache.persist else None),
                 c_path=cache.c_source_path(sig) if cache.persist else None)
@@ -552,10 +554,14 @@ class _NativeBatch:
 
 def program_signature(program, params: Mapping[str, int], procs: int,
                       strip: Optional[int] = None) -> str:
-    """Structural key of (program IR, params, procs, strip) — everything
+    """Structural key of (program IR, params, procs) — everything
     :func:`~repro.runtime.execute.prepare_kernel` needs to produce a
     deterministic set of execution plans, hashable *without* running the
-    planning pipeline.  Mutating any kernel body changes it."""
+    planning pipeline.  Mutating any kernel body changes it.
+
+    No compiled artifact depends on the strip, so nothing in the package
+    passes ``strip``; the parameter stays for callers that key a digest
+    by it (the e2e benchmark passes None)."""
     import hashlib
 
     from ..codegen.emitpy import CODEGEN_VERSION

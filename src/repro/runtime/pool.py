@@ -69,6 +69,7 @@ from ..codegen.emitc import (
     CJitModule,
     TeamSyncTimeout,
 )
+from ..core.execplan import check_strip
 from . import arena
 from .fastexec import EnvConfigError, FastExecError
 from .faults import active_plan
@@ -566,28 +567,49 @@ def run_modules(
     modules: Sequence,
     arrays: MutableMapping[str, np.ndarray],
     cache,
+    strip: Optional[int] = None,
     specs: Optional[tuple] = None,
     max_workers: Optional[int] = None,
 ) -> dict[str, int]:
     """Run the modules ``cache`` resolved for ``backend``
     (:meth:`~repro.runtime.plancache.PlanCache.resolve`) over ``arrays``
-    in order and sum their counters: serially for ``jit``/``cjit``, each
-    through :func:`run_mpjit_module` for ``mpjit``."""
+    at ``strip`` in order and sum their counters: serially for
+    ``jit``/``cjit``, each through :func:`run_mpjit_module` for
+    ``mpjit``.  A strip below 1 raises
+    :class:`~repro.core.execplan.StripError` before anything runs."""
+    check_strip(strip)
     totals = {"fused_iterations": 0, "peeled_iterations": 0}
     for module in modules:
         if backend == "mpjit":
-            stats = run_mpjit_module(module, arrays, max_workers=max_workers,
-                                     cache=cache, specs=specs)
+            stats = run_mpjit_module(module, arrays, strip=strip,
+                                     max_workers=max_workers, cache=cache,
+                                     specs=specs)
         else:
-            stats = module.run(arrays)
+            stats = _run_serial(module, arrays, strip)
         for key in totals:
             totals[key] += stats.get(key, 0)
     return totals
 
 
+def _run_serial(module, arrays: MutableMapping[str, np.ndarray],
+                strip: Optional[int]) -> dict[str, int]:
+    """``module`` in this thread.  A numpy module ignores ``strip``; a
+    native one's failure (at a strip, no compiler to build the team
+    library, say) is an ``internal`` one.  No pool or team counter
+    moves: this is not an mpjit team run."""
+    if not isinstance(module, CJitModule):
+        return module.run(arrays)
+    try:
+        return module.run(arrays, strip=strip)
+    except CJitError as exc:
+        raise ExecError(ExecFailure(
+            kind=INTERNAL, message=f"native run failed: {exc}")) from exc
+
+
 def run_mpjit_module(
     module,
     arrays: MutableMapping[str, np.ndarray],
+    strip: Optional[int] = None,
     max_workers: Optional[int] = None,
     cache=None,
     specs: Optional[tuple] = None,
@@ -597,7 +619,8 @@ def run_mpjit_module(
     round-robin.
 
     A native :class:`~repro.codegen.emitc.CJitModule` (a twin the plan
-    cache held) runs as one team of threads over ``arrays``; a numpy
+    cache held) runs as one team of threads over ``arrays`` at ``strip``;
+    a numpy
     :class:`~repro.codegen.emitpy.JitModule` runs on the worker pool,
     whose cold workers load it by signature from ``cache``'s directory
     when that persists, else from the source shipped in the task.  The
@@ -613,9 +636,9 @@ def run_mpjit_module(
     faults = active_plan()
     nworkers = _resolve_workers(module.nprocs, max_workers)
     if nworkers == 1:
-        return module.run(arrays)
+        return _run_serial(module, arrays, strip)
     if isinstance(module, CJitModule):
-        return _run_team(module, arrays, nworkers, timeout, faults)
+        return _run_team(module, arrays, nworkers, strip, timeout, faults)
     cache_root = (str(cache.root) if cache is not None and cache.persist
                   else None)
     if specs is not None:
@@ -648,7 +671,8 @@ def _team_faults(injected: Mapping[int, dict], nthreads: int) -> list:
 
 
 def _run_team(module, arrays: MutableMapping[str, np.ndarray],
-              nthreads: int, timeout: float, faults) -> dict[str, int]:
+              nthreads: int, strip: Optional[int], timeout: float,
+              faults) -> dict[str, int]:
     """One run on the process-wide native team (``faults``: the active
     fault plan or None); a failure is classified and recorded like a pool
     failure.  An injected ``crash`` fails the run as the ``worker_crash``
@@ -666,7 +690,7 @@ def _run_team(module, arrays: MutableMapping[str, np.ndarray],
             workers=tuple(crashed), exitcodes=tuple(crashed.values()))))
     try:
         return module.run_team(
-            arrays, nthreads, timeout=timeout,
+            arrays, nthreads, strip=strip, timeout=timeout,
             faults=_team_faults(injected, nthreads) if injected else None)
     except CJitError as exc:
         _fail(ExecError(ExecFailure(

@@ -12,10 +12,11 @@ mpjit worker pool for every client:
   the discipline the shared worker pool requires — while the event
   loop keeps accepting, answering ``status`` and shedding load;
 * plan preparation (analysis → fuse → plan → compile) happens at most
-  once per signature per daemon lifetime: a small LRU of
+  once per program and backend per daemon lifetime: a small LRU of
   :class:`~repro.runtime.execute.PreparedKernel` sits on top of
   the process-wide plan cache, so a batch of identical requests pays
-  one compile and N executions;
+  one compile and N executions, and requests differing only in strip
+  share one prep (the strip is the run's);
 * every observed execution feeds the admission cost model
   (EWMA, seeded by the auto-tuner's persisted winners), closing the
   static + dynamic loop: measured costs drive load-shedding decisions;
@@ -146,10 +147,16 @@ class FusionServer:
         return None
 
     def signature_for(self, op: str, key: ExecKey) -> str:
-        """The batching signature: the structural program signature (the
-        plan cache's program-alias key) plus the runtime options that
-        change how the compiled plan executes.  Cached per key — the
-        program build behind it costs about a millisecond."""
+        """The batching signature: the structural program signature plus
+        the runtime options that change how the compiled plan executes —
+        the strip among them, so each batch member runs at its own."""
+        return (f"{op}:{self._program_signature(key)}:{key.backend}:"
+                f"{key.strip or '-'}:{key.max_workers or '-'}")
+
+    def _program_signature(self, key: ExecKey) -> str:
+        """The plan cache's program-alias key of ``key``'s kernel, shape
+        and procs.  Cached per key — the program build behind it costs
+        about a millisecond."""
         base = self._sig_cache.get(key)
         if base is None:
             from ..kernels import get_kernel
@@ -159,23 +166,26 @@ class FusionServer:
             info = get_kernel(key.kernel)
             program = info.program()
             params = resolve_params(info, program, n=key.n)
-            base = program_signature(program, params, key.procs, key.strip)
+            base = program_signature(program, params, key.procs)
             self._sig_cache[key] = base
-        return f"{op}:{base}:{key.backend}:{key.max_workers or '-'}"
+        return base
 
     # -- executor-thread work ----------------------------------------------
 
-    def _prepare(self, signature: str, key: ExecKey):
-        """PreparedKernel for ``key``, LRU-cached (executor thread only)."""
+    def _prepare(self, key: ExecKey):
+        """PreparedKernel for ``key``, LRU-cached by program and backend
+        — not by strip, which only the run reads (executor thread
+        only)."""
         from ..runtime.execute import prepare_kernel
 
+        signature = f"{self._program_signature(key)}:{key.backend}"
         prep = self._prepared.get(signature)
         if prep is not None:
             self._prepared.move_to_end(signature)
             return prep
         prep = prepare_kernel(
             key.kernel, n=key.n, procs=key.procs, seed=self.config.seed,
-            backend=key.backend, strip=key.strip,
+            backend=key.backend,
         )
         self._prepared_seconds["plan"] += prep.plan_seconds
         self._prepared_seconds["compile"] += prep.compile_seconds
@@ -202,6 +212,18 @@ class FusionServer:
         corrupt_cache_entry(default_cache())
         self._prepared.clear()
 
+    def _failed(self, exc: Exception) -> tuple:
+        """One failed member's ``("err", failure_dict, message)``,
+        counted in ``exec_failures`` and the per-kind failure counts —
+        the one path for a failure at prepare time and at run time."""
+        from ..runtime.supervisor import classify_failure
+
+        failure = classify_failure(exc)
+        self.stats["exec_failures"] += 1
+        self._failure_counts[failure.kind] = (
+            self._failure_counts.get(failure.kind, 0) + 1)
+        return ("err", failure.as_dict(), f"{type(exc).__name__}: {exc}")
+
     def _execute_batch(self, batch: Batch) -> list[tuple]:
         """Run one batch on the executor thread: prepare once, execute
         each member back-to-back.  Returns one ``("ok", result)`` or
@@ -209,17 +231,14 @@ class FusionServer:
         members are retried individually with backend degradation, so a
         poisoned request fails alone instead of taking its riders down.
         """
-        from ..runtime.execute import execute_resilient
+        from ..runtime.execute import execute_resilient, ran_strip
         from ..runtime.fastexec import FastExecError
-        from ..runtime.supervisor import classify_failure
 
         key = batch.key
         try:
-            prep = self._prepare(batch.signature, key)
+            prep = self._prepare(key)
         except Exception as exc:  # noqa: BLE001 - reported per member
-            payload = classify_failure(exc).as_dict()
-            message = f"{type(exc).__name__}: {exc}"
-            return [("err", payload, message) for _ in batch.requests]
+            return [self._failed(exc) for _ in batch.requests]
         results: list[tuple] = []
         for index, qreq in enumerate(batch.requests):
             t0 = time.perf_counter()
@@ -231,8 +250,7 @@ class FusionServer:
                     "plan_seconds": round(prep.plan_seconds, 6),
                     "compile_seconds": round(prep.compile_seconds, 6),
                     "signatures": [m.signature for m in prep.modules]
-                    if prep.modules else [p.signature(strip=key.strip)
-                                          for p in prep.plans],
+                    if prep.modules else [p.signature() for p in prep.plans],
                     "cache": dict(prep.cache_stats),
                     "seconds": round(seconds, 6),
                 }))
@@ -246,16 +264,13 @@ class FusionServer:
                     signature=batch.signature,
                 )
             except FastExecError as exc:
-                failure = classify_failure(exc)
-                self.stats["exec_failures"] += 1
-                self._failure_counts[failure.kind] = (
-                    self._failure_counts.get(failure.kind, 0) + 1)
-                results.append(("err", failure.as_dict(),
-                                f"{type(exc).__name__}: {exc}"))
+                results.append(self._failed(exc))
                 continue
             result = {
                 "kernel": key.kernel, "shape": prep.shape,
                 "procs": key.procs, "backend": key.backend,
+                "strip": ran_strip(prep, recovery["backend_used"],
+                                   key.strip),
                 "seconds": round(seconds, 6),
                 "iterations": (counters["fused_iterations"]
                                + counters["peeled_iterations"]),

@@ -114,6 +114,10 @@ class TestCandidates:
             cjit = [c for c in candidate_configs(procs=4, cpu_count=8)
                     if c["backend"] == "cjit"]
             assert cjit and {c.get("strip") for c in cjit} == {None, 32}
+        # a numpy module runs whole boxes at every strip: one candidate
+        assert [c for c in candidate_configs(procs=4, cpu_count=8)
+                if c["backend"] == "jit"] == [{"backend": "jit",
+                                               "strip": None}]
         monkeypatch.setenv(emitc.ENV_CC, "/nonexistent/compiler")
         assert all(c["backend"] != "cjit"
                    for c in candidate_configs(procs=4, cpu_count=8))
@@ -125,7 +129,7 @@ class TestResolveConfig:
         config, info = resolve_config("jacobi", n=21, procs=4, repeat=1,
                                       tuner=tuner)
         assert info["hit"] is False
-        assert info["candidates_timed"] >= 2
+        assert info["candidates_timed"] == len(candidate_configs(procs=4))
         assert config["backend"] in ("jit", "cjit", "mpjit")
         assert tuner.stats.misses == 1 and tuner.stats.stores == 1
         # Second resolution: pure lookup, nothing timed.
@@ -135,6 +139,19 @@ class TestResolveConfig:
         assert info2["candidates_timed"] == 0
         assert config2 == config
         assert tuner.stats.hits == 1
+
+    def test_cold_tuning_compiles_one_object_per_plan(self):
+        """The strip candidates run one module per plan: a cold tuner
+        run on jacobi (one plan) counts exactly one numpy compile and,
+        with a compiler, one native compile."""
+        import repro.codegen.emitc as emitc
+        from repro.runtime.plancache import default_cache
+
+        stats = default_cache().stats
+        resolve_config("jacobi", n=21, procs=4, repeat=1,
+                       tuner=AutoTuner(persist=False))
+        assert stats.misses == 1
+        assert stats.native_misses == int(emitc.find_compiler() is not None)
 
     def test_persisted_winner_survives_a_fresh_tuner(self):
         """A fresh tuner instance (a fresh process, in effect) hits the

@@ -67,10 +67,11 @@ def _assert_identical(reference, candidate, context):
 
 def _check_every_strip(kernel, procs, backend, **kw):
     # filter's ten nests are not legal to fuse below n=21 (Theorem 1)
-    base, plans = _setup(kernel, 21 if kernel == "filter" else 13, procs)
+    n = 21 if kernel == "filter" else 13
+    base, plans = _setup(kernel, n, procs)
     ref = copy_arrays(base)
     ref_counts = _run_backend(plans, ref, "interp")
-    for strip in (None, 1, 4):
+    for strip in (None, 1, 2, 3, 4, 7, n):
         got = copy_arrays(base)
         counts = _run_backend(plans, got, backend, strip=strip, **kw)
         _assert_identical(ref, got, (backend, kernel, procs, strip))
@@ -103,9 +104,22 @@ class TestAllKernelsAllBackends:
     def test_cjit_matches_interp_every_grid_and_strip(self, kernel, procs):
         """The native tier's schedule is data: the same compiled bodies
         must serve every processor count and every strip (whole boxes,
-        4-wide tiles, single-iteration tiles) with the interpreter's
-        bits and counts."""
+        tiles walked by the team library from single-iteration to
+        whole-extent) with the interpreter's bits and counts."""
         _check_every_strip(kernel, procs, "cjit")
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("procs", [1, 2, 3, 4, 6])
+    def test_jit_matches_interp_every_grid_and_strip(self, kernel, procs):
+        """The numpy module lowers whole boxes only and serves every
+        strip: a legal plan stores the same bits in any tile order."""
+        _check_every_strip(kernel, procs, "jit")
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("procs", [1, 2, 3, 4, 6])
+    def test_vector_matches_interp_every_grid_and_strip(self, kernel, procs):
+        """``vector`` walks ``rows(strip)`` itself, tile by tile."""
+        _check_every_strip(kernel, procs, "vector")
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     @pytest.mark.parametrize("procs", [1, 2, 3, 4, 6])

@@ -10,7 +10,8 @@ exists (checksums must not move, the counter must), and the quarantine
 coupling: a corrupt ``.py`` source takes its ``.so``/``.c`` siblings
 with it, and a corrupt ``.so`` is never re-dlopened — and the shape of
 the translation unit itself: one body per (nest, hazard verdict), the
-schedule in tables, so neither processors nor strips grow the code.
+schedule in tables, so processors do not grow the code and one object
+serves every strip.
 """
 
 import os
@@ -191,19 +192,18 @@ class TestScheduleAsData:
         assert sizes[8] <= 1.25 * sizes[2], sizes
 
     def test_strip_tiles_are_rows_not_code(self):
-        """jacobi n=511 at strip=8 is 8192 tiles: a table, the same two
-        bodies, a sub-2-second compile (the per-tile emitter took 46 s at
-        strip=16), and the whole-box run's bits."""
+        """jacobi n=511 at strip=8 is 8192 tiles: walked over the
+        whole-box table at run time, so the one object has the same two
+        bodies and no tile in its source, and the tiled run stores the
+        whole-box run's bits."""
         _, params, (ep,) = kernel_plans("jacobi", 511, 4)
-        t0 = time.perf_counter()
-        tiled = emitc.compile_plan_native(ep, strip=8)
-        assert time.perf_counter() - t0 < 2.0
-        assert tiled.source.count("static int nest_") == 2
-        whole = emitc.compile_plan_native(ep)
+        native = emitc.compile_plan_native(ep)
+        assert native.source.count("static int nest_") == 2
+        assert len(native.source) < 10_000  # no per-tile rows: 3.5 KB
         rng = np.random.default_rng(7)
         base = {name: rng.random((512, 512)) + 1.0 for name in "ab"}
         got, ref = copy_arrays(base), copy_arrays(base)
-        assert tiled.run(got) == whole.run(ref)
+        assert native.run(got, strip=8) == native.run(ref)
         assert checksum(got) == checksum(ref)
 
     def test_hazard_verdict_differing_between_boxes_emits_both_bodies(self):
@@ -217,9 +217,10 @@ class TestScheduleAsData:
                 "c": rng.random(12) + 0.5}
         ref = copy_arrays(base)
         ref_counts = get_backend("interp").run(ep, ref)
+        native = emitc.compile_plan_native(ep)
         for strip in (None, 1, 2):
             got = copy_arrays(base)
-            counts = emitc.compile_plan_native(ep, strip=strip).run(got)
+            counts = native.run(got, strip=strip)
             assert counts == ref_counts
             assert checksum(got) == checksum(ref), strip
 
@@ -257,9 +258,136 @@ class TestScheduleAsData:
         ep = _plan(procs=3)
         py_source = emit_plan_source(ep)
         emitc.emit_plan_c_source(ep)
-        emitc.emit_plan_c_source(ep, strip=2)
+        emitc.emit_plan_c_source(ep)
         assert len(calls) == 1
         assert repr(pure(ep)) in py_source and ep.peel_deps == pure(ep)
+
+
+def _body_nests(source: str) -> list[int]:
+    """The nest of each entry of a unit's ``BODIES`` table."""
+    names = source.split("BODIES[])(")[1].split("{")[1].split("}")[0]
+    return [int(name.split("_")[1]) for name in names.split(", ")]
+
+
+@needs_cc
+class TestTiledWalk:
+    """The team library tiles a unit's whole-box fused table at run time
+    (``run_tiled``); one object per plan serves every strip."""
+
+    @pytest.mark.parametrize("case", ["fig9", "fig13", "jacobi"])
+    def test_walk_visits_rows_of_every_strip(self, case, request):
+        """A fake body table of ctypes callbacks records each ``(nest,
+        box)`` the walk hands out: exactly ``rows(strip)``'s fused rows,
+        in order, for every processor, with the fused count returned."""
+        import ctypes
+
+        if case == "jacobi":
+            plans = [kernel_plans("jacobi", 33, 4)[2][0]]
+        else:
+            plan = derive_shift_peel(request.getfixturevalue(
+                f"{case}_sequence"), ("n",))
+            plans = [build_execution_plan(plan, {"n": 40}, num_procs=procs)
+                     for procs in (1, 3)]
+        body_type = ctypes.CFUNCTYPE(
+            ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
+            ctypes.POINTER(ctypes.c_long))
+        seen = []
+
+        def recorder(nest, depth):
+            def body(_arrays, _dims, b):
+                seen.append((nest, tuple((b[2 * d], b[2 * d + 1])
+                                         for d in range(depth))))
+                return 0
+            return body_type(body)
+
+        team = emitc.native_team()
+        for ep in plans:
+            native = emitc.compile_plan_native(ep)
+            bodies = [recorder(k, ep.plan.seq[k].depth)
+                      for k in _body_nests(native.source)]
+            table = (ctypes.c_void_p * len(bodies))(
+                *(ctypes.cast(body, ctypes.c_void_p) for body in bodies))
+            plan = emitc._TeamPlan.from_buffer_copy(native._plan)
+            plan.bodies = ctypes.addressof(table)
+            for p, proc in enumerate(ep.processors):
+                for strip in (1, 2, 4, 7):
+                    seen.clear()
+                    count = team.run_tiled(ctypes.byref(plan), p, strip,
+                                           None, None)
+                    want = ep.processor_rows(proc, strip)[0]
+                    assert seen == list(want), (case, p, strip)
+                    assert count == native.fused_counts[p]
+
+    def test_out_of_range_processor_fails(self):
+        import ctypes
+
+        native = emitc.compile_plan_native(_plan(procs=2))
+        team = emitc.native_team()
+        for proc in (-1, 2):
+            assert team.run_tiled(ctypes.byref(native._plan), proc, 2,
+                                  None, None) == -1
+
+    def test_cached_object_without_compiler_degrades_to_jit(
+            self, monkeypatch):
+        """A cached ``.so`` runs whole boxes without a compiler, but a
+        run at a strip needs the team library and cannot build it: an
+        ``internal`` failure that degrades to ``jit`` with the same
+        bits."""
+        from repro.runtime.execute import execute_resilient
+        from repro.runtime.supervisor import ExecError
+
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="cjit")
+        assert prep.native_modules is not None
+        _, _, whole = execute_prepared(prep, "cjit")
+        monkeypatch.setenv(emitc.ENV_CC, "/nonexistent/compiler")
+        monkeypatch.setattr(emitc, "_team_lib", None)
+        with pytest.raises(ExecError) as info:
+            execute_prepared(prep, "cjit", strip=4)
+        assert info.value.failure.kind == "internal"
+        _, _, digest, recovery = execute_resilient(prep, "cjit", strip=4)
+        assert digest == whole
+        assert recovery["backend_used"] == "jit"
+        assert recovery["attempts"] == [{"backend": "cjit",
+                                         "kind": "internal"}]
+
+    def test_serial_run_at_a_strip_is_no_team_run(self, monkeypatch):
+        """A serial cjit run at a strip walks tiles in the team library,
+        but neither it nor its failure counts as an mpjit team run."""
+        from repro.runtime.pool import pool_stats
+        from repro.runtime.supervisor import ExecError, default_supervisor
+
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="cjit")
+        before = pool_stats(), default_supervisor().stats()
+        execute_prepared(prep, "cjit", strip=4)
+        monkeypatch.setattr(emitc, "_team_lib", None)
+        monkeypatch.setenv(emitc.ENV_CC, "/nonexistent/compiler")
+        with pytest.raises(ExecError):
+            execute_prepared(prep, "cjit", strip=4)
+        assert (pool_stats(), default_supervisor().stats()) == before
+
+    def test_strip_sweep_compiles_once_per_plan(self):
+        """jacobi n=511: a prepare and runs at strips None, 4 and 16 (and
+        the same sweep through the backend registry) compile one numpy
+        module and one ``.so`` per plan, and leave one of each on
+        disk."""
+        cache = default_cache()
+        prep = prepare_kernel("jacobi", n=511, procs=4, backend="cjit")
+        digests = {execute_prepared(prep, "cjit", strip=strip)[2]
+                   for strip in (None, 4, 16)}
+        for strip in (None, 4, 16):
+            for backend in ("jit", "cjit", "mpjit"):
+                extra = {"max_workers": 2} if backend == "mpjit" else {}
+                arrays = prep.alloc()
+                get_backend(backend).run(prep.plans[0], arrays, strip=strip,
+                                         **extra)
+                digests.add(checksum(arrays))
+        assert len(digests) == 1
+        assert cache.stats.misses == len(prep.plans) == 1
+        assert cache.stats.native_misses == 1
+        plan_objects = [path for path in cache.version_dir.glob("*.so")
+                        if not path.name.startswith("team.")]
+        assert len(list(cache.version_dir.glob("*.py"))) == 1
+        assert len(plan_objects) == 1
 
 
 @needs_cc
@@ -675,6 +803,42 @@ class TestBenchIntegration:
             assert record["cache"]["native_misses"] >= 1
         else:
             assert record["cjit"]["fallback_reason"]
+
+    def test_record_names_the_strip_that_ran(self):
+        """Native code (``cjit``, then the ``mpjit`` team over its cached
+        twin) and the plan walkers run the requested strip; a numpy
+        module runs whole boxes, and the record says None."""
+        from repro.runtime.benchmarking import measure_kernel
+
+        native = 4 if HAVE_CC else None
+        want = {"jit": None, "cjit": native, "mpjit": native, "vector": 4,
+                "interp": 4}
+        got = {backend: measure_kernel("jacobi", backend, n=21, procs=2,
+                                       strip=4, repeat=1, max_workers=2)
+               for backend in want}
+        assert {b: r["strip"] for b, r in got.items()} == want
+        assert len({r["checksum"] for r in got.values()}) == 1
+
+    def test_interp_without_strip_walks_whole_boxes(self, monkeypatch):
+        """``strip=None`` means whole boxes on the interpreter too, so its
+        record's ``"strip": None`` names what ran."""
+        import dataclasses
+
+        from repro.runtime import backend, parallel
+        from repro.runtime.benchmarking import measure_kernel
+
+        ran = []
+
+        def spy(*args, strip, **kwargs):
+            ran.append(strip)
+            return parallel.run_parallel(*args, strip=strip, **kwargs)
+
+        monkeypatch.setitem(backend._REGISTRY, "interp", dataclasses.replace(
+            backend.get_backend("interp"), runner=spy))
+        record = measure_kernel("jacobi", "interp", n=21, procs=2, repeat=1)
+        assert ran == [None] and record["strip"] is None
+        ref = measure_kernel("jacobi", "jit", n=21, procs=2, repeat=1)
+        assert record["checksum"] == ref["checksum"]
 
     def test_measure_kernel_no_compiler_identical_checksum(self, monkeypatch):
         from repro.runtime.benchmarking import measure_kernel

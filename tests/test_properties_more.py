@@ -144,8 +144,9 @@ class TestGeneratedCodeProperty:
     def test_row_consumers_equal_interp(self, seq, procs, strip, seed):
         """Every walker of ``ExecutionPlan.rows`` on random programs: the
         vector backend, the numpy module and (with a C compiler) the
-        native module, bit-identical to the interpreter in arrays and
-        iteration counts, at every strip and whole-box.  The serial tiers
+        native module (tiled by the team library at a strip),
+        bit-identical to the interpreter in arrays and iteration counts,
+        at every strip and whole-box.  The serial tiers
         run processors in index order, so the interpreter does too
         (whether that order is legal on 2-D grids is a separate
         question: see ``test_2d_peeled_groups_not_closed``)."""
@@ -166,10 +167,12 @@ class TestGeneratedCodeProperty:
 
         runners = [
             ("vector", lambda arrays: run_vector(ep, arrays, strip=strip)),
-            ("jit", compile_plan(ep, strip=strip).run),
+            ("jit", compile_plan(ep).run),  # whole boxes at every strip
         ]
         if HAVE_CC:
-            runners.append(("cjit", compile_plan_native(ep, strip=strip).run))
+            native = compile_plan_native(ep)
+            runners.append(
+                ("cjit", lambda arrays: native.run(arrays, strip=strip)))
         for tier, run in runners:
             got = {k: v.copy() for k, v in base.items()}
             assert run(got) == ref_counts, tier

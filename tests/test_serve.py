@@ -337,12 +337,16 @@ class TestServerEndToEnd:
             assert compiled["result"]["signatures"]
             first = c.exec("jacobi", req_id=1, n=33, procs=2)
             second = c.exec("jacobi", req_id=2, n=33, procs=2)
+            tiled = c.exec("jacobi", req_id=3, n=33, procs=2, strip=4)
             status = c.status()["result"]
         assert first["result"]["checksum"] == second["result"]["checksum"]
-        # One prepared entry serves the execs; compile has its own
-        # signature prefix but shares the plan cache underneath.
-        assert status["prepared"]["entries"] == 2
-        assert status["completed"] == 3
+        assert tiled["result"]["checksum"] == first["result"]["checksum"]
+        # a numpy module runs whole boxes at every strip, and says so
+        assert tiled["result"]["strip"] is None
+        # One prepared entry serves the compile and every exec: the LRU
+        # keys program and backend, not the op or the strip.
+        assert status["prepared"]["entries"] == 1
+        assert status["completed"] == 4
 
     @pytest.mark.parametrize("backend", ["warp-drive", "mp"])
     def test_unknown_kernel_and_backend_are_clean_errors(self, harness,
@@ -365,15 +369,19 @@ class TestServerEndToEnd:
     def test_theorem1_violation_is_invalid_input(self, harness):
         """``n=3`` passes the protocol's field check, but jacobi's block
         size 1 is below Nt=3 on any processor count: the daemon names
-        the cause, says a retry cannot help, and then serves a valid
+        the cause, says a retry cannot help, counts the failure (it
+        happens at prepare time, before any run) and then serves a valid
         request."""
         with harness.client() as c:
             bad = c.exec("jacobi", req_id=1, n=3, backend="jit")
+            health = c.health()["result"]
             good = c.exec("jacobi", req_id=2, n=33, backend="jit")
         assert not bad["ok"], bad
         assert bad["failure"]["kind"] == "invalid_input", bad
         assert bad["failure"]["retryable"] is False
         assert "FusionLegalityError" in bad["error"]
+        assert health["failures"] == {"invalid_input": 1}, health
+        assert health["exec_failures"] == 1, health
         assert good["ok"], good
 
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])

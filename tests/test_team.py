@@ -76,23 +76,25 @@ class TestBitIdentity:
     @pytest.mark.parametrize("procs", [1, 2, 3, 4, 6])
     def test_team_matches_interp_every_grid_strip_and_team_size(
             self, kernel, procs):
-        """7 kernels x procs {1,2,3,4,6} x strip {None,1,4} x threads
-        {2,3}: bits and iteration counts of the interpreter."""
-        base, plans = _setup(kernel, 21 if kernel == "filter" else 13, procs)
+        """7 kernels x procs {1,2,3,4,6} x strip {None,1,2,3,4,7,n} x
+        threads {2,3}, one object per plan for every strip: bits and
+        iteration counts of the interpreter."""
+        n = 21 if kernel == "filter" else 13
+        base, plans = _setup(kernel, n, procs)
         ref = copy_arrays(base)
         want = {"fused_iterations": 0, "peeled_iterations": 0}
         for ep in plans:
             counts = get_backend("interp").run(ep, ref)
             for key in want:
                 want[key] += counts[key]
-        for strip in (None, 1, 4):
-            modules = [emitc.compile_plan_native(ep, strip=strip)
-                       for ep in plans]
+        modules = [emitc.compile_plan_native(ep) for ep in plans]
+        for strip in (None, 1, 2, 3, 4, 7, n):
             for nthreads in (2, 3):
                 got = copy_arrays(base)
                 totals = {"fused_iterations": 0, "peeled_iterations": 0}
                 for module in modules:
-                    counts = module.run_team(got, nthreads, timeout=10)
+                    counts = module.run_team(got, nthreads, strip=strip,
+                                             timeout=10)
                     for key in totals:
                         totals[key] += counts[key]
                 for name in ref:
@@ -534,7 +536,8 @@ class TestStaleObjects:
             subprocess.run([cc, *emitc.CFLAGS, "-o", str(old), str(c_path)],
                            check=True)
             with pytest.raises(emitc.CJitCompileError,
-                               match=f"codegen v{version}, expected v6"):
+                               match=f"codegen v{version}, expected "
+                                     f"v{emitc.CODEGEN_VERSION}"):
                 emitc.load_native(old, expected_signature=sig)
         os.replace(old, so)
         module, reason = cache.get_native(ep)
