@@ -21,50 +21,24 @@ does — *schedule as data, bodies as code*:
 * the same exported metadata the Python module carries — signature,
   ``NPROCS``, per-processor iteration counts and the ``PEEL_DEPS``
   point-to-point sync map — as ``REPRO_*`` symbols, so a cold process can
-  validate and run a cached ``.so`` without the ``.c`` or ``.py`` source;
-* ``long run_fused(long proc, double **arrays, const long *dims)`` /
-  ``run_peeled`` entry points that walk one processor's rows, and a
-  serial ``run_plan(arrays, dims)`` that walks every fused row, then
-  every peeled row (the Sec. 3.4 phase order) in one native call (array
-  pointers and concrete shapes are runtime inputs: shapes are
-  deliberately *not* part of the structural plan signature, mirroring how
-  the numpy module reads them off the arrays it is handed).
+  validate and run a cached ``.so`` without the ``.c`` or ``.py`` source.
 
-The parallel schedule and the strip are not in the object:
-:data:`TEAM_SOURCE` is one plan-independent library per process
-(:func:`native_team`) whose ``run_team`` takes a plan's entry points and
-tables, which :func:`load_native` resolves once per object, plus the
-run's strip.  At a strip its ``run_tiled`` walks a processor's fused rows
-tile by tile in Fig. 12's order (a serial run at a strip is a team of
-one), so one object serves every strip and the code grows with the
-nests, not the tiles.  The team's threads persist and park between runs;
-the library is built at its first run, once per compiler, so it costs no
-plan a compile.
+Nothing else: array pointers and shapes, the walk, the parallel schedule
+and the strip are run-time inputs.  :data:`TEAM_SOURCE` is one
+plan-independent library per process (:func:`native_team`) holding the
+only row walkers — ``run_tiled`` (a processor's fused rows tile by tile
+in Fig. 12's order; whole boxes are one tile), ``run_peeled``, and over
+them ``run_serial`` and the persistent thread team's ``run_team`` — so
+one object serves every strip and its code grows with the nests only.
 
-Bit-identity with the interpreter is preserved by construction.  The numpy
-module executes each statement as "evaluate the RHS over the whole box,
-then store"; a naive C loop interleaves loads and stores
-element-by-element.  The two agree unless a statement *reads the array it
-writes* at overlapping locations inside the vectorized sub-box, so the
-emitter performs that hazard analysis per (statement, box): provably safe
-statements (identical subscripts, or a dimension with provably disjoint
-index ranges) become direct elementwise loops, anything else evaluates
-into a scratch buffer first and stores after — exactly numpy's
-semantics.  The verdict can differ between boxes of one nest (a narrow box
-can separate a read from the write that a wider one overlaps), so a nest
-gets one body per distinct verdict tuple and each table row names the
-body proved safe for its box.  A strip's tile of a row keeps the row's
-body: read and write ranges disjoint over a box stay disjoint over every
-sub-box of it, and a buffered store is always correct.  Scalar
-(non-vectorized) dimensions stay ordered outer loops in both tiers, so
-dependences they carry behave identically; a direct statement's vector
-loops run in the order of its target's subscripts (last subscript
-innermost, i.e. unit stride over the row-major array) — with no overlap
-between what it reads and writes, any order stores the same
-bits.  Arithmetic is plain IEEE-754 double with the same expression-tree
-shape numpy evaluates, compiled with ``-O1 -fstrict-aliasing`` and
-**without** ``-ffast-math`` or floating-point contraction
-(:data:`CFLAGS`), so every element's value is bit-identical.
+Bit-identity with the interpreter holds by construction (DESIGN.md §5b,
+"the native tier"): a statement that may read what it writes inside the
+vectorized sub-box stores through a scratch buffer, as numpy evaluates
+the whole RHS before storing; the verdict is per (statement, box), and a
+tile keeps its row's body (disjoint ranges stay disjoint in a sub-box).
+Scalar dimensions stay ordered outer loops, as in numpy, and arithmetic
+is plain IEEE-754 double in numpy's expression-tree shape, compiled
+without ``-ffast-math`` or contraction (:data:`CFLAGS`).
 
 The compiled ``.so`` is cached by :mod:`repro.runtime.plancache` next to
 the ``.py`` source, keyed by the structural plan signature *plus* a
@@ -78,6 +52,7 @@ from __future__ import annotations
 
 import _ctypes
 import ctypes
+import hashlib
 import math
 import operator
 import os
@@ -94,7 +69,7 @@ from typing import MutableMapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.execplan import ExecutionPlan
+from ..core.execplan import ExecutionPlan, check_strip
 from ..ir.access import ArrayRef
 from ..ir.expr import Affine
 from ..ir.loop import LoopNest
@@ -182,8 +157,6 @@ def compiler_fingerprint(compiler: Optional[str] = None) -> Optional[str]:
     stale ones.  The identity (``--version``) is asked once per compiler;
     ``CFLAGS`` is read at every call, as :func:`start_compile` reads it.
     """
-    import hashlib
-
     if compiler is None:
         compiler = find_compiler()
     if compiler is None:
@@ -515,8 +488,8 @@ def _table_lines(name: str, per_proc: Sequence[Sequence[Sequence[int]]]
 
 def _tiling_lines(exec_plan: ExecutionPlan, body_nests: Sequence[int],
                   width: int) -> list[str]:
-    """What the team library's ``run_tiled`` reads besides the fused
-    table: ``REPRO_DEPTH`` (fused dims), ``REPRO_ROW_WIDTH``, the shift of
+    """What the team library's walkers read besides the row tables:
+    ``REPRO_DEPTH`` (fused dims), ``REPRO_ROW_WIDTH``, the shift of
     body ``b``'s nest in fused dim ``d`` at ``REPRO_SHIFTS[b * DEPTH + d]``
     and processor ``p``'s tile extent (the strip-independent ``lo, hi``
     of :meth:`~repro.core.execplan.ExecutionPlan.tile_starts`; ``lo >
@@ -527,7 +500,7 @@ def _tiling_lines(exec_plan: ExecutionPlan, body_nests: Sequence[int],
                for bound in (tiles.start, tiles.stop - 1)]
     shifts = [exec_plan.plan.shift(k, d) for k in body_nests
               for d in range(depth)]
-    return ["/* For the team library's run_tiled. */",
+    return ["/* For the team library's walkers. */",
             f"const long REPRO_DEPTH = {depth};",
             f"const long REPRO_ROW_WIDTH = {width};",
             _long_array("REPRO_SHIFTS", shifts),
@@ -540,11 +513,8 @@ def emit_plan_c_source(exec_plan: ExecutionPlan) -> str:
     Same schedule as :func:`emitpy.emit_plan_source` — per processor its
     whole-box :meth:`~repro.core.execplan.ExecutionPlan.rows`: the fused
     boxes, a barrier, the peeled rectangles — but held as two row tables;
-    the code is one body per (nest, hazard verdict), the exported
-    metadata and the entry points the thread team
-    (``run_fused``/``run_peeled``) and the serial ``run`` wrapper
-    (``run_plan``) call.  At a strip the team library's ``run_tiled``
-    walks the fused table instead.
+    the code is one body per (nest, hazard verdict), and the team
+    library (:data:`TEAM_SOURCE`) walks the tables.
     """
     from ..runtime.fastexec import vector_dims
 
@@ -614,32 +584,6 @@ def emit_plan_c_source(exec_plan: ExecutionPlan) -> str:
     lines.append("")
     lines.extend(_table_lines("FUSED", [rows for rows, _ in fused]))
     lines.extend(_table_lines("PEELED", [rows for rows, _ in peeled]))
-    lines.append(f"""
-static int walk(const long *rows, long row, long end, double **A,
-                const long *D) {{
-    for (; row < end; row++) {{
-        const long *r = rows + row * {width};
-        if (BODIES[r[0]](A, D, r + 1)) return 1;
-    }}
-    return 0;
-}}""")
-    for entry, table in (("fused", "FUSED"), ("peeled", "PEELED")):
-        lines.append(f"""
-long run_{entry}(long proc, double **arrays, const long *dims) {{
-    if (proc < 0 || proc >= REPRO_NPROCS) return -1;
-    if (walk({table}_ROWS, {table}_OFF[proc], {table}_OFF[proc + 1], arrays,
-             dims))
-        return -1;
-    return REPRO_{table}_COUNTS[proc];
-}}""")
-    lines.append("""
-/* Serial schedule: every fused row, the barrier point (Sec. 3.4), then
-   every peeled row. */
-long run_plan(double **arrays, const long *dims) {
-    return walk(FUSED_ROWS, 0, FUSED_OFF[REPRO_NPROCS], arrays, dims)
-        || walk(PEELED_ROWS, 0, PEELED_OFF[REPRO_NPROCS], arrays, dims)
-        ? -1 : 0;
-}""")
     return "\n".join(lines)
 
 
@@ -663,14 +607,15 @@ TEAM_TIMEOUT = -2
 TEAM_FLAGS = ("-O0", "-shared", "-fPIC", "-pthread")
 
 TEAM_SOURCE = """\
-/* Generated by repro.codegen.emitc — do not edit.  The process-wide SPMD
-   team (Sec. 3.4, point-to-point sync), one library for every plan: a run
-   hands it a plan's run_fused/run_peeled, PEEL_DEPS and tiling tables and
-   the run's strip (0: whole boxes).  At a strip, a processor's fused rows
-   are tiled here (run_tiled; a serial run at a strip is a team of one),
-   so no plan object holds a tiler.  Thread t
-   runs processors t, t+T, ...  After a processor's fused rows it sets
-   done[p] (release); before its peeled rows it acquires done[q] of each
+/* Generated by repro.codegen.emitc — do not edit.  The only walker of a
+   plan object's row tables, one library for every plan: a run hands it a
+   plan's BODIES, row tables, PEEL_DEPS and tiling tables and the run's
+   strip (>= 1; a strip past every extent is whole boxes).  run_tiled walks
+   a processor's fused rows tile by tile, run_peeled its peeled rows;
+   run_serial runs them all in the calling thread, run_team on the
+   process-wide SPMD team (Sec. 3.4, point-to-point sync).  Thread t runs
+   processors t, t+T, ...  After a processor's fused rows it sets done[p]
+   (release); before its peeled rows it acquires done[q] of each
    predecessor q.  The caller is thread 0.  Worker threads are created on
    first use, grow to the largest team asked for and park between runs (a
    bounded spin, then a futex wait).  One lock serialises runs; a forked
@@ -690,19 +635,19 @@ TEAM_SOURCE = """\
 #include <unistd.h>
 #endif
 
-typedef long (*phase_fn)(long proc, double **arrays, const long *dims);
 typedef int (*body_fn)(double **A, const long *D, const long *b);
 
 /* What a run needs of one plan object, resolved once when it is loaded:
-   its entry points, PEEL_DEPS, and for run_tiled its BODIES, FUSED_ROWS,
-   FUSED_OFF, REPRO_FUSED_COUNTS, REPRO_SHIFTS, REPRO_EXTENTS,
-   REPRO_DEPTH and REPRO_ROW_WIDTH. */
+   PEEL_DEPS, BODIES, FUSED_ROWS, FUSED_OFF, REPRO_FUSED_COUNTS, the
+   PEELED_* counterparts, REPRO_SHIFTS, REPRO_EXTENTS, REPRO_DEPTH and
+   REPRO_ROW_WIDTH. */
 typedef struct {
-    phase_fn fused, peeled;
     long nprocs;
     const long *deps_off, *deps;
     body_fn const *bodies;
-    const long *rows, *off, *counts, *shifts, *extents;
+    const long *rows, *off, *counts;
+    const long *peeled_rows, *peeled_off, *peeled_counts;
+    const long *shifts, *extents;
     long depth, width;
 } team_plan;
 
@@ -783,8 +728,9 @@ static void fail(slot *s, int status) {
    per tile each whole-box fused row in nest order, clipped in fused dim d
    to [t[d] - shift, t[d] + s - 1 - shift]; a row whose clip is empty is
    skipped.  A clipped row runs its whole box's body (disjoint read and
-   write ranges stay disjoint in a sub-box).  The iteration count, or -1
-   when a body failed or p is out of range. */
+   write ranges stay disjoint in a sub-box); a strip past every extent is
+   one tile, the whole boxes.  The iteration count, or -1 when a body
+   failed or p is out of range. */
 long run_tiled(const team_plan *pl, long p, long s, double **A,
                const long *D) {
     if (p < 0 || p >= pl->nprocs || s < 1) return -1;
@@ -816,9 +762,31 @@ long run_tiled(const team_plan *pl, long p, long s, double **A,
     }
 }
 
-static long fused_phase(const team_plan *pl, long p, long s, double **A,
-                        const long *D) {
-    return s > 0 ? run_tiled(pl, p, s, A, D) : pl->fused(p, A, D);
+/* Processor p's peeled rows: the iteration count, or -1 when a body
+   failed or p is out of range. */
+long run_peeled(const team_plan *pl, long p, double **A, const long *D) {
+    if (p < 0 || p >= pl->nprocs) return -1;
+    for (long r = pl->peeled_off[p]; r < pl->peeled_off[p + 1]; r++) {
+        const long *row = pl->peeled_rows + r * pl->width;
+        if (pl->bodies[row[0]](A, D, row + 1)) return -1;
+    }
+    return pl->peeled_counts[p];
+}
+
+/* The whole schedule of pl at strip s in the calling thread: every
+   processor's fused rows, the barrier point (Sec. 3.4), then every
+   processor's peeled rows.  The iteration count, or -1. */
+long run_serial(const team_plan *pl, double **A, const long *D, long s) {
+    long count = 0, n;
+    for (long p = 0; p < pl->nprocs; p++) {
+        if ((n = run_tiled(pl, p, s, A, D)) < 0) return -1;
+        count += n;
+    }
+    for (long p = 0; p < pl->nprocs; p++) {
+        if ((n = run_peeled(pl, p, A, D)) < 0) return -1;
+        count += n;
+    }
+    return count;
 }
 
 /* Thread s->tid's processors of the current run: fused rows and signals,
@@ -831,7 +799,7 @@ static void run_share(slot *s) {
     s->status = 0;
     if (f && f[0] == SLOW) pause_us(f[2]);
     for (long p = s->tid; p < pl->nprocs; p += T.nthreads) {
-        if ((n = fused_phase(pl, p, T.strip, T.A, T.D)) < 0)
+        if ((n = run_tiled(pl, p, T.strip, T.A, T.D)) < 0)
             { fail(s, -1); return; }
         s->count += n;
         if (f && f[0] == STALL && (f[1] < 0 || f[1] == p)) {
@@ -855,7 +823,7 @@ static void run_share(slot *s) {
                 if (i < YIELD) sched_yield(); else pause_us(50);
             }
         }
-        if ((n = pl->peeled(p, T.A, T.D)) < 0) { fail(s, -1); return; }
+        if ((n = run_peeled(pl, p, T.A, T.D)) < 0) { fail(s, -1); return; }
         s->count += n;
     }
 }
@@ -909,20 +877,7 @@ static int grow(long n) {
     return err;
 }
 
-static long serial(const team_plan *pl, double **A, const long *D, long s) {
-    long count = 0, n;
-    for (long p = 0; p < pl->nprocs; p++) {
-        if ((n = fused_phase(pl, p, s, A, D)) < 0) return -1;
-        count += n;
-    }
-    for (long p = 0; p < pl->nprocs; p++) {
-        if ((n = pl->peeled(p, A, D)) < 0) return -1;
-        count += n;
-    }
-    return count;
-}
-
-/* The whole schedule of pl at strip (0: whole boxes) on min(nthreads,
+/* The whole schedule of pl at strip (as run_tiled's) on min(nthreads,
    nprocs) threads: the iteration count, -1 when a body failed, -2 when a
    sync wait outlived timeout_ms (0: no deadline).  faults is NULL or
    {action, proc, usec} per thread (slow: sleep usec before the fused
@@ -945,7 +900,7 @@ long run_team(const team_plan *pl, double **A, const long *D, long nthreads,
     }
     if (np > T.done_cap || grow(nthreads - 1)) {
         pthread_mutex_unlock(&T.lock);
-        return serial(pl, A, D, strip);
+        return run_serial(pl, A, D, strip);
     }
     T.plan = pl;
     T.A = A;
@@ -1006,22 +961,35 @@ __attribute__((constructor)) static void install_fork_handlers(void) {
 """
 
 
+#: The exported symbols ``team_plan`` points at, in its field order.
+_PLAN_TABLES = ("REPRO_PEEL_DEPS_OFF", "REPRO_PEEL_DEPS", "BODIES",
+                "FUSED_ROWS", "FUSED_OFF", "REPRO_FUSED_COUNTS",
+                "PEELED_ROWS", "PEELED_OFF", "REPRO_PEELED_COUNTS",
+                "REPRO_SHIFTS", "REPRO_EXTENTS")
+
+
 class _TeamPlan(ctypes.Structure):
-    """``team_plan`` of :data:`TEAM_SOURCE`: one object's entry points,
-    ``PEEL_DEPS`` and tiling tables, resolved once at
-    :func:`load_native`."""
+    """``team_plan`` of :data:`TEAM_SOURCE`: one object's ``NPROCS`` and
+    tables (a field per symbol), resolved once at :func:`load_native`."""
 
-    _fields_ = [("fused", ctypes.c_void_p), ("peeled", ctypes.c_void_p),
-                ("nprocs", ctypes.c_long), ("deps_off", ctypes.c_void_p),
-                ("deps", ctypes.c_void_p), ("bodies", ctypes.c_void_p),
-                ("rows", ctypes.c_void_p), ("off", ctypes.c_void_p),
-                ("counts", ctypes.c_void_p), ("shifts", ctypes.c_void_p),
-                ("extents", ctypes.c_void_p), ("depth", ctypes.c_long),
-                ("width", ctypes.c_long)]
+    _fields_ = [("nprocs", ctypes.c_long),
+                *((name, ctypes.c_void_p) for name in _PLAN_TABLES),
+                ("depth", ctypes.c_long), ("width", ctypes.c_long)]
+
+#: A strip no tile extent reaches: one tile per processor, the whole
+#: boxes.  Every wider strip runs as this one.
+WHOLE_BOXES = 1 << 32
 
 
-#: The process-wide team library (None until the first team run) and the
-#: lock its first load holds.
+def _strip_arg(strip: Optional[int]) -> int:
+    """The library's strip for a run at ``strip``: :data:`WHOLE_BOXES`
+    for None, else the width, checked and clamped to it."""
+    check_strip(strip)
+    return WHOLE_BOXES if strip is None else min(strip, WHOLE_BOXES)
+
+
+#: The process-wide team library (None until the first native module is
+#: resolved or run) and the lock its first load holds.
 _team_lib = None
 _team_lock = threading.Lock()
 
@@ -1036,15 +1004,16 @@ def _renew_team_lock() -> None:
 os.register_at_fork(after_in_child=_renew_team_lock)
 
 
+#: The team library's source-and-flags digest, the last part of its name.
+_TEAM_DIGEST = hashlib.sha256(
+    f"{TEAM_SOURCE}|{' '.join(TEAM_FLAGS)}".encode()).hexdigest()[:8]
+
+
 def team_file_name(compiler: str) -> str:
     """The team library's file name for ``compiler``: keyed by the
     compiler fingerprint and by the team's source and flags, so neither a
     toolchain change nor a new team is ever served an old build."""
-    import hashlib
-
-    digest = hashlib.sha256(
-        f"{TEAM_SOURCE}|{' '.join(TEAM_FLAGS)}".encode()).hexdigest()[:8]
-    return f"team.{compiler_fingerprint(compiler)}.{digest}.so"
+    return f"team.{compiler_fingerprint(compiler)}.{_TEAM_DIGEST}.so"
 
 
 def _open_team(path: Path):
@@ -1060,7 +1029,11 @@ def _open_team(path: Path):
                                  ctypes.c_long, ctypes.c_long, dims]
         lib.run_tiled.argtypes = [plan, ctypes.c_long, ctypes.c_long,
                                   arrays, dims]
-        lib.run_team.restype = lib.run_tiled.restype = ctypes.c_long
+        lib.run_peeled.argtypes = [plan, ctypes.c_long, arrays, dims]
+        lib.run_serial.argtypes = [plan, arrays, dims, ctypes.c_long]
+        for entry in (lib.run_team, lib.run_tiled, lib.run_peeled,
+                      lib.run_serial):
+            entry.restype = ctypes.c_long
         lib.team_workers.argtypes = []
         lib.team_workers.restype = ctypes.c_long
     except AttributeError as exc:
@@ -1069,11 +1042,24 @@ def _open_team(path: Path):
     return lib
 
 
-def load_team(directory: Optional[Path], compiler: str):
+def load_team(directory: Optional[Path], compiler: Optional[str]):
     """The team library built by ``compiler``, from ``directory`` (built
     there on a miss; an unloadable file is rebuilt) or, with
-    ``directory=None``, built in a temp dir.  Callers want
-    :func:`native_team`, which does this once per process."""
+    ``directory=None``, built in a temp dir.  Without a compiler any
+    compiler's build of this :data:`TEAM_SOURCE` in ``directory`` is
+    loaded, as :meth:`~repro.runtime.plancache.PlanCache.peek_native`
+    loads any compiler's plan object; :class:`NativeUnavailable` when
+    there is none.  Callers want :func:`native_team`, which does this
+    once per process."""
+    if compiler is None:
+        builds = (sorted(Path(directory).glob(f"team.*.{_TEAM_DIGEST}.so"))
+                  if directory is not None else [])
+        for path in builds:
+            try:
+                return _open_team(path)
+            except CJitCompileError:
+                continue
+        raise NativeUnavailable(f"{_NO_COMPILER} and no cached build")
     if directory is None:
         with tempfile.TemporaryDirectory(prefix="repro-team-") as workdir:
             # dlopen keeps the mapping alive after the directory goes
@@ -1092,22 +1078,20 @@ def load_team(directory: Optional[Path], compiler: str):
         return load_team(None, compiler)
 
 
-def native_team():
-    """The process-wide team library, loaded at the first team or tiled
-    run from the plan cache's version dir (a temp dir for a
-    non-persistent cache).
-    Raises :class:`NativeUnavailable` without a compiler and
-    :class:`CJitCompileError` when the build fails."""
+def native_team(directory: Optional[Path] = None):
+    """The process-wide team library, loaded once by :func:`load_team`
+    from ``directory`` (a temp dir when None).
+    :meth:`~repro.runtime.plancache.PlanCache.resolve` loads it from its
+    ``team_dir()`` before it hands out a native module; a module loaded
+    by other means (:func:`compile_plan_native`) loads it into a temp dir
+    at its first run.  Raises :class:`NativeUnavailable` without a
+    compiler or a cached build and :class:`CJitCompileError` when the
+    build fails."""
     global _team_lib
     if _team_lib is None:
         with _team_lock:
             if _team_lib is None:
-                from ..runtime.plancache import default_cache
-
-                compiler = find_compiler()
-                if compiler is None:
-                    raise NativeUnavailable(_NO_COMPILER)
-                _team_lib = load_team(default_cache().team_dir(), compiler)
+                _team_lib = load_team(directory, find_compiler())
     return _team_lib
 
 
@@ -1130,13 +1114,15 @@ _ARRAY_META = operator.attrgetter("shape", "strides", "dtype")
 class CJitModule:
     """A compiled-and-loaded native plan with the JitModule interface.
 
+    The object holds bodies and tables only; every method is one call
+    into the team library (:func:`native_team`), which walks them.
     ``run``/``run_fused``/``run_peeled`` take the same arguments as the
-    Python :class:`~repro.codegen.emitpy.JitModule` entry points;
+    Python :class:`~repro.codegen.emitpy.JitModule` entry points (the
+    whole boxes of one processor's phase for the latter two);
     ``run_team`` runs the parallel schedule on the process-wide team.
-    ``run`` and ``run_team`` also take the run's ``strip``: None runs the
-    object's own whole-box entry points, a width tiles the fused rows in
-    the team library (:func:`native_team`), which raises
-    :class:`NativeUnavailable` without a compiler to build it.
+    ``run`` and ``run_team`` also take the run's ``strip``: None runs
+    whole boxes, a width tiles the fused rows, and a width below 1 raises
+    :class:`~repro.core.execplan.StripError`.
     Pointers and concrete shapes are marshalled from the arrays dict once
     per call — so once per ``run`` — and memoized while the same array
     objects keep their shape, strides and dtype.
@@ -1151,6 +1137,7 @@ class CJitModule:
     peeled_counts: tuple[int, ...]
     array_spec: tuple[tuple[str, int], ...]
     kind: str = "cjit"
+    # the object's mapping: ``_plan`` points into it
     _lib: object = field(default=None, repr=False)
     _plan: object = field(default=None, repr=False)
     _args_cache: tuple = field(default=None, repr=False)
@@ -1195,14 +1182,16 @@ class CJitModule:
 
     def run_fused(self, proc: int,
                   arrays: MutableMapping[str, np.ndarray]) -> int:
-        count = self._lib.run_fused(proc, *self._marshal(arrays))
+        count = (_team_lib or native_team()).run_tiled(
+            self._plan, proc, WHOLE_BOXES, *self._marshal(arrays))
         if count < 0:
             raise CJitError(f"native run_fused({proc}) failed")
         return count
 
     def run_peeled(self, proc: int,
                    arrays: MutableMapping[str, np.ndarray]) -> int:
-        count = self._lib.run_peeled(proc, *self._marshal(arrays))
+        count = (_team_lib or native_team()).run_peeled(
+            self._plan, proc, *self._marshal(arrays))
         if count < 0:
             raise CJitError(f"native run_peeled({proc}) failed")
         return count
@@ -1213,13 +1202,11 @@ class CJitModule:
 
     def run(self, arrays: MutableMapping[str, np.ndarray],
             strip: Optional[int] = None) -> dict:
-        """The whole serial schedule in one native call: the arrays are
-        marshalled once, ``run_plan`` walks both tables.  At a strip the
-        run is a team of one."""
-        if strip is not None:
-            return self.run_team(arrays, 1, strip=strip)
-        if self._lib.run_plan(*self._marshal(arrays)) < 0:
-            raise CJitError("native run_plan failed")
+        """The whole serial schedule at ``strip`` in one library call
+        (``run_serial``); the arrays are marshalled once."""
+        if (_team_lib or native_team()).run_serial(
+                self._plan, *self._marshal(arrays), _strip_arg(strip)) < 0:
+            raise CJitError("native run_serial failed")
         return self._counts()
 
     def run_team(self, arrays: MutableMapping[str, np.ndarray],
@@ -1241,8 +1228,8 @@ class CJitModule:
             flat = [int(v) for row in faults for v in row]
             table = (ctypes.c_long * len(flat))(*flat)
         code = (_team_lib or native_team()).run_team(
-            self._plan, *self._marshal(arrays), nthreads,
-            0 if strip is None else min(strip, 1 << 32), timeout_ms, table)
+            self._plan, *self._marshal(arrays), nthreads, _strip_arg(strip),
+            timeout_ms, table)
         if code == TEAM_TIMEOUT:
             raise TeamSyncTimeout(
                 f"no fused-done signal within {timeout:g}s")
@@ -1297,31 +1284,15 @@ def _validated_module(lib, path: Path, expected_signature: Optional[str],
         peeled_counts = _read_longs(lib, "REPRO_PEELED_COUNTS", nprocs)
         offsets = _read_longs(lib, "REPRO_PEEL_DEPS_OFF", nprocs + 1)
         flat = _read_longs(lib, "REPRO_PEEL_DEPS", max(1, offsets[-1]))
-        lib.run_fused.argtypes = [
-            ctypes.c_long, ctypes.POINTER(ctypes.c_void_p),
-            ctypes.POINTER(ctypes.c_long),
-        ]
-        lib.run_fused.restype = ctypes.c_long
-        lib.run_peeled.argtypes = lib.run_fused.argtypes
-        lib.run_peeled.restype = ctypes.c_long
-        lib.run_plan.argtypes = lib.run_fused.argtypes[1:]
-        lib.run_plan.restype = ctypes.c_long
         depth, width = (_read_longs(lib, name, 1)[0]
                         for name in ("REPRO_DEPTH", "REPRO_ROW_WIDTH"))
-
-        def address(name: str) -> int:
-            return ctypes.addressof(ctypes.c_long.in_dll(lib, name))
-
         plan = _TeamPlan(
-            ctypes.cast(lib.run_fused, ctypes.c_void_p).value,
-            ctypes.cast(lib.run_peeled, ctypes.c_void_p).value, nprocs,
-            *map(address, ("REPRO_PEEL_DEPS_OFF", "REPRO_PEEL_DEPS", "BODIES",
-                           "FUSED_ROWS", "FUSED_OFF", "REPRO_FUSED_COUNTS",
-                           "REPRO_SHIFTS", "REPRO_EXTENTS")),
+            nprocs, *(ctypes.addressof(ctypes.c_long.in_dll(lib, name))
+                      for name in _PLAN_TABLES),
             depth, width)
-    except (ValueError, AttributeError) as exc:
+    except ValueError as exc:
         raise CJitCompileError(
-            f"{path.name} lacks the native entry points/metadata "
+            f"{path.name} lacks the native tables/metadata "
             f"(produced by an older codegen?): {exc}"
         ) from exc
     if expected_signature is not None and signature != expected_signature:

@@ -60,7 +60,9 @@ from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 #: v7: the strip left every artifact: modules lower the whole-box rows
 #: only, and native objects export the tables the team library tiles at
 #: run time (``BODIES``, ``FUSED_ROWS``/``FUSED_OFF``, shifts, extents).
-CODEGEN_VERSION = 7
+#: v8: native objects hold only bodies and tables: the team library walks
+#: every row (``run_fused``/``run_peeled``/``run_plan`` left the objects).
+CODEGEN_VERSION = 8
 
 IND = "    "
 

@@ -24,18 +24,20 @@ plan cache resolves which compiled module a backend runs
   legal plan stores the same bits at every strip, and the module holds
   the whole-box schedule only.
 * ``mpjit`` — the same compiled plans executed in parallel: each thread
-  or worker runs only its processors' ``run_fused``/``run_peeled`` entry
-  points (the paper's two-phase SPMD schedule, compiled), synchronizing
+  or worker runs only its processors' fused and peeled phases (the
+  paper's two-phase SPMD schedule, compiled), synchronizing
   point-to-point through the module's ``PEEL_DEPS`` map — on the
   process-wide native thread team over the plan's cached ``.so`` when
   there is one, else on a persistent worker pool over shared memory.
 * ``cjit`` — the plan lowered to a C translation unit
   (:mod:`repro.codegen.emitc`), compiled with the system C compiler into
   a ``.so`` cached next to the ``.py`` source, and called through
-  ``ctypes`` — no numpy per-statement overhead at all.  One ``.so``
-  serves every strip: at a strip the process-wide team library tiles its
-  fused rows.  When no compiler is present or compilation fails it falls
-  back to ``jit`` with a one-line note and a counter, never an error.
+  ``ctypes`` — no numpy per-statement overhead at all.  The ``.so``
+  holds bodies and tables only; the process-wide team library walks
+  them, whole boxes or tiled, so one ``.so`` serves every strip.  When
+  no compiler is present, compilation fails or the team library cannot
+  be had it falls back to ``jit`` with a one-line note and a counter,
+  never an error.
 
 ``Backend.run(..., verify=True)`` cross-checks any fast backend against
 the interpreter on the spot and raises :class:`BackendMismatch` unless the

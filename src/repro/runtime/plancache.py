@@ -156,12 +156,22 @@ class PlanCache:
         return sorted(self.version_dir.glob(f"{signature}.*.so"))
 
     def team_dir(self) -> Optional[Path]:
-        """Where the process-wide thread team library
+        """Where the team library every native run walks its object in
         (:func:`~repro.codegen.emitc.native_team`) is cached, one file per
         compiler fingerprint: the version dir, or None for a
         non-persistent cache (built in a temp dir once per process).  It
         is not a plan, so no stats count it."""
         return self.version_dir if self.persist else None
+
+    def _load_team(self) -> Optional[str]:
+        """Load the team library from :meth:`team_dir`: None, or why not."""
+        from ..codegen import emitc
+
+        try:
+            emitc.native_team(self.team_dir())
+        except emitc.CJitError as exc:
+            return f"team library: {exc}"
+        return None
 
     def alias_path(self, key: str) -> Path:
         return self.version_dir / "aliases" / f"{key}.json"
@@ -356,16 +366,19 @@ class PlanCache:
         """The compiled modules ``backend`` runs: ``(modules, natives,
         reason)``, the one place a module backend's modules are chosen.
         They serve every strip: the run passes its strip to them
-        (:func:`~repro.runtime.pool.run_modules`).
+        (:func:`~repro.runtime.pool.run_modules`).  Native modules come
+        with the team library that walks them, loaded here
+        (:meth:`_load_team`); without it there are no natives, and
+        ``reason`` says why.
 
         ``modules`` are the numpy modules: the ones given (a warm alias's),
         else each plan's from :meth:`get`, compiling on a miss; ``jit``
         runs them.  ``natives`` is None or one native module per plan:
 
         * ``cjit`` with ``plans`` compiles each plan's ``.so`` on a miss,
-          as :meth:`get_native` does, with ``cc`` started before the numpy
-          modules are built so the two overlap; a failure is the
-          ``reason``, noted once and counted
+          as :meth:`get_native` does, with ``cc`` started before the team
+          library is loaded and the numpy modules are built so they
+          overlap; a failure is the ``reason``, noted once and counted
           (:func:`~repro.codegen.emitc.note_fallback`), and the run falls
           back to the numpy modules;
         * ``mpjit``, and ``cjit`` without ``plans``, never compile: each
@@ -376,9 +389,11 @@ class PlanCache:
         if backend == "cjit" and plans is not None:
             batch = _NativeBatch(self, plans)
             try:
+                reason = self._load_team()
                 if modules is None:
                     modules = [self.get(ep) for ep in plans]
-                natives, reason = batch.finish()
+                natives, reason = ((None, reason) if reason
+                                   else batch.finish())
             finally:
                 batch.cancel()
             if reason is not None:
@@ -391,7 +406,10 @@ class PlanCache:
         if backend == "jit":
             return modules, None, None
         twins = [self.peek_native(m.signature, disk=disk) for m in modules]
-        return modules, (twins if all(twins) else None), None
+        if not all(twins):
+            return modules, None, None
+        reason = self._load_team()
+        return modules, (None if reason else twins), reason
 
     # -- program aliases ---------------------------------------------------
 

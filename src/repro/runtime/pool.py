@@ -11,13 +11,14 @@ one of two engines per module, once
 :func:`run_modules` runs it:
 
 * **threads** — when the plan cache holds the module's native (``cjit``)
-  twin, one :meth:`~repro.codegen.emitc.CJitModule.run_team` call runs
-  the schedule on the process-wide native team (threads that persist and
-  park between runs, :func:`~repro.codegen.emitc.native_team`), over the
-  caller's own arrays, with a release/acquire flag per processor (the
+  twin and the team library that walks it, one
+  :meth:`~repro.codegen.emitc.CJitModule.run_team` call runs the schedule
+  on the process-wide native team (threads that persist and park between
+  runs, :func:`~repro.codegen.emitc.native_team`), over the caller's own
+  arrays, with a release/acquire flag per processor (the
   compiler-generated producer/consumer sync of Liao et al.).  No IPC, no
   pickled tasks; ctypes releases the GIL for the call.
-* **processes** — otherwise (no compiler, or nothing compiled yet) a
+* **processes** — otherwise (nothing compiled yet, or no team library) a
   :class:`WorkerPool` of long-lived OS processes, spawned **once** and
   reused, runs the numpy :class:`~repro.codegen.emitpy.JitModule`.  Each
   worker keeps its compiled modules in memory by plan signature; a cold
@@ -594,9 +595,9 @@ def run_modules(
 def _run_serial(module, arrays: MutableMapping[str, np.ndarray],
                 strip: Optional[int]) -> dict[str, int]:
     """``module`` in this thread.  A numpy module ignores ``strip``; a
-    native one's failure (at a strip, no compiler to build the team
-    library, say) is an ``internal`` one.  No pool or team counter
-    moves: this is not an mpjit team run."""
+    native one is one ``run_serial`` call into the team library, whose
+    failure (a body's scratch allocation, say) is an ``internal`` one.
+    No pool or team counter moves: this is not an mpjit team run."""
     if not isinstance(module, CJitModule):
         return module.run(arrays)
     try:

@@ -17,7 +17,6 @@ serves every strip.
 import os
 import stat
 import tempfile
-import time
 import weakref
 
 import numpy as np
@@ -29,9 +28,15 @@ from repro.codegen import emitc
 from repro.core import build_execution_plan, derive_shift_peel
 from repro.core.execplan import PeeledRect
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
+from repro.kernels import all_kernels
 from repro.runtime.backend import checksum, get_backend
 from repro.runtime.execute import execute_prepared, prepare_kernel
-from repro.runtime.plancache import CacheStats, PlanCache, default_cache
+from repro.runtime.plancache import (
+    CacheStats,
+    PlanCache,
+    default_cache,
+    reset_default_cache,
+)
 
 HAVE_CC = emitc.find_compiler() is not None
 needs_cc = pytest.mark.skipif(not HAVE_CC, reason="no C compiler on PATH")
@@ -115,8 +120,8 @@ class TestNativeModule:
         ep = _plan()
         source = emitc.emit_plan_c_source(ep)
         for symbol in ("REPRO_SIGNATURE", "REPRO_CODEGEN_VERSION",
-                       "REPRO_NPROCS", "REPRO_PEEL_DEPS",
-                       "run_fused", "run_peeled"):
+                       "REPRO_NPROCS", "REPRO_PEEL_DEPS", "BODIES",
+                       "FUSED_ROWS", "PEELED_ROWS"):
             assert symbol in source
         assert ep.signature() in source
 
@@ -178,18 +183,21 @@ class TestScheduleAsData:
 
     @pytest.mark.parametrize("kernel", ["jacobi", "ll18", "calc", "filter"])
     def test_code_size_independent_of_processor_count(self, kernel):
-        sizes = {}
+        """The code (the bodies) is the same text on 2 and 8 processors;
+        only the tables grow, by rows."""
+        code = {}
         for procs in (2, 8):
             # n=129: the smallest benchmark-like size at which all four
             # kernels are legal on 8 processors (filter stops at 5 at n=65)
             _, _, plans = kernel_plans(kernel, 129, procs)
             assert [len(ep.processors) for ep in plans] == [procs]
             source = emitc.emit_plan_c_source(plans[0])
-            sizes[procs] = len(source)
+            code[procs] = source[source.index("/* nest 0 "):
+                                 source.index("int (*const BODIES")]
             # no kernel here has a self-overlapping statement: one verdict
             # (all direct) per nest, so one body per nest
             assert source.count("static int nest_") == len(plans[0].plan.seq)
-        assert sizes[8] <= 1.25 * sizes[2], sizes
+        assert code[8] == code[2]
 
     def test_strip_tiles_are_rows_not_code(self):
         """jacobi n=511 at strip=8 is 8192 tiles: walked over the
@@ -271,14 +279,17 @@ def _body_nests(source: str) -> list[int]:
 
 @needs_cc
 class TestTiledWalk:
-    """The team library tiles a unit's whole-box fused table at run time
-    (``run_tiled``); one object per plan serves every strip."""
+    """The team library walks a unit's whole-box tables at run time
+    (``run_tiled``, ``run_peeled``, ``run_serial``); one object per plan
+    serves every strip, and the object walks nothing itself."""
 
     @pytest.mark.parametrize("case", ["fig9", "fig13", "jacobi"])
     def test_walk_visits_rows_of_every_strip(self, case, request):
         """A fake body table of ctypes callbacks records each ``(nest,
         box)`` the walk hands out: exactly ``rows(strip)``'s fused rows,
-        in order, for every processor, with the fused count returned."""
+        in order, for every processor, with the fused count returned;
+        exactly each processor's peeled rows; and for a serial run of
+        whole boxes every fused row, then every peeled row."""
         import ctypes
 
         if case == "jacobi":
@@ -308,7 +319,7 @@ class TestTiledWalk:
             table = (ctypes.c_void_p * len(bodies))(
                 *(ctypes.cast(body, ctypes.c_void_p) for body in bodies))
             plan = emitc._TeamPlan.from_buffer_copy(native._plan)
-            plan.bodies = ctypes.addressof(table)
+            plan.BODIES = ctypes.addressof(table)
             for p, proc in enumerate(ep.processors):
                 for strip in (1, 2, 4, 7):
                     seen.clear()
@@ -317,6 +328,18 @@ class TestTiledWalk:
                     want = ep.processor_rows(proc, strip)[0]
                     assert seen == list(want), (case, p, strip)
                     assert count == native.fused_counts[p]
+                seen.clear()
+                count = team.run_peeled(ctypes.byref(plan), p, None, None)
+                assert seen == list(ep.processor_rows(proc, None)[1])
+                assert count == native.peeled_counts[p]
+            seen.clear()
+            count = team.run_serial(ctypes.byref(plan), None, None,
+                                    emitc.WHOLE_BOXES)
+            rows = ep.rows(None)
+            assert seen == ([row for fused, _ in rows for row in fused]
+                            + [row for _, peeled in rows for row in peeled])
+            assert count == (sum(native.fused_counts)
+                             + sum(native.peeled_counts))
 
     def test_out_of_range_processor_fails(self):
         import ctypes
@@ -326,29 +349,99 @@ class TestTiledWalk:
         for proc in (-1, 2):
             assert team.run_tiled(ctypes.byref(native._plan), proc, 2,
                                   None, None) == -1
+            assert team.run_peeled(ctypes.byref(native._plan), proc,
+                                   None, None) == -1
 
-    def test_cached_object_without_compiler_degrades_to_jit(
-            self, monkeypatch):
-        """A cached ``.so`` runs whole boxes without a compiler, but a
-        run at a strip needs the team library and cannot build it: an
-        ``internal`` failure that degrades to ``jit`` with the same
-        bits."""
-        from repro.runtime.execute import execute_resilient
-        from repro.runtime.supervisor import ExecError
+    def test_strip_below_one_fails_closed(self):
+        """The library's strip has no sentinel: 0 is refused at every
+        native entry, as :func:`~repro.runtime.pool.run_modules` refuses
+        it, instead of meaning whole boxes."""
+        from repro.core.execplan import StripError
 
         prep = prepare_kernel("jacobi", n=33, procs=2, backend="cjit")
+        native, = prep.native_modules
+        arrays = prep.alloc()
+        for strip in (0, -3):
+            with pytest.raises(StripError):
+                native.run(arrays, strip=strip)
+            with pytest.raises(StripError):
+                native.run_team(arrays, 2, strip=strip)
+        assert checksum(arrays) == checksum(prep.alloc())  # nothing ran
+
+    @pytest.mark.parametrize("kernel",
+                             [info.name for info in all_kernels()])
+    def test_plan_objects_hold_no_walker(self, kernel, tmp_path,
+                                         monkeypatch):
+        """``load_native`` resolves data symbols only: a plan object
+        exports its bodies' table and its row tables, and defines no
+        function but its ``nest_<k>_<mask>`` bodies."""
+        import ctypes
+        import re
+
+        sources = [emitc.emit_plan_c_source(ep) for ep in
+                   prepare_kernel(kernel, n=33, procs=2).plans]
+        objects = [emitc.compile_c(source, tmp_path / f"{i}.so")
+                   for i, source in enumerate(sources)]
+        looked_up = []
+        getitem = ctypes.CDLL.__getitem__
+        monkeypatch.setattr(ctypes.CDLL, "__getitem__", lambda lib, name:
+                            looked_up.append(name) or getitem(lib, name))
+        natives = [emitc.load_native(path) for path in objects]
+        monkeypatch.undo()
+        assert looked_up == []
+        for native, source in zip(natives, sources):
+            for name in ("run_plan", "run_fused", "run_peeled", "walk"):
+                assert not hasattr(native._lib, name), name
+            defined = re.findall(r"^\w[\w ]*?\b(\w+)\(", source, re.M)
+            assert defined and all(re.fullmatch(r"nest_\d+_\d+", name)
+                                   for name in defined), defined
+
+    @staticmethod
+    def _cache_jacobi_without_compiler(monkeypatch):
+        """Compile jacobi's object and the team library into the test's
+        plan cache, then take the compiler away and forget both, as a
+        fresh process on a machine without ``cc`` would.  The digests of
+        whole boxes and of strip 4, and the cache dir."""
+        monkeypatch.setattr(emitc, "_team_lib", None)
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="cjit")
         assert prep.native_modules is not None
-        _, _, whole = execute_prepared(prep, "cjit")
+        digests = {strip: execute_prepared(prep, "cjit", strip=strip)[2]
+                   for strip in (None, 4)}
+        assert len(set(digests.values())) == 1
+        team_dir = default_cache().team_dir()
+        assert list(team_dir.glob("team.*.so"))
         monkeypatch.setenv(emitc.ENV_CC, "/nonexistent/compiler")
         monkeypatch.setattr(emitc, "_team_lib", None)
-        with pytest.raises(ExecError) as info:
-            execute_prepared(prep, "cjit", strip=4)
-        assert info.value.failure.kind == "internal"
-        _, _, digest, recovery = execute_resilient(prep, "cjit", strip=4)
-        assert digest == whole
-        assert recovery["backend_used"] == "jit"
-        assert recovery["attempts"] == [{"backend": "cjit",
-                                         "kind": "internal"}]
+        reset_default_cache()
+        return digests, team_dir
+
+    def test_cached_object_and_library_run_without_compiler(
+            self, monkeypatch):
+        """With the object and the library cached, a warm-alias ``cjit``
+        prep needs no compiler: it is native and runs the same bits at
+        every strip."""
+        digests, _ = self._cache_jacobi_without_compiler(monkeypatch)
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="cjit")
+        assert prep.plans == [] and prep.native_modules is not None
+        assert prep.native_reason is None
+        for strip, digest in digests.items():
+            assert execute_prepared(prep, "cjit", strip=strip)[2] == digest
+
+    def test_no_compiler_and_no_library_falls_back_at_prepare(
+            self, monkeypatch):
+        """Without the library and a compiler to build it, the cached
+        object cannot be walked: ``prepare_kernel`` falls back to
+        ``jit`` with a reason naming the library, and the runs do not
+        fail."""
+        digests, team_dir = self._cache_jacobi_without_compiler(monkeypatch)
+        for path in team_dir.glob("team.*.so"):
+            path.unlink()
+        prep = prepare_kernel("jacobi", n=33, procs=2, backend="cjit")
+        assert prep.native_modules is None
+        assert "team library" in prep.native_reason
+        assert "team library" in emitc.fallback_stats()["last_reason"]
+        for strip, digest in digests.items():
+            assert execute_prepared(prep, "cjit", strip=strip)[2] == digest
 
     def test_serial_run_at_a_strip_is_no_team_run(self, monkeypatch):
         """A serial cjit run at a strip walks tiles in the team library,
@@ -894,3 +987,21 @@ class TestCliNarration:
         captured = capsys.readouterr()
         assert "native tier: fell back to jit" in captured.out
         assert "no C compiler" in captured.out
+
+    @needs_cc
+    @pytest.mark.parametrize("strip", [None, 4])
+    def test_exec_no_cache_writes_nothing(self, strip, tmp_path, monkeypatch,
+                                          capsys):
+        """``exec --no-cache`` touches no cache file, whole boxes or
+        tiled: the team library that walks every native run is built in
+        a temp dir too, not in ``$REPRO_JIT_CACHE_DIR``."""
+        from repro.cli import main as cli_main
+
+        monkeypatch.setattr(emitc, "_team_lib", None)
+        rc = cli_main(["exec", "jacobi", "--backend", "cjit", "--n", "33",
+                       "--procs", "4", "--no-cache", "--repeat", "1",
+                       *([] if strip is None else ["--strip", str(strip)])])
+        assert rc == 0
+        assert "native tier: live" in capsys.readouterr().out
+        cache_dir = tmp_path / "jit-cache"
+        assert not cache_dir.exists() or not any(cache_dir.rglob("*"))

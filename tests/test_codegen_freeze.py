@@ -20,33 +20,34 @@ from repro.runtime.execute import prepare_kernel
 
 #: CODEGEN_VERSION -> (kernel, procs, plan index) -> (py, c) sha256.  Since
 #: v7 neither source depends on the strip (it is run-time data), so a
-#: case has one pair.
+#: case has one pair.  v8's numpy digests differ from v7's by the version
+#: line only; its C units lost the walker functions.
 DIGESTS = {
-    7: {
+    8: {
         ("jacobi", 1, 0): (
-            "b158f9d406b38b6b239a6831d87d5bd89c4627ab1af56f74d7a3ffa1d9abd372",
-            "6be3e63dddb2413fdfbe197064debaebcbf8ea403f0aa579f9c508e3533073f3"),
+            "78f6a95e41cb27f5a13be0b143f71a02ddb8f73c58db821ce5ca24804bcccb18",
+            "624214e9576cbfbc438e3e715b69e96a32d7c5614d7d1bde7b2b217bc23775d1"),
         ("jacobi", 4, 0): (
-            "a6a80c2aab3081a04926d96b6a9e5cd4ae1574a30cb3e0125b2b3d125287ea0a",
-            "dc51c8c64130aeee71a823c2e7fa635cd6256dda9dee15b26ad8815a3b9731a5"),
+            "3a6c09d5695bad652eeab7758c180785a73be11261ffdfbfc6c5edef0a72ae15",
+            "c9a0bcf52bd365160050f5c644fadb9b40c71f4322ba2c0bc3d26c0578416e81"),
         ("ll18", 1, 0): (
-            "2676a458915cfe2a26ec2cdceb1d001c27ab28f9ec870e9dcf41467defba4048",
-            "491db70df0304ee6cc8554af2333111abb41f375e7b006ee553447879bf473a0"),
+            "91b505dca58180d618ae72a358304804c8be7d34daf3460d308dfc02793052dc",
+            "e041cd04f6ff91c36894981e1e56c555c121d70cba63d768595ab21633f7d0b8"),
         ("ll18", 4, 0): (
-            "f576601d4dc0af505c13b18985b0fc8374b869b1fd610ac7e79a8b9e70b9b564",
-            "dc3519085d1c3113ba9172b82f8a8b8e2f9b6524a8929e00aaa1d305b53ac56b"),
+            "d41c8a59bc5ccccdb86c424209b59f6e27cdf8c4a0a4cc5ba700796dc994dfd0",
+            "c0c3d1be646d7d7139856e5341e2c7cff6b5bf6954fe3bff88831010bf1e2bce"),
         ("calc", 1, 0): (
-            "5d82a6c4c99e02feae5a75c32b220fb20ed901bfd780d1aee647fcdbd3df4150",
-            "770da90b7315599e9ee5e82a7311b79e51d587f91206bee45d5972020494bb4e"),
+            "f70b1670737b0f78f675fa14a614c42c1681a3058916858a78c1da8a27391384",
+            "a3564de92b39e2faf68550e42c2ebe1e382ded241fe0be7fa5fed9f7c28ef4d5"),
         ("calc", 4, 0): (
-            "8dda9d5d9f7767cf75b97d85a87ef01cc0aaed7e37990548f0c3335f516b5928",
-            "66d061a7bab8aa8849ed8b2b6d7ef40c785f2afb42a35bf2706de18e02191fe2"),
+            "24bef2467bb8f1efb4582a8abcfcc4308068297f254812a5b1487a5e234e5e7c",
+            "fbacf492c34cd36e5cfab6b20952d1ed3d41a1f7ac9c8e0cf100a18ab1e686c7"),
         ("filter", 1, 0): (
-            "b59d1b23e67f12a7935b20e173e7960e2d8b526e67156007c7baf8e13f0736c3",
-            "20f05e27740afc4afec5e499256e335299c48aec4f38413613df1558de818c4e"),
+            "80bc4b48915f1c22e5f3b06cc7adb14b715a907cc5221988d8fc939529085ebf",
+            "62f9b26a25d03150ba3a0ed4448bef2056b8649f5bc8e6b1a923e77728bee45e"),
         ("filter", 4, 0): (
-            "102d8efdcb361b857d26fa95aa663a846dc5cbeb434af666d3d7073c0f16fa20",
-            "f4e56b5433395f0bc7329eca68f334f0d77cea2f8bb7032f0638dad1cea7ed05"),
+            "4223bdade213b943d457b266d60b81da1f1082b1b6ad3a9b9695375835865ff6",
+            "fbc6d85544310bba8a4e72a5b601723ec218076d11f0eb2f977097324286aa03"),
     },
 }
 
