@@ -1,41 +1,40 @@
 """Lower an :class:`~repro.core.execplan.ExecutionPlan` to numpy source.
 
-The fast vectorized backend (:mod:`repro.runtime.fastexec`) interprets a
-plan structurally on every call: it walks expression trees, rebuilds
-broadcasting environments and re-renders slice objects box by box.  The
-shift-and-peel construction of the paper is, however, explicitly a *code
-generation* scheme (Figs. 11-16) — the plan is static, so all of that
-interpretation can happen once.  This module renders a plan as a
-self-contained Python module:
+The paper's SPMD code (Figs. 12, 15-16) has one body per nest, and each
+processor's box bounds are control variables set at run time.  This
+module is the only numpy lowering, and it renders a plan that way, as a
+self-contained Python module holding:
 
-* one function per processor phase (``_fused_p<i>`` / ``_peeled_p<i>``),
-  mirroring the SPMD structure — fused functions, a barrier comment, then
-  peeled functions;
-* every fused box and peeled rectangle rendered as *literal* numpy
-  indexing: vectorizable dimensions (per the same
-  :func:`~repro.runtime.fastexec.vector_dims` legality analysis the
-  vector backend uses) become concrete slices or ``np.arange`` index
-  grids with the plan's parameters folded into the constants, and the
+* one function per nest, ``nest_<k>(A, box)``, executing every iteration
+  of nest ``k`` inside the box it is handed (one ``(lo, hi)`` pair per
+  dimension): vectorizable dimensions (per the
+  :func:`~repro.runtime.fastexec.vector_dims` legality analysis) become
+  slices or ``np.arange`` index grids computed from the box's bounds,
+  with the plan's parameters folded into the constants, and the
   remaining dimensions become ordinary scalar ``for`` loops in original
-  order;
-* iteration counters precomputed as module constants, since box volumes
-  are known at generation time.
+  order — so the text grows with the nests, not the processors;
+* ``BODIES`` and the whole-box schedule as data: ``FUSED_ROWS[p]`` and
+  ``PEELED_ROWS[p]`` are processor ``p``'s
+  :meth:`~repro.core.execplan.ExecutionPlan.rows` at ``strip=None``,
+  each row a ``(body index, box)``;
+* the metadata: ``SIGNATURE``, ``NPROCS`` and the ``PEEL_DEPS``
+  point-to-point sync map.
 
-A module lowers the whole-box schedule only
-(:meth:`~repro.core.execplan.ExecutionPlan.rows` at ``strip=None``) and
-serves every strip: strip-mining a legal plan changes no stored bit, and
-printing each tile as a box would grow the source with the tiles.
-
-The generated module is compiled with :func:`compile`/``exec`` into a
-:class:`JitModule` whose ``run(arrays)`` callable returns the same
-counters as :func:`~repro.runtime.fastexec.run_vector` and is bit-identical
-to the interpreter whenever the plan is legal (it performs exactly the
-whole-array operations the vector backend performs, in the same order).
+Nothing in the module walks the rows.  :class:`RowWalker` (here, not
+emitted) binds each row to its body once and runs them:
+:func:`compile_source` builds a :class:`JitModule`'s
+``run``/``run_fused``/``run_peeled`` over it (``jit`` and the mpjit
+worker pool), and the ``vector`` backend walks ``rows(strip)`` with the
+same bodies, compiled alone by :func:`compile_bodies`.  A module serves
+every strip: strip-mining a legal plan changes no stored bit.  A legal
+plan's result is bit-identical to the interpreter (the argument is in
+:mod:`repro.runtime.fastexec`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
@@ -62,7 +61,10 @@ from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 #: run time (``BODIES``, ``FUSED_ROWS``/``FUSED_OFF``, shifts, extents).
 #: v8: native objects hold only bodies and tables: the team library walks
 #: every row (``run_fused``/``run_peeled``/``run_plan`` left the objects).
-CODEGEN_VERSION = 8
+#: v9: numpy modules hold only per-nest bodies taking their box as an
+#: argument, ``BODIES`` and the ``FUSED_ROWS``/``PEELED_ROWS`` tables;
+#: :class:`RowWalker` walks them (the C units change by this line only).
+CODEGEN_VERSION = 9
 
 IND = "    "
 
@@ -82,10 +84,11 @@ class StaleModuleError(JitCompileError):
 
 @dataclass(frozen=True)
 class JitModule:
-    """A compiled plan: structural signature, source text and entry points.
+    """A compiled plan: structural signature, source text and the entry
+    points :class:`RowWalker` builds over its bodies and row tables.
 
     ``run`` executes the whole plan serially (every processor's fused
-    function, the barrier point, every processor's peeled function).
+    rows, the barrier point, every processor's peeled rows).
     ``run_fused``/``run_peeled`` execute *one* processor's phase and return
     its iteration count — the entry points the ``mpjit`` worker pool calls
     so each OS process runs only its assigned processors' phases.
@@ -125,14 +128,22 @@ def _linear_src(const: int, terms: Sequence[tuple[str, int]]) -> str:
     return " + ".join(parts)
 
 
+def _offset_src(base: str, const: int, terms: Sequence[tuple[str, int]]
+                ) -> str:
+    """``base`` plus an affine offset, e.g. ``l0 + v_j - 1``."""
+    if not const and not terms:
+        return base
+    rest = _linear_src(const, terms)
+    return f"{base} - {rest[1:]}" if rest[0] == "-" else f"{base} + {rest}"
+
+
 def _split_subscript(sub: Affine, nest: LoopNest,
                      vvar_dim: Mapping[str, int], params,
                      error: type[Exception] = JitEmitError):
     """Fold ``sub`` into (const, scalar terms, vector-dim terms): the
     plan's parameters are concrete ints folded into the constant, the
     nest's vectorized variables map to their dimension (``vvar_dim``) and
-    its other loop variables stay symbolic — the static half of
-    ``fastexec._subscript_index``, shared by both emitters."""
+    its other loop variables stay symbolic — shared by both emitters."""
     const = sub.const
     terms: list[tuple[str, int]] = []
     vds: list[tuple[int, int]] = []
@@ -150,29 +161,35 @@ def _split_subscript(sub: Affine, nest: LoopNest,
     return const, terms, vds
 
 
-class _BoxCtx:
-    """Static rendering context for one (nest, box) pair.
+def _tuple_src(items: Sequence[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
-    The codegen analogue of ``fastexec._BoxEnv``: parameters are concrete
-    ints folded into subscript constants, scalar (non-vectorized) loop
-    variables stay symbolic (they become generated ``for`` variables), and
-    each vectorized dimension renders as a literal slice or an
-    ``np.arange`` grid shaped for broadcasting.
+
+class _BoxCtx:
+    """Rendering context for one nest over a symbolic box.
+
+    Parameters are concrete ints folded into subscript constants, scalar
+    (non-vectorized) loop variables stay symbolic (they become generated
+    ``for`` variables), and dimension ``d`` of the box is the body's
+    inclusive ``l<d>``..``h<d>``: each vectorized dimension renders as a
+    slice or an ``np.arange`` grid shaped for broadcasting, bounded by
+    them.  A slice that does not move with the scalar loops is built
+    once per call, at the top of the body (``s<d>``, ``s<d>p<c>``,
+    ``s<d>m<c>`` for offsets 0, +c, -c).
     """
 
-    def __init__(self, nest: LoopNest, box, vdims: tuple[int, ...],
+    def __init__(self, nest: LoopNest, vdims: tuple[int, ...],
                  params) -> None:
         self.nest = nest
-        self.box = box
         self.vdims = vdims
         self.rank_of = {d: r for r, d in enumerate(vdims)}
-        self.shape = tuple(box[d][1] - box[d][0] + 1 for d in vdims)
         self.params = params
         self.vvar_dim = {nest.loops[d].var: d for d in vdims}
         self.grids: set[int] = set()
+        self.slices: dict[tuple[int, int], str] = {}
 
     def part(self, sub: Affine):
-        """One subscript as ('int'|'slice'|'grid', ...) like fastexec."""
+        """One subscript as ('int'|'slice'|'grid', const, terms, extra)."""
         const, terms, vds = _split_subscript(sub, self.nest, self.vvar_dim,
                                              self.params)
         if not vds:
@@ -183,6 +200,10 @@ class _BoxCtx:
 
     @staticmethod
     def _sliceable(parts) -> bool:
+        """True when the subscripts index with pure basic slicing: no
+        index grids, and no vector dimension spanned by two subscripts
+        (the diagonal case, which basic slicing would turn into a cross
+        product)."""
         if any(kind == "grid" for kind, *_ in parts):
             return False
         present = [d for kind, _c, _t, d in parts if kind == "slice"]
@@ -212,10 +233,17 @@ class _BoxCtx:
     def _slice_src(self, part) -> str:
         kind, const, terms, d = part
         assert kind == "slice"
-        lo, hi = self.box[d]
-        start = _linear_src(const + lo, terms)
-        stop = _linear_src(const + hi + 1, terms)
-        return f"{start}:{stop}"
+        if terms:  # moves with the scalar loops: built where it is used
+            return (f"{_offset_src(f'l{d}', const, terms)}:"
+                    f"{_offset_src(f'h{d}', const + 1, terms)}")
+        name = f"s{d}" + ("" if not const else
+                          f"p{const}" if const > 0 else f"m{-const}")
+        self.slices[d, const] = name
+        return name
+
+    def shape_src(self) -> str:
+        """The box's extent along the vector dimensions, as a tuple."""
+        return _tuple_src([f"h{d} - l{d} + 1" for d in self.vdims])
 
     def ref_index(self, ref: ArrayRef):
         """Return (index source, slice ranks, sliceable flag)."""
@@ -272,8 +300,8 @@ class _BoxCtx:
     def stmt_lines(self, stmt) -> list[str]:
         """Render one assignment over the box's vector dimensions."""
         rhs_src, rhs_kind = self.expr_src(stmt.rhs)
-        # A bare load can be a view of the written array; copy it before
-        # the store exactly like fastexec's may_share_memory guard.
+        # A bare load can be a view of the written array: numpy evaluates
+        # the whole RHS before storing, so copy it before the store.
         needs_copy = (
             rhs_kind == "view"
             and isinstance(stmt.rhs, Load)
@@ -293,26 +321,29 @@ class _BoxCtx:
             value = f"{rhs_src}.copy()" if needs_copy else rhs_src
             return [f"{target} = {value}"]
         # Permuted target subscripts: broadcast to rank order, then put
-        # the value's axes in subscript order (fastexec._store_box).
+        # the value's axes in subscript order.
         lines = [f"_v = {rhs_src}"]
         if needs_copy:
             lines.append("_v = _v.copy()")
         lines.append(
-            f"_v = np.broadcast_to(_v, {self.shape!r})"
+            f"_v = np.broadcast_to(_v, {self.shape_src()})"
             f".transpose({tuple(ranks)})"
         )
         lines.append(f"{target} = _v")
         return lines
 
-    def grid_lines(self) -> list[str]:
-        out = []
+    def hoisted_lines(self) -> list[str]:
+        """The slices and grids the statements use, built from the box."""
+        out = [f"{name} = slice({_offset_src(f'l{d}', const, ())}, "
+               f"{_offset_src(f'h{d}', const + 1, ())})"
+               for (d, const), name in sorted(self.slices.items())]
         for d in sorted(self.grids):
-            lo, hi = self.box[d]
-            shape = [1] * len(self.vdims)
-            shape[self.rank_of[d]] = hi - lo + 1
-            out.append(
-                f"_g{d} = np.arange({lo}, {hi + 1}).reshape({tuple(shape)})"
-            )
+            grid = f"_g{d} = np.arange(l{d}, h{d} + 1)"
+            if len(self.vdims) > 1:
+                shape = [1] * len(self.vdims)
+                shape[self.rank_of[d]] = -1
+                grid += f".reshape({tuple(shape)})"
+            out.append(grid)
         return out
 
 
@@ -323,26 +354,31 @@ def _box_volume(box) -> int:
     return total
 
 
-def emit_box(nest: LoopNest, box, params,
-             vdims: Optional[tuple[int, ...]] = None) -> list[str]:
-    """Source lines executing every iteration of ``nest`` inside ``box``
-    (the codegen analogue of :func:`~repro.runtime.fastexec.exec_box`):
-    vectorized dimensions as literal indexing, the rest as scalar loops
-    in lexicographic order."""
+def emit_body(nest: LoopNest, name: str, params,
+              vdims: Optional[tuple[int, ...]] = None) -> list[str]:
+    """Source lines of ``def <name>(A, box)``, which executes every
+    iteration of ``nest`` inside ``box`` (one inclusive ``(lo, hi)`` per
+    dimension, none empty): vectorized dimensions as whole-array
+    indexing bounded by the box, the rest as scalar loops in
+    lexicographic order.  Bit-identical to per-iteration interpretation
+    for any nest whose ``doall`` markings are truthful."""
     if vdims is None:
         from ..runtime.fastexec import vector_dims
 
         vdims = vector_dims(nest)
-    sdims = [d for d in range(nest.depth) if d not in vdims]
-    ctx = _BoxCtx(nest, box, vdims, params)
+    ctx = _BoxCtx(nest, vdims, params)
     stmt_blocks = [ctx.stmt_lines(st) for st in nest.body]
-    out = ctx.grid_lines()
-    depth = 0
-    for d in sdims:
-        lo, hi = box[d]
-        var = nest.loops[d].var
-        out.append(f"{IND * depth}for v_{var} in range({lo}, {hi + 1}):")
-        depth += 1
+    bounds = _tuple_src([f"(l{d}, h{d})" for d in range(nest.depth)])
+    out = [f"def {name}(A, box):"]
+    out.extend(f"{IND}a_{a} = A['{a}']" for a in sorted(nest.arrays()))
+    out.append(f"{IND}{bounds[1:-1]} = box")  # "(l0, h0), (l1, h1) = box"
+    out.extend(f"{IND}{line}" for line in ctx.hoisted_lines())
+    depth = 1
+    for d in range(nest.depth):
+        if d not in vdims:
+            var = nest.loops[d].var
+            out.append(f"{IND * depth}for v_{var} in range(l{d}, h{d} + 1):")
+            depth += 1
     for block in stmt_blocks:
         out.extend(f"{IND * depth}{line}" for line in block)
     return out
@@ -353,103 +389,117 @@ def emit_box(nest: LoopNest, box, params,
 # ---------------------------------------------------------------------------
 
 
-def _phase_function(name: str, rows, nests: Sequence[LoopNest], params,
-                    nest_vdims) -> tuple[list[str], int]:
-    """Emit one processor-phase function from its ``(nest_idx, box)``
-    rows.  Returns (source lines, iteration count); a phase with no rows
-    still gets a function so the run loop stays uniform."""
-    body: list[str] = []
-    count = 0
-    arrays: set[str] = set()
-    for nest_idx, box in rows:
-        nest = nests[nest_idx]
-        count += _box_volume(box)
-        arrays |= nest.arrays()
-        body.append(f"{IND}# nest {nest_idx} box={box}")
-        body.extend(f"{IND}{line}" for line in
-                    emit_box(nest, box, params, vdims=nest_vdims[nest_idx]))
-    header = [f"def {name}(A):"]
-    binds = [f"{IND}a_{a} = A['{a}']" for a in sorted(arrays)]
-    if not body:
-        body = [f"{IND}pass"]
-    return header + binds + body, count
-
-
-def emit_plan_source(exec_plan: ExecutionPlan) -> str:
-    """Render ``exec_plan`` as a self-contained Python/numpy module.
-
-    The module exposes ``run(arrays)`` with the vector backend's phase
-    structure: every processor's fused function, then (after the barrier
-    point) every processor's peeled function, each printing that
-    processor's whole-box :meth:`~repro.core.execplan.ExecutionPlan.rows`
-    as literal boxes.
-    """
+def _bodies_lines(exec_plan: ExecutionPlan) -> list[str]:
+    """The code half of a module: the import, one ``nest_<k>`` body per
+    nest and the ``BODIES`` tuple."""
     from ..runtime.fastexec import vector_dims
 
     nests = list(exec_plan.plan.seq)
-    params = exec_plan.params
-    nest_vdims = [vector_dims(nest) for nest in nests]
-    signature = exec_plan.signature()
+    names = [f"nest_{k}" for k in range(len(nests))]
+    lines = ["import numpy as np", ""]
+    for nest, name in zip(nests, names):
+        lines.append(f"# {nest.name}")
+        lines.extend(emit_body(nest, name, exec_plan.params,
+                               vector_dims(nest)))
+        lines.append("")
+    lines.append(f"BODIES = {_tuple_src(names)}")
+    return lines
 
+
+def emit_plan_source(exec_plan: ExecutionPlan) -> str:
+    """Render ``exec_plan`` as a self-contained Python/numpy module: one
+    ``nest_<k>`` body per nest, ``BODIES``, and per processor its
+    whole-box :meth:`~repro.core.execplan.ExecutionPlan.rows` as the
+    ``FUSED_ROWS``/``PEELED_ROWS`` tables :class:`RowWalker` runs."""
     lines: list[str] = [
         '"""Generated by repro.codegen.emitpy — do not edit."""',
         f"# codegen-version: {CODEGEN_VERSION}",
-        f'SIGNATURE = "{signature}"',
+        f'SIGNATURE = "{exec_plan.signature()}"',
         "",
-        "import numpy as np",
-        "",
+        *_bodies_lines(exec_plan),
+        f"NPROCS = {len(exec_plan.processors)}",
+        "# Point-to-point sync map: PEEL_DEPS[p] lists the",
+        "# processors whose fused phase must complete before",
+        "# processor p's peeled phase may start (flow, anti and",
+        "# output dependences across the barrier point).",
+        f"PEEL_DEPS = {exec_plan.peel_deps!r}",
+        "# Processor p's rows, each (index into BODIES, box).",
     ]
-    fused_names: list[str] = []
-    peeled_names: list[str] = []
-    fused_counts: list[int] = []
-    peeled_counts: list[int] = []
-    for p, (fused_rows, peeled_rows) in enumerate(exec_plan.rows()):
-        for phase, rows, names, counts in (
-                ("fused", fused_rows, fused_names, fused_counts),
-                ("peeled", peeled_rows, peeled_names, peeled_counts)):
-            name = f"_{phase}_p{p}"
-            src, count = _phase_function(name, rows, nests, params,
-                                         nest_vdims)
-            lines.extend(src)
-            lines.append("")
-            names.append(name)
-            counts.append(count)
-
-    lines.append(f"NPROCS = {len(exec_plan.processors)}")
-    lines.append("# Point-to-point sync map: PEEL_DEPS[p] lists the")
-    lines.append("# processors whose fused phase must complete before")
-    lines.append("# processor p's peeled phase may start (flow, anti and")
-    lines.append("# output dependences across the barrier point).")
-    lines.append(f"PEEL_DEPS = {exec_plan.peel_deps!r}")
-    lines.append(f"FUSED_COUNTS = {tuple(fused_counts)!r}")
-    lines.append(f"PEELED_COUNTS = {tuple(peeled_counts)!r}")
-    lines.append(f"FUSED_ITERATIONS = {sum(fused_counts)}")
-    lines.append(f"PEELED_ITERATIONS = {sum(peeled_counts)}")
-    lines.append(f"_FUSED_FNS = ({', '.join(fused_names)},)")
-    lines.append(f"_PEELED_FNS = ({', '.join(peeled_names)},)")
-    lines.append("")
-    # Per-processor entry points: what one SPMD worker executes on its
-    # side of the barrier (the mpjit pool calls exactly these).
-    lines.append("def run_fused(proc, A):")
-    lines.append(f"{IND}_FUSED_FNS[proc](A)")
-    lines.append(f"{IND}return FUSED_COUNTS[proc]")
-    lines.append("")
-    lines.append("def run_peeled(proc, A):")
-    lines.append(f"{IND}_PEELED_FNS[proc](A)")
-    lines.append(f"{IND}return PEELED_COUNTS[proc]")
-    lines.append("")
-    lines.append("def run(A):")
-    for name in fused_names:
-        lines.append(f"{IND}{name}(A)")
-    lines.append(f"{IND}# ---- barrier (Sec. 3.4) ----")
-    for name in peeled_names:
-        lines.append(f"{IND}{name}(A)")
-    lines.append(
-        f"{IND}return {{'fused_iterations': FUSED_ITERATIONS, "
-        f"'peeled_iterations': PEELED_ITERATIONS}}"
-    )
+    rows = exec_plan.rows()
+    for phase, table in enumerate(("FUSED_ROWS", "PEELED_ROWS")):
+        lines.append(f"{table} = (")
+        lines.extend(f"{IND}{proc_rows[phase]!r}," for proc_rows in rows)
+        lines.append(")")
     lines.append("")
     return "\n".join(lines)
+
+
+def compile_bodies(exec_plan: ExecutionPlan) -> tuple[Callable, ...]:
+    """``exec_plan``'s nest bodies alone — the code of its module, without
+    the signature, sync map and row tables, and without any cache: what
+    the ``vector`` backend walks over ``rows(strip)``."""
+    namespace: dict = {}
+    source = "\n".join(_bodies_lines(exec_plan))
+    exec(compile(source, "<repro-bodies>", "exec"), namespace)  # noqa: S102
+    return namespace["BODIES"]
+
+
+# ---------------------------------------------------------------------------
+# The walker: bodies bound to rows.
+# ---------------------------------------------------------------------------
+
+
+class RowWalker:
+    """Nest bodies bound to a per-processor row schedule — the only code
+    that walks numpy rows.
+
+    ``fused_rows[p]``/``peeled_rows[p]`` are processor ``p``'s
+    ``(nest_idx, box)`` rows (:meth:`~repro.core.execplan.ExecutionPlan.rows`
+    split by phase).  Each row's body is looked up once, here, so a run
+    is one ``body(A, box)`` call per row; iteration counts are summed
+    here too."""
+
+    def __init__(self, bodies: Sequence[Callable], fused_rows,
+                 peeled_rows) -> None:
+        self.fused = tuple(tuple((bodies[k], box) for k, box in rows)
+                           for rows in fused_rows)
+        self.peeled = tuple(tuple((bodies[k], box) for k, box in rows)
+                            for rows in peeled_rows)
+        self.fused_counts = tuple(sum(_box_volume(box) for _k, box in rows)
+                                  for rows in fused_rows)
+        self.peeled_counts = tuple(sum(_box_volume(box) for _k, box in rows)
+                                   for rows in peeled_rows)
+        # Processor-major fused rows, the barrier point (Sec. 3.4), then
+        # processor-major peeled rows.
+        self._rows = tuple(chain(*self.fused, *self.peeled))
+        self._fused_total = sum(self.fused_counts)
+        self._peeled_total = sum(self.peeled_counts)
+
+    def run_fused(self, proc: int, A) -> int:
+        for body, box in self.fused[proc]:
+            body(A, box)
+        return self.fused_counts[proc]
+
+    def run_peeled(self, proc: int, A) -> int:
+        for body, box in self.peeled[proc]:
+            body(A, box)
+        return self.peeled_counts[proc]
+
+    def run(self, A) -> dict:
+        for body, box in self._rows:
+            body(A, box)
+        return {"fused_iterations": self._fused_total,
+                "peeled_iterations": self._peeled_total}
+
+
+def _rows_valid(table, nprocs: int, nbodies: int) -> bool:
+    """``table`` holds ``nprocs`` row tuples, each row naming a body."""
+    return (isinstance(table, tuple) and len(table) == nprocs and all(
+        isinstance(rows, tuple) and all(
+            isinstance(row, tuple) and len(row) == 2
+            and isinstance(row[0], int) and 0 <= row[0] < nbodies
+            for row in rows)
+        for rows in table))
 
 
 def compile_source(source: str,
@@ -457,45 +507,53 @@ def compile_source(source: str,
     """Compile generated source into a :class:`JitModule`.
 
     Raises :class:`JitCompileError` when the source does not parse, lacks
-    the expected entry points, or carries a signature different from
-    ``expected_signature`` (a stale or corrupted cache entry).
+    the expected bodies, tables or metadata, holds a table whose rows do
+    not fit ``NPROCS`` and ``BODIES``, or carries a signature different
+    from ``expected_signature`` (a stale or corrupted cache entry).
     """
     try:
         tag = (expected_signature or "inline")[:12]
         code = compile(source, f"<repro-jit {tag}>", "exec")
         namespace: dict = {}
         exec(code, namespace)  # noqa: S102 - our own generated source
-    except JitCompileError:
-        raise
     except Exception as exc:
         raise JitCompileError(f"generated module failed to load: {exc}") from exc
     signature = namespace.get("SIGNATURE")
-    run = namespace.get("run")
-    run_fused = namespace.get("run_fused")
-    run_peeled = namespace.get("run_peeled")
+    bodies = namespace.get("BODIES")
     nprocs = namespace.get("NPROCS")
     peel_deps = namespace.get("PEEL_DEPS")
-    if not isinstance(signature, str) or not callable(run):
-        raise JitCompileError("generated module lacks SIGNATURE/run")
-    if (not callable(run_fused) or not callable(run_peeled)
-            or not isinstance(nprocs, int)):
+    fused_rows = namespace.get("FUSED_ROWS")
+    peeled_rows = namespace.get("PEELED_ROWS")
+    if (not isinstance(signature, str) or not isinstance(nprocs, int)
+            or not isinstance(bodies, tuple)
+            or not all(callable(body) for body in bodies)):
         raise JitCompileError(
-            "generated module lacks the per-processor entry points "
-            "(run_fused/run_peeled/NPROCS) — produced by an older codegen"
-        )
+            "generated module lacks SIGNATURE/NPROCS/BODIES — produced by "
+            "an older codegen")
     if (not isinstance(peel_deps, tuple) or len(peel_deps) != nprocs
             or not all(isinstance(d, tuple) for d in peel_deps)):
         raise JitCompileError(
             "generated module lacks the point-to-point sync map "
             "(PEEL_DEPS) — produced by an older codegen"
         )
+    if not (_rows_valid(fused_rows, nprocs, len(bodies))
+            and _rows_valid(peeled_rows, nprocs, len(bodies))):
+        raise JitCompileError(
+            "generated module's FUSED_ROWS/PEELED_ROWS do not hold NPROCS "
+            "processors' rows naming entries of BODIES"
+        )
     if expected_signature is not None and signature != expected_signature:
         raise StaleModuleError(
             f"stale generated module: signature {signature[:12]}... does "
             f"not match expected {expected_signature[:12]}..."
         )
-    return JitModule(signature=signature, source=source, run=run,
-                     run_fused=run_fused, run_peeled=run_peeled,
+    try:
+        walker = RowWalker(bodies, fused_rows, peeled_rows)
+    except (TypeError, ValueError) as exc:
+        raise JitCompileError(f"generated module has a malformed box: {exc}"
+                              ) from exc
+    return JitModule(signature=signature, source=source, run=walker.run,
+                     run_fused=walker.run_fused, run_peeled=walker.run_peeled,
                      nprocs=nprocs, peel_deps=peel_deps)
 
 

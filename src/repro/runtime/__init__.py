@@ -10,7 +10,7 @@ from .backend import (
     register_backend,
     run_compiled,
 )
-from .fastexec import FastExecError, exec_box, run_vector, vector_dims
+from .fastexec import FastExecError, run_vector, vector_dims
 from .interp import run_nest, run_sequence_serial
 from .parallel import run_parallel, run_unfused_parallel, work_items
 from .plancache import (
@@ -37,7 +37,6 @@ __all__ = [
     "available_backends",
     "checksum",
     "default_cache",
-    "exec_box",
     "get_backend",
     "pool_stats",
     "program_signature",

@@ -9,7 +9,9 @@ examples and the benchmarks select an executor with a string:
   interleave the simulated processors adversarially, which is what the
   correctness suite leans on.
 * ``vector`` — :func:`repro.runtime.fastexec.run_vector`, numpy
-  whole-array execution of the same plan (measured performance).
+  whole-array execution of the same plan (measured performance): the
+  ``jit`` lowering's bodies compiled afresh, without the plan cache, and
+  walked over the run's strip.
 
 The three module backends share one runner, :func:`run_compiled`: the
 plan cache resolves which compiled module a backend runs
@@ -17,12 +19,13 @@ plan cache resolves which compiled module a backend runs
 :func:`~repro.runtime.execute.prepare_kernel` calls), and
 :func:`~repro.runtime.pool.run_modules` runs it:
 
-* ``jit`` — the plan lowered once to literal numpy source
-  (:mod:`repro.codegen.emitpy`), compiled and memoized through the
-  two-level plan cache (:mod:`repro.runtime.plancache`), then executed as
-  straight-line compiled code on every call.  It ignores ``strip``: a
-  legal plan stores the same bits at every strip, and the module holds
-  the whole-box schedule only.
+* ``jit`` — the plan lowered once to numpy source
+  (:mod:`repro.codegen.emitpy`: one body per nest plus per-processor row
+  tables), compiled and memoized through the two-level plan cache
+  (:mod:`repro.runtime.plancache`), then run by
+  :class:`~repro.codegen.emitpy.RowWalker`, one body call per row.  It
+  ignores ``strip``: a legal plan stores the same bits at every strip,
+  and the module holds the whole-box schedule only.
 * ``mpjit`` — the same compiled plans executed in parallel: each thread
   or worker runs only its processors' fused and peeled phases (the
   paper's two-phase SPMD schedule, compiled), synchronizing

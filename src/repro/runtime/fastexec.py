@@ -1,22 +1,24 @@
-"""The vector backend: numpy whole-array execution of a plan.
+"""The vector backend, the vectorization analysis and the runtime's
+shared error types.
 
 The reference executor (:mod:`repro.runtime.parallel`) interprets an
 :class:`~repro.core.execplan.ExecutionPlan` one iteration at a time so the
 test suite can interleave processors adversarially.  That makes it the
 semantic oracle — and makes it thousands of times slower than the hardware.
-This module lowers the *same* plan to whole-array numpy operations:
-:func:`run_vector` walks the plan's
-:meth:`~repro.core.execplan.ExecutionPlan.rows` — every processor's fused
-boxes (nest by nest, or strip-mined tile by tile when ``strip`` is given),
-then its peeled rectangles — as vectorized slice/fancy-index assignments.  Within one
-processor, executing nest ``k``'s whole fused box before nest ``k+1``'s
-satisfies every dependence the serial original admits (all of them point
-forward in sequence order), and the shift-and-peel construction keeps the
-fused phase free of cross-processor dependences (Theorem 1), so the
-result is bit-identical to the interpreter whenever the plan is legal.
-Loops marked sequential (``do`` rather than ``doall``) are honoured by
-iterating those dimensions scalarly in order; only ``doall`` dimensions
-whose variable addresses the written array injectively are vectorized.
+:func:`run_vector` runs the *same* plan as whole-array numpy operations:
+it compiles the plan's per-nest bodies (:mod:`repro.codegen.emitpy`, the
+one numpy lowering, bypassing the plan cache) and walks the plan's
+:meth:`~repro.core.execplan.ExecutionPlan.rows` with them — every
+processor's fused boxes (nest by nest, or strip-mined tile by tile when
+``strip`` is given), then its peeled rectangles.  Within one processor,
+executing nest ``k``'s whole fused box before nest ``k+1``'s satisfies
+every dependence the serial original admits (all of them point forward
+in sequence order), and the shift-and-peel construction keeps the fused
+phase free of cross-processor dependences (Theorem 1), so the result is
+bit-identical to the interpreter whenever the plan is legal.  Loops
+marked sequential (``do`` rather than ``doall``) are honoured by
+iterating those dimensions scalarly in order; only dimensions
+:func:`vector_dims` admits are vectorized.
 
 :func:`run_vector` returns the same counters as
 :func:`~repro.runtime.parallel.run_parallel` so callers can sanity-check
@@ -27,16 +29,13 @@ iteration coverage across backends.  The parallel compiled path lives in
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
-from typing import Mapping, MutableMapping, Optional
+from typing import MutableMapping, Optional
 
 import numpy as np
 
-from ..core.execplan import Box, ExecutionPlan
-from ..ir.access import ArrayRef
+from ..core.execplan import ExecutionPlan
 from ..ir.loop import LoopNest
-from ..ir.stmt import BinOp, Const, Expr, Load, UnaryOp
 
 
 class FastExecError(RuntimeError):
@@ -124,186 +123,6 @@ def vector_dims(nest: LoopNest) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized evaluation of one statement over a box.
-# ---------------------------------------------------------------------------
-
-
-class _BoxEnv:
-    """Broadcasting context for one (box, vector-dims) combination.
-
-    ``scalars`` maps parameters, sequential loop variables and *zeroed*
-    vector variables to ints (used to evaluate the non-vector part of a
-    subscript); ``grids`` lazily materializes ``np.arange`` index grids,
-    one per vector dimension, shaped for mutual broadcasting.
-    """
-
-    def __init__(self, nest: LoopNest, box: Box, vdims: tuple[int, ...],
-                 scalars: dict[str, int]):
-        self.nest = nest
-        self.box = box
-        self.vdims = vdims
-        self.rank_of = {d: r for r, d in enumerate(vdims)}
-        self.shape = tuple(box[d][1] - box[d][0] + 1 for d in vdims)
-        self.scalars = scalars
-        self._grids: dict[int, np.ndarray] = {}
-
-    def grid(self, d: int) -> np.ndarray:
-        g = self._grids.get(d)
-        if g is None:
-            r = self.rank_of[d]
-            lo, hi = self.box[d]
-            shape = [1] * len(self.vdims)
-            shape[r] = hi - lo + 1
-            g = np.arange(lo, hi + 1).reshape(shape)
-            self._grids[d] = g
-        return g
-
-    def var_dim(self, name: str) -> Optional[int]:
-        for d in self.vdims:
-            if self.nest.loops[d].var == name:
-                return d
-        return None
-
-
-def _subscript_index(sub, env: _BoxEnv):
-    """Evaluate one affine subscript to an int, a ``slice`` (unit-stride
-    single vector variable) or an index grid, plus the vector dimension it
-    spans (or None)."""
-    vds = [(env.var_dim(v), c) for v, c in sub.coeffs if env.var_dim(v) is not None]
-    if not vds:
-        return sub.eval(env.scalars), None
-    base = sub.eval(env.scalars)  # vector vars contribute 0 here
-    if len(vds) == 1 and vds[0][1] == 1:
-        d, _ = vds[0]
-        lo, hi = env.box[d]
-        return slice(base + lo, base + hi + 1), d
-    # General affine over vector dims: broadcasted integer grid.
-    idx = base
-    for d, c in vds:
-        idx = idx + c * env.grid(d)
-    return idx, None
-
-
-def _sliceable(parts) -> bool:
-    """True when the subscript tuple indexes with pure basic slicing: no
-    index grids, and no vector dimension spanned by two subscripts (the
-    diagonal case, which basic slicing would turn into a cross product)."""
-    if any(isinstance(val, np.ndarray) for val, _d in parts):
-        return False
-    present = [d for _val, d in parts if d is not None]
-    return len(present) == len(set(present))
-
-
-def _fancy_index(parts, ref: ArrayRef, env: _BoxEnv) -> tuple:
-    """Rebuild the subscripts as broadcasted index grids (advanced
-    indexing), converting any slices back into grids."""
-    idx = []
-    for (val, d), sub in zip(parts, ref.subscripts):
-        if isinstance(val, slice):
-            idx.append(sub.eval(env.scalars) + env.grid(d))
-        else:
-            idx.append(val)
-    return tuple(idx)
-
-
-def _load_box(ref: ArrayRef, env: _BoxEnv, arrays: Mapping[str, np.ndarray]):
-    """Load ``ref`` over the box, broadcastable to ``env.shape``."""
-    parts = [_subscript_index(s, env) for s in ref.subscripts]
-    if not _sliceable(parts):
-        return arrays[ref.array][_fancy_index(parts, ref, env)]
-    view = arrays[ref.array][tuple(val for val, _d in parts)]
-    ranks = [env.rank_of[d] for _val, d in parts if d is not None]
-    perm = sorted(range(len(ranks)), key=lambda a: ranks[a])
-    if perm != list(range(len(ranks))):
-        view = view.transpose(perm)
-    have = sorted(ranks)
-    if len(have) < len(env.vdims):
-        expander = tuple(
-            slice(None) if r in have else np.newaxis
-            for r in range(len(env.vdims))
-        )
-        view = view[expander]
-    return view
-
-
-def _store_box(ref: ArrayRef, value, env: _BoxEnv,
-               arrays: MutableMapping[str, np.ndarray]) -> None:
-    """Store ``value`` (scalar or broadcastable array) through ``ref``."""
-    target = arrays[ref.array]
-    if isinstance(value, np.ndarray) and np.may_share_memory(value, target):
-        value = value.copy()
-    parts = [_subscript_index(s, env) for s in ref.subscripts]
-    if not _sliceable(parts):
-        target[_fancy_index(parts, ref, env)] = value
-        return
-    ranks = [env.rank_of[d] for _val, d in parts if d is not None]
-    if isinstance(value, np.ndarray) and value.ndim:
-        value = np.broadcast_to(value, env.shape)
-        value = value.transpose(ranks)
-    target[tuple(val for val, _d in parts)] = value
-
-
-def _eval_box(expr: Expr, env: _BoxEnv, arrays: Mapping[str, np.ndarray]):
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Load):
-        return _load_box(expr.ref, env, arrays)
-    if isinstance(expr, BinOp):
-        a = _eval_box(expr.left, env, arrays)
-        b = _eval_box(expr.right, env, arrays)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        return a / b
-    if isinstance(expr, UnaryOp):
-        return -_eval_box(expr.operand, env, arrays)
-    raise FastExecError(f"cannot vectorize expression {expr!r}")
-
-
-def exec_box(
-    nest: LoopNest,
-    box: Box,
-    params: Mapping[str, int],
-    arrays: MutableMapping[str, np.ndarray],
-    vdims: Optional[tuple[int, ...]] = None,
-) -> int:
-    """Execute every iteration of ``nest`` inside ``box`` (inclusive
-    ``(lo, hi)`` per dimension), vectorizing the ``doall`` dimensions and
-    iterating the rest scalarly in lexicographic order.  Returns the number
-    of iterations executed.  Bit-identical to per-iteration interpretation
-    for any nest whose ``doall`` markings are truthful.
-
-    ``vdims`` lets callers hoist the :func:`vector_dims` lookup out of
-    per-box loops: the analysis is memoized, but even a cache hit hashes
-    the whole nest structure, which dominates tiny strip-mined boxes."""
-    if any(hi < lo for lo, hi in box):
-        return 0
-    if vdims is None:
-        vdims = vector_dims(nest)
-    sdims = [d for d in range(nest.depth) if d not in vdims]
-    vec_count = 1
-    for d in vdims:
-        vec_count *= box[d][1] - box[d][0] + 1
-    scalars = dict(params)
-    for d in vdims:
-        scalars[nest.loops[d].var] = 0
-    env = _BoxEnv(nest, box, vdims, scalars)
-    count = 0
-    for svals in itertools.product(
-        *(range(box[d][0], box[d][1] + 1) for d in sdims)
-    ):
-        for d, v in zip(sdims, svals):
-            scalars[nest.loops[d].var] = v
-        for st in nest.body:
-            _store_box(st.target, _eval_box(st.rhs, env, arrays), env, arrays)
-        count += vec_count
-    return count
-
-
-# ---------------------------------------------------------------------------
 # The vector backend: whole plan, one process.
 # ---------------------------------------------------------------------------
 
@@ -314,21 +133,10 @@ def run_vector(
     strip: Optional[int] = None,
 ) -> dict[str, int]:
     """Vectorized execution of the fused phase, the barrier, then the
-    peeled phase.  ``strip`` tiles the fused phase exactly like the
-    interpreter (one vectorized box per tile per nest); ``None`` executes
-    each processor's whole per-nest box in one shot (fastest)."""
-    nests = list(exec_plan.plan.seq)
-    params = exec_plan.params
-    # Hoisted per (nest, plan): the legality analysis is identical for
-    # every box of a nest, so strip-mined runs must not redo it per tile.
-    nest_vdims = [vector_dims(nest) for nest in nests]
-    rows = exec_plan.rows(strip)
+    peeled phase: the plan's nest bodies compiled afresh (no plan cache),
+    walked over ``rows(strip)`` — Fig. 12's tiles when ``strip`` is
+    given, each processor's whole per-nest boxes when it is None."""
+    from ..codegen.emitpy import RowWalker, compile_bodies
 
-    def run(phase: int) -> int:
-        return sum(exec_box(nests[k], box, params, arrays, vdims=nest_vdims[k])
-                   for proc_rows in rows for k, box in proc_rows[phase])
-
-    fused = run(0)
-    # ---- barrier (Sec. 3.4) ----
-    peeled = run(1)
-    return {"fused_iterations": fused, "peeled_iterations": peeled}
+    fused, peeled = zip(*exec_plan.rows(strip))
+    return RowWalker(compile_bodies(exec_plan), fused, peeled).run(arrays)

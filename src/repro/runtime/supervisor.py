@@ -55,7 +55,7 @@ INTERNAL = "internal"
 RETRYABLE = {
     WORKER_CRASH: True,
     SYNC_TIMEOUT: True,
-    COMPILE_ERROR: True,  # ``vector`` runs without generated code
+    COMPILE_ERROR: True,  # ``vector`` compiles afresh, past the cache
     CACHE_CORRUPT: True,
     OVERLOAD: True,
     INVALID_INPUT: False,  # the same input fails on every rung

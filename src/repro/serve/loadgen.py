@@ -109,9 +109,9 @@ def _worker(log: _WorkerLog, stop: threading.Event, deadline: float,
 def reference_checksum(kernel: str, n: Optional[int], procs: int) -> str:
     """Direct in-process execution for the correctness cross-check.
 
-    The vector backend needs no cache, no pool and no compilation, and
-    every backend is proven bit-identical to it, so its checksum is the
-    ground truth any service response must reproduce.
+    The vector backend compiles the plan afresh, bypassing the plan cache
+    and the pool, and every backend is proven bit-identical to it, so its
+    checksum is the ground truth any service response must reproduce.
     """
     from ..runtime.execute import execute_prepared, prepare_kernel
 

@@ -6,19 +6,22 @@ strip-mined and whole-box — comparing arrays *bitwise*
 (``np.array_equal``, not allclose) against the ``interp`` reference, on odd
 shapes including empty and single-iteration ranges.  The mpjit runs
 force ``max_workers=2`` so the pooled-parallel path executes even on a
-one-core host.  Also unit-tests the vectorized box executor
-on the awkward access patterns (diagonals, transposed subscripts, strided
-subscripts, reductions over a missing target variable, sequential
-dimensions).
+one-core host.  Also unit-tests the per-nest numpy bodies (the one numpy
+lowering every numpy backend runs) on the awkward access patterns
+(diagonals, transposed subscripts, strided subscripts, reductions over a
+missing target variable, sequential dimensions), over whole and interior
+boxes.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from conftest import copy_arrays, kernel_plans
 
+from repro.codegen.emitpy import RowWalker, compile_plan, emit_body
 from repro.core import StripError, build_execution_plan, derive_shift_peel
 from repro.ir import Affine, Loop, LoopNest, LoopSequence, assign, load
 from repro.kernels import all_kernels, get_kernel
@@ -27,7 +30,6 @@ from repro.runtime import (
     BackendMismatch,
     available_backends,
     checksum,
-    exec_box,
     get_backend,
     register_backend,
     run_parallel,
@@ -225,36 +227,57 @@ class TestDegenerateRanges:
         if peel_range == (3, 2):
             assert ref_counts["peeled_iterations"] == 0
 
-    def test_exec_box_empty_box(self):
-        seq = _seq_1d()
-        arrays = {"a": np.ones(4), "b": np.ones(4), "c": np.ones(4)}
-        assert exec_box(seq[0], ((3, 2),), {"n": 4}, arrays) == 0
-        assert np.array_equal(arrays["a"], np.ones(4))
+    def test_empty_box_reaches_no_body(self):
+        """``rows()`` drops zero-volume boxes, so no body is ever handed
+        one: a plan whose boxes are all empty runs nothing, counts 0 and
+        leaves the arrays as they were."""
+        ep = _degenerate_plan((5, 4), (3, 2))
+        assert ep.rows() == (((), ()),)
+        assert ep.rows(2) == (((), ()),)
+        for run in (compile_plan(ep).run,
+                    lambda arrays: get_backend("vector").run(ep, arrays)):
+            arrays = {"a": np.ones(12), "b": np.ones(12), "c": np.ones(12)}
+            assert run(arrays) == {"fused_iterations": 0,
+                                   "peeled_iterations": 0}
+            for name in arrays:
+                assert np.array_equal(arrays[name], np.ones(12)), name
 
 
-class TestExecBoxAccessPatterns:
-    def _check(self, nest, params, arrays, box=None):
-        """exec_box vs per-iteration interpretation over the full space."""
-        if box is None:
-            box = tuple(lp.bounds(params) for lp in nest.loops)
-        expected = copy_arrays(arrays)
-        env = dict(params)
-        import itertools
+def _run_box(nest, box, params, arrays) -> int:
+    """Compile ``nest``'s body and walk it over ``box`` as a one-row
+    schedule; returns the walker's iteration count."""
+    source = "import numpy as np\n" + "\n".join(
+        emit_body(nest, "body", params))
+    namespace: dict = {}
+    exec(compile(source, "<body>", "exec"), namespace)
+    walker = RowWalker((namespace["body"],), (((0, box),),), ((),))
+    return walker.run(arrays)["fused_iterations"]
 
-        for ivec in itertools.product(
-            *(range(lo, hi + 1) for lo, hi in box)
-        ):
-            for var, val in zip(nest.loop_vars, ivec):
-                env[var] = val
-            for st in nest.body:
-                st.execute(env, expected)
-        got = copy_arrays(arrays)
-        count = exec_box(nest, box, params, got)
-        _assert_identical(expected, got, nest.name)
-        sizes = 1
-        for lo, hi in box:
-            sizes *= max(0, hi - lo + 1)
-        assert count == sizes
+
+class TestNestBodyAccessPatterns:
+    def _check(self, nest, params, arrays):
+        """The nest's body vs per-iteration interpretation, over the
+        whole iteration space and over one interior sub-box."""
+        whole = tuple(lp.bounds(params) for lp in nest.loops)
+        interior = tuple((lo + 1, hi - 1) for lo, hi in whole)
+        for box in (whole, interior):
+            assert all(lo <= hi for lo, hi in box), box
+            expected = copy_arrays(arrays)
+            env = dict(params)
+            for ivec in itertools.product(
+                *(range(lo, hi + 1) for lo, hi in box)
+            ):
+                for var, val in zip(nest.loop_vars, ivec):
+                    env[var] = val
+                for st in nest.body:
+                    st.execute(env, expected)
+            got = copy_arrays(arrays)
+            count = _run_box(nest, box, params, got)
+            _assert_identical(expected, got, (nest.name, box))
+            sizes = 1
+            for lo, hi in box:
+                sizes *= hi - lo + 1
+            assert count == sizes
 
     def test_diagonal_write(self):
         """a[i,i] writes the diagonal: basic slicing would cross-product."""
@@ -317,8 +340,26 @@ class TestExecBoxAccessPatterns:
         )
         assert vector_dims(nest) == ()
         arrays = {"a": np.zeros(9)}
-        exec_box(nest, ((1, 8),), {"n": 9}, arrays)
+        assert _run_box(nest, ((1, 8),), {"n": 9}, arrays) == 8
         assert np.array_equal(arrays["a"], np.arange(9.0))
+        rng = np.random.default_rng(5)
+        self._check(nest, {"n": 9}, {"a": rng.random(9)})
+
+    def test_slice_moving_with_scalar_loop(self):
+        """j carries a recurrence, so it is a scalar loop, and b[i + j]
+        is a slice that moves with it: built inside the loop, not with
+        the loop-invariant slices at the top of the body."""
+        i, j, n = Affine.var("i"), Affine.var("j"), Affine.var("n")
+        nest = LoopNest(
+            (Loop.make("i", 0, n - 1), Loop.make("j", 1, n - 1)),
+            (assign("a", (i, j), load("a", i, j - 1) + load("b", i + j)),),
+            name="moving",
+        )
+        assert vector_dims(nest) == (0,)
+        assert "v_j" in "\n".join(emit_body(nest, "body", {"n": 6}))
+        rng = np.random.default_rng(6)
+        arrays = {"a": rng.random((6, 6)), "b": rng.random(12)}
+        self._check(nest, {"n": 6}, arrays)
 
     def test_do_loop_without_carried_dep_is_vectorized(self):
         """The analysis upgrades a conservative `do` marking (the ll18 /

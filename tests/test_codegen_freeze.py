@@ -10,9 +10,12 @@ strip, so there is no strip axis).  A deliberate codegen change bumps
 ``CODEGEN_VERSION`` and records the new digests under the new version.
 """
 
+import ast
 import hashlib
 
 import pytest
+
+from conftest import kernel_plans
 
 from repro.codegen.emitc import emit_plan_c_source
 from repro.codegen.emitpy import CODEGEN_VERSION, emit_plan_source
@@ -20,34 +23,35 @@ from repro.runtime.execute import prepare_kernel
 
 #: CODEGEN_VERSION -> (kernel, procs, plan index) -> (py, c) sha256.  Since
 #: v7 neither source depends on the strip (it is run-time data), so a
-#: case has one pair.  v8's numpy digests differ from v7's by the version
-#: line only; its C units lost the walker functions.
+#: case has one pair.  v9's C digests differ from v8's by the version
+#: lines only (checked by re-hashing with them reverted); its numpy
+#: modules hold per-nest bodies and row tables.
 DIGESTS = {
-    8: {
+    9: {
         ("jacobi", 1, 0): (
-            "78f6a95e41cb27f5a13be0b143f71a02ddb8f73c58db821ce5ca24804bcccb18",
-            "624214e9576cbfbc438e3e715b69e96a32d7c5614d7d1bde7b2b217bc23775d1"),
+            "dce895e2e9b86df9f97d2b4248272b075efe95ee94049c27a5303c730c2faf8d",
+            "8b42ace70e784c3bf94a405403aea54fa6fc95dbc64ab219ddecb61c0e56d684"),
         ("jacobi", 4, 0): (
-            "3a6c09d5695bad652eeab7758c180785a73be11261ffdfbfc6c5edef0a72ae15",
-            "c9a0bcf52bd365160050f5c644fadb9b40c71f4322ba2c0bc3d26c0578416e81"),
+            "713e135a00acbb4e9626b76dc0ec414826a0d30563f2de8009d5b25cc3f474a6",
+            "a75adc4a3b31b937a316a9be662aa653d3faa35d6eb02c73f856d61b675ad78b"),
         ("ll18", 1, 0): (
-            "91b505dca58180d618ae72a358304804c8be7d34daf3460d308dfc02793052dc",
-            "e041cd04f6ff91c36894981e1e56c555c121d70cba63d768595ab21633f7d0b8"),
+            "1a404aee72732d81fd0ec761dc04ce843fe444b8adb92bad36fc29098739abd9",
+            "4a5518d66f7e5fa010c991dfccb88bce0d87d3c89be6ee55c6d3695c6b841c42"),
         ("ll18", 4, 0): (
-            "d41c8a59bc5ccccdb86c424209b59f6e27cdf8c4a0a4cc5ba700796dc994dfd0",
-            "c0c3d1be646d7d7139856e5341e2c7cff6b5bf6954fe3bff88831010bf1e2bce"),
+            "d3be99696e294921a8b0246d730aa147bd659527f3ca9151008e3d0be53d60fe",
+            "02e94fdb1ca8051e22a5bb21e3cd595cc80078c6b3d45a4b9ebc3c8d618bebd9"),
         ("calc", 1, 0): (
-            "f70b1670737b0f78f675fa14a614c42c1681a3058916858a78c1da8a27391384",
-            "a3564de92b39e2faf68550e42c2ebe1e382ded241fe0be7fa5fed9f7c28ef4d5"),
+            "8c8ef505b194608610ebce0b29f5be1bec0271d31ae20f91b49363a8714a4b62",
+            "b7d9ccf3407cc81e48d8fbcfd2bc37c72a9c42be193a2028efa87080c0c86d14"),
         ("calc", 4, 0): (
-            "24bef2467bb8f1efb4582a8abcfcc4308068297f254812a5b1487a5e234e5e7c",
-            "fbacf492c34cd36e5cfab6b20952d1ed3d41a1f7ac9c8e0cf100a18ab1e686c7"),
+            "e7f682e319237698ce9632e433f245d156143c38db35d1d29e384c5aa1c48350",
+            "bdd7b3e7cbf9234a269acdbd1c0ec0203d24c16829d87e9039f76f687eaf805c"),
         ("filter", 1, 0): (
-            "80bc4b48915f1c22e5f3b06cc7adb14b715a907cc5221988d8fc939529085ebf",
-            "62f9b26a25d03150ba3a0ed4448bef2056b8649f5bc8e6b1a923e77728bee45e"),
+            "d4d780fd81d5098b3513aac464646f039607949353427be6c6d15951a5194730",
+            "d3092231ad40481bb8b18733916dbae27e9b180f14cd728a1c3902edd6a366d3"),
         ("filter", 4, 0): (
-            "4223bdade213b943d457b266d60b81da1f1082b1b6ad3a9b9695375835865ff6",
-            "fbc6d85544310bba8a4e72a5b601723ec218076d11f0eb2f977097324286aa03"),
+            "fbe7bed1fc076e75ef019b8308c3efd0027bb7ddae29d8661ff1224b051d8f21",
+            "0eb836991a9dafcae26653349fef9c966b0a598ba5d5d96090c1bff11cc3386b"),
     },
 }
 
@@ -68,3 +72,47 @@ def test_generated_code_is_frozen(kernel, procs):
         assert got == frozen[(kernel, procs, index)], (
             f"{kernel} procs={procs} plan={index}: "
             "generated code changed without a CODEGEN_VERSION bump")
+
+
+def _numpy_bodies(source: str) -> str:
+    """The code of a numpy module: everything between the import and
+    the ``BODIES`` table."""
+    return source[source.index("import numpy as np"):
+                  source.index("\nBODIES = ")]
+
+
+@pytest.mark.parametrize("kernel", ["jacobi", "ll18", "calc", "filter"])
+def test_numpy_bodies_independent_of_processor_count(kernel):
+    """The numpy twin of the C unit's test: the bodies take their box as
+    an argument, so their text is the same on 2 and 8 processors; only
+    the row tables grow."""
+    code = {}
+    for procs in (2, 8):
+        # n=129: all four kernels are legal on 8 processors
+        _, _, plans = kernel_plans(kernel, 129, procs)
+        assert [len(ep.processors) for ep in plans] == [procs]
+        code[procs] = _numpy_bodies(emit_plan_source(plans[0]))
+    assert code[8] == code[2]
+
+
+@pytest.mark.parametrize("kernel", ["jacobi", "ll18", "calc", "filter",
+                                    "spem"])
+def test_numpy_module_defines_only_nest_bodies(kernel):
+    """A module's only functions are its ``nest_<k>`` bodies, one per
+    nest; the walk is not generated code."""
+    for ep in prepare_kernel(kernel, n=65, procs=4).plans:
+        nodes = list(ast.walk(ast.parse(emit_plan_source(ep))))
+        assert not any(isinstance(node, ast.Lambda) for node in nodes)
+        defined = [node.name for node in nodes if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        assert defined == [f"nest_{k}" for k in range(len(ep.plan.seq))]
+
+
+def test_numpy_modules_stay_small():
+    """The four benchmark kernels' modules at n=65, P=4 summed to
+    30 799 bytes while every processor's boxes were printed as code;
+    per-nest bodies must keep them under half of that."""
+    total = sum(len(emit_plan_source(ep))
+                for kernel in ("jacobi", "ll18", "calc", "filter")
+                for ep in prepare_kernel(kernel, n=65, procs=4).plans)
+    assert total < 30799 // 2, total

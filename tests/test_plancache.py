@@ -157,6 +157,44 @@ class TestPlanCacheLevels:
         with pytest.raises(JitCompileError):
             compile_source("import numpy as np\ndef run(arrays):\n    pass\n")
 
+    @pytest.mark.parametrize("edit", ["lost_processor", "body_out_of_range",
+                                      "negative_body"])
+    def test_garbled_row_table_quarantined(self, tmp_path, edit):
+        """A hand-edited cached module whose row table lost a processor,
+        or names a body outside ``BODIES``, is still valid Python:
+        ``compile_source`` must refuse it, so the disk load quarantines
+        it and recompiles, and the run's checksum is unchanged."""
+        cache = PlanCache(root=tmp_path / "c")
+        ep = _chain_plan(n=17, procs=2)
+        module = cache.get(ep)
+        rng = np.random.default_rng(0)
+        base = {name: rng.random(18) + 0.5 for name in "abc"}
+        want = copy_arrays(base)
+        module.run(want)
+        lines = module.source.split("\n")
+        table = lines.index("FUSED_ROWS = (")
+        if edit == "lost_processor":
+            del lines[table + 2]
+        else:
+            index = "7" if edit == "body_out_of_range" else "-1"
+            assert lines[table + 1].startswith("    ((0, ")
+            lines[table + 1] = lines[table + 1].replace(
+                "((0, ", f"(({index}, ", 1)
+        garbled = "\n".join(lines)
+        with pytest.raises(JitCompileError, match="FUSED_ROWS"):
+            compile_source(garbled, expected_signature=module.signature)
+        path = cache.source_path(module.signature)
+        path.write_text(garbled)
+        cache.clear_memory()
+        fresh = cache.get(ep)
+        assert cache.stats.quarantined == 1
+        assert path.with_suffix(".bad").read_text() == garbled
+        assert fresh.source == module.source
+        assert path.read_text() == module.source
+        got = copy_arrays(base)
+        fresh.run(got)
+        assert checksum(got) == checksum(want)
+
     def test_alias_roundtrip(self, tmp_path):
         cache = PlanCache(root=tmp_path / "c")
         ep = _chain_plan()
