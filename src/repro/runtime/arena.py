@@ -14,6 +14,15 @@ of sixteen consecutive arrays share a 4 KiB set offset — equal-sized
 power-of-two arrays (ll18's nine 512 x 512 doubles at n=511) would
 otherwise all start at the same offset and compete for the same sets.
 
+Inputs: :func:`fill_seeded` draws a layout's seeded inputs straight into
+its views.  Above ``2 * MIN_PART`` elements it splits the draw across the
+usable CPUs, so each core writes the part of the inputs it alone owns:
+contiguous parts of the concatenated stream, each drawn from its own
+``PCG64(seed)`` advanced to the part's first element.  The bits do not
+depend on the part count.  The PCG64 loop and ``+= 1.0`` release the GIL,
+so the caller and the fill helpers (persistent ``repro-fill`` threads)
+really draw at once.
+
 Lifecycle: the segment grows to the largest request seen so far and never
 shrinks (growing is a new segment); a run that raises retires it (close +
 unlink, so a stalled or zombie worker can only ever write into memory no
@@ -33,10 +42,13 @@ import secrets
 import threading
 from contextlib import contextmanager
 from multiprocessing import resource_tracker
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import _posixshmem
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 PAGE = 4096
 LINE = 64
@@ -47,17 +59,98 @@ STAGGER_PERIOD = 16
 #: Layouts (views) kept per segment before the cache starts over.
 MAX_LAYOUTS = 64
 
+#: Fewest elements one part of a parallel fill draws: a layout below
+#: ``2 * MIN_PART`` elements in all is filled by one serial loop.  Above
+#: every n=65 layout the benchmark runs (filter's 52 272 is the largest);
+#: two parts beat one from about 64 K elements on a 2-vCPU box.
+MIN_PART = 1 << 16
+
 #: ``((name, shape, dtype), ...)`` in declaration order: what a run needs.
 Layout = tuple[tuple[str, tuple[int, ...], str], ...]
+
+_helpers: ThreadPoolExecutor | None = None
+_helpers_lock = threading.Lock()
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS
+    exposes one (``taskset``, cgroup cpusets), else the machine's core
+    count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def fill_seeded(arrays: Iterable[np.ndarray], seed: int) -> None:
     """The seeded inputs, in place: ``rng.random(shape) + 1.0`` drawn in
-    iteration order, bit for bit, without a temporary."""
-    rng = np.random.default_rng(seed)
+    iteration order, bit for bit, without a temporary.
+
+    The arrays' concatenated stream is drawn in ``min(available_cpus(),
+    total // MIN_PART)`` contiguous parts, or in one below ``2 * MIN_PART``
+    elements.  Each part has its own ``Generator(PCG64(seed))``, advanced
+    with ``advance(start)`` past the ``start`` elements before the part.
+    ``random`` takes exactly one 64-bit draw per double, so a part that
+    starts inside an array, or spans array boundaries, draws what the
+    serial loop draws there.  The caller's thread draws the first part and
+    the fill helpers the rest; the call returns, or raises, only once
+    every part has finished."""
+    arrays = list(arrays)
+    parts = sum(arr.size for arr in arrays) // MIN_PART
+    _fill_parts(arrays, seed, min(parts, available_cpus()) if parts > 1 else 1)
+
+
+def _fill_parts(arrays: Sequence[np.ndarray], seed: int, parts: int) -> None:
+    """:func:`fill_seeded` in exactly ``parts`` parts: part ``k`` draws
+    elements ``[total*k//parts, total*(k+1)//parts)`` of the stream."""
+    if parts <= 1:
+        _fill_part(seed, 0, arrays)
+        return
+    from concurrent.futures import wait
+
+    # views in memory order: ``random(out=)`` only takes contiguous arrays
+    flat = [np.ravel(arr, order="K") for arr in arrays]
+    total = sum(f.size for f in flat)
+    bounds = [total * k // parts for k in range(parts + 1)]
+    jobs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        segments, start = [], 0
+        for f in flat:
+            end = start + f.size
+            if start < hi and lo < end:
+                segments.append(f[max(lo, start) - start:min(hi, end) - start])
+            start = end
+        jobs.append((lo, segments))
+    helpers = _fill_helpers()
+    futures = [helpers.submit(_fill_part, seed, lo, segments)
+               for lo, segments in jobs[1:]]
+    try:
+        _fill_part(seed, *jobs[0])
+    finally:
+        wait(futures)  # no part outlives the call, not even after a raise
+    for future in futures:
+        future.result()
+
+
+def _fill_part(seed: int, start: int, arrays: Iterable[np.ndarray]) -> None:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.bit_generator.advance(start)
     for arr in arrays:
         rng.random(out=arr)
         arr += 1.0
+
+
+def _fill_helpers() -> ThreadPoolExecutor:
+    """The process's fill helpers, one thread per usable CPU but the
+    caller's, created on first use (so is the import: no small fill
+    pays for it)."""
+    global _helpers
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _helpers_lock:
+        if _helpers is None:
+            _helpers = ThreadPoolExecutor(max(1, available_cpus() - 1),
+                                          thread_name_prefix="repro-fill")
+        return _helpers
 
 
 def layout_offsets(nbytes: Sequence[int]) -> tuple[list[int], int]:
@@ -224,9 +317,11 @@ def retire_shared() -> None:
 
 
 def _forget_in_child() -> None:
-    # A forked child never owns (or unlinks) its parent's segment.
-    global _shared
+    # A forked child never owns (or unlinks) its parent's segment, and
+    # has none of its parent's fill helpers (only the forking thread).
+    global _shared, _helpers, _helpers_lock
     _shared = Arena()
+    _helpers, _helpers_lock = None, threading.Lock()
 
 
 os.register_at_fork(after_in_child=_forget_in_child)

@@ -29,7 +29,7 @@ iteration coverage across backends.  The parallel compiled path lives in
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import wraps
 from typing import MutableMapping, Optional
 
 import numpy as np
@@ -56,7 +56,22 @@ class EnvConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _per_nest(fn):
+    """Memoise ``fn(nest)`` on the nest object itself: a cache keyed on
+    the nest would hash the whole frozen IR under it on every call."""
+    attr = f"{fn.__name__}_memo"
+
+    @wraps(fn)
+    def memoised(nest: LoopNest):
+        memo = nest.__dict__
+        if attr not in memo:
+            memo[attr] = fn(nest)
+        return memo[attr]
+
+    return memoised
+
+
+@_per_nest
 def _order_free_dims(nest: LoopNest) -> tuple[int, ...]:
     """Dimensions that carry no intra-nest dependence.
 
@@ -89,7 +104,7 @@ def _order_free_dims(nest: LoopNest) -> tuple[int, ...]:
     return tuple(d for d in range(nest.depth) if d not in carrying)
 
 
-@lru_cache(maxsize=None)
+@_per_nest
 def vector_dims(nest: LoopNest) -> tuple[int, ...]:
     """Dimensions of ``nest`` that can execute as whole-array operations.
 

@@ -72,6 +72,7 @@ from ..codegen.emitc import (
 )
 from ..core.execplan import check_strip
 from . import arena
+from .arena import available_cpus
 from .fastexec import EnvConfigError, FastExecError
 from .faults import active_plan
 from .supervisor import (
@@ -189,15 +190,6 @@ class P2PSync:
                         f"no fused-done signal from processor {p} within "
                         f"{timeout:.0f}s"
                     )
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS
-    exposes one (``taskset``, cgroup cpusets), else the machine's core
-    count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _resolve_workers(nprocs: int, max_workers: Optional[int]) -> int:

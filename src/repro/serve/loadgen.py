@@ -9,8 +9,8 @@ What it proves, in one run:
 
 * **correctness** — every successful response's checksum is compared
   against a direct in-process execution of the same kernel/shape (the
-  backends are bit-identical by construction, so the reference uses
-  the plain vector backend); any mismatch is a hard failure;
+  original, unfused program run by the reference interpreter, which
+  shares no lowering with any tier); any mismatch is a hard failure;
 * **tail latency** — per-request latencies aggregate through
   :func:`repro.runtime.benchmarking.summarize_samples` (the statistics
   ``repro exec`` records), yielding p50/p95/p99 and deadline-miss counts;
@@ -109,15 +109,28 @@ def _worker(log: _WorkerLog, stop: threading.Event, deadline: float,
 def reference_checksum(kernel: str, n: Optional[int], procs: int) -> str:
     """Direct in-process execution for the correctness cross-check.
 
-    The vector backend compiles the plan afresh, bypassing the plan cache
-    and the pool, and every backend is proven bit-identical to it, so its
-    checksum is the ground truth any service response must reproduce.
+    The original, unfused program, run by
+    :func:`~repro.runtime.interp.run_sequence_serial` sequence by sequence
+    over the daemon's default seeded inputs.  Nothing is derived, planned
+    or emitted: the reference shares no code with the path every served
+    tier runs, so no defect there can reproduce its checksum.  ``procs``
+    names the request; the unfused result does not depend on it.
     """
-    from ..runtime.execute import execute_prepared, prepare_kernel
+    from ..kernels import get_kernel
+    from ..runtime.backend import checksum
+    from ..runtime.execute import PreparedKernel, resolve_params
+    from ..runtime.interp import run_sequence_serial
+    from .server import ServerConfig
 
-    prep = prepare_kernel(kernel, n=n, procs=procs, backend="vector")
-    _seconds, _counters, digest = execute_prepared(prep, "vector")
-    return digest
+    info = get_kernel(kernel)
+    program = info.program()
+    prep = PreparedKernel(
+        name=kernel, program=program, params=resolve_params(info, program, n=n),
+        plans=[], procs=procs, seed=ServerConfig.seed)
+    arrays = prep.alloc()
+    for seq in prep.program.sequences:
+        run_sequence_serial(seq, prep.params, arrays)
+    return checksum(arrays)
 
 
 def run_loadgen(

@@ -7,9 +7,11 @@ is compared with the interpreter's.
 
 import hashlib
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -112,28 +114,177 @@ class TestLayout:
             space.retire()
 
 
+def _reference_draw(shapes, seed=7):
+    rng = np.random.default_rng(seed)
+    return [rng.random(shape) + 1.0 for shape in shapes]
+
+
 class TestSeededInputs:
+    #: Per kernel, a size whose layout holds at least ``2 * MIN_PART``
+    #: elements (jacobi's two 261 x 261 arrays are the smallest), so the
+    #: fill splits wherever two CPUs are usable; spem's arrays are 3-D.
+    SPLIT_N = {"spem": 40}
+
     @pytest.mark.parametrize("kernel", [k.name for k in all_kernels()])
-    def test_alloc_and_arena_fill_equal_the_reference_draw(self, kernel):
+    def test_alloc_and_arena_fill_equal_the_reference_draw(self, kernel,
+                                                           monkeypatch):
+        info = get_kernel(kernel)
+        program = info.program()
+        split = arena._fill_parts
+        parts = []
+
+        def spy(arrays, seed, count):
+            parts.append(count)
+            split(arrays, seed, count)
+
+        monkeypatch.setattr(arena, "_fill_parts", spy)
+        for n in (20, self.SPLIT_N.get(kernel, 260)):
+            params = resolve_params(info, program, n=n)
+            prep = PreparedKernel(name=kernel, program=program, params=params,
+                                  plans=[], procs=1, seed=7)
+            want = dict(zip(
+                [d.name for d in program.arrays],
+                _reference_draw(d.concrete_shape(params)
+                                for d in program.arrays)))
+            total = sum(ref.size for ref in want.values())
+            parts.clear()
+            owned = prep.alloc()
+            space = arena.Arena()
+            try:
+                views, _ = space.layout(prep.layout)
+                arena.fill_seeded(views.values(), prep.seed)
+                for name, ref in want.items():
+                    assert owned[name].tobytes() == ref.tobytes(), name
+                    assert views[name].tobytes() == ref.tobytes(), name
+                assert list(views) == list(want)
+            finally:
+                space.retire()
+            count = max(1, min(arena.available_cpus(),
+                               total // arena.MIN_PART))
+            assert parts == [count, count], (n, total)
+            assert (total >= 2 * arena.MIN_PART) == (n != 20), (n, total)
+
+
+class TestSplitFill:
+    """The private splitter at forced part counts: every part draws what
+    the serial loop draws there, wherever its boundaries fall."""
+
+    #: Part boundaries at ``total * k // parts`` for parts 2, 3 and 4.
+    LAYOUTS = {
+        # 60 elements: every boundary (15, 20, 30, 40, 45) falls inside
+        # an array
+        "inside_an_array": [(23,), (3, 7), (16,)],
+        # 24 elements: 2 and 4 parts cut exactly between arrays (6, 12,
+        # 18), 3 parts inside them (8, 16)
+        "on_an_array_boundary": [(2, 3), (6,), (3, 2), (6,)],
+        # 20 elements: 4 parts cut at 5, right next to the 0-size array,
+        # and 2 and 4 parts at 10, where the 1-element array starts
+        "next_to_empty_and_single": [(5,), (0,), (5,), (1,), (0, 3), (9,)],
+        "nothing_to_draw": [(0,), (4, 0)],
+    }
+
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_parts_equal_the_reference_draw(self, layout, parts):
+        shapes = self.LAYOUTS[layout]
+        arrays = [np.full(shape, np.nan) for shape in shapes]
+        arena._fill_parts(arrays, 7, parts)
+        for got, ref in zip(arrays, _reference_draw(shapes)):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("kernel", [k.name for k in all_kernels()])
+    def test_every_kernel_is_byte_equal_at_every_part_count(self, kernel):
         info = get_kernel(kernel)
         program = info.program()
         params = resolve_params(info, program, n=20)
-        prep = PreparedKernel(name=kernel, program=program, params=params,
-                              plans=[], procs=1, seed=7)
-        rng = np.random.default_rng(7)
-        want = {d.name: rng.random(d.concrete_shape(params)) + 1.0
-                for d in program.arrays}
-        owned = prep.alloc()
-        space = arena.Arena()
+        serial = [np.empty(d.concrete_shape(params)) for d in program.arrays]
+        arena._fill_parts(serial, 7, 1)
+        for parts in (2, 3, 4):
+            arrays = [np.empty_like(arr) for arr in serial]
+            arena._fill_parts(arrays, 7, parts)
+            for got, ref in zip(arrays, serial):
+                assert got.tobytes() == ref.tobytes(), parts
+
+    def test_concurrent_callers_share_the_helpers(self):
+        """More callers than cores, each splitting its own fill over the
+        one set of helpers, with thread switches forced often: every fill
+        is still the reference draw."""
+        shapes = self.LAYOUTS["inside_an_array"]
+        want = [ref.tobytes() for ref in _reference_draw(shapes)]
+        wrong = []
+
+        def caller():
+            for _ in range(20):
+                arrays = [np.empty(shape) for shape in shapes]
+                arena._fill_parts(arrays, 7, 3)
+                if [arr.tobytes() for arr in arrays] != want:
+                    wrong.append(arrays)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            views, _ = space.layout(prep.layout)
-            arena.fill_seeded(views.values(), prep.seed)
-            for name, ref in want.items():
-                assert owned[name].tobytes() == ref.tobytes(), name
-                assert views[name].tobytes() == ref.tobytes(), name
-            assert list(views) == list(want)
+            threads = [threading.Thread(target=caller) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
         finally:
-            space.retire()
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    @pytest.mark.parametrize("raiser", [0, 1], ids=["caller", "helper"])
+    def test_a_raising_part_propagates_after_every_other_part(
+            self, raiser, monkeypatch):
+        """No part outlives the call: the error surfaces only once every
+        other part has written its last element."""
+        fill = arena._fill_part
+        finished = []
+
+        def part(seed, start, arrays):
+            if start == bounds[raiser]:
+                raise RuntimeError("part failed")
+            time.sleep(0.2)
+            fill(seed, start, arrays)
+            finished.append(start)
+
+        monkeypatch.setattr(arena, "_fill_part", part)
+        bounds = [0, 1000, 2000]
+        with pytest.raises(RuntimeError, match="part failed"):
+            arena._fill_parts([np.empty(3000)], 7, 3)
+        assert sorted(finished) == [b for b in bounds if b != bounds[raiser]]
+
+    @needs_fork
+    def test_forked_child_fills_after_a_parallel_fill_in_the_parent(self):
+        """The child has none of the parent's helper threads: it starts its
+        own instead of waiting on threads that do not exist there."""
+        shape = (3 * arena.MIN_PART,)
+        want = _reference_draw([shape])[0].tobytes()
+        arrays = [np.empty(shape)]
+        arena._fill_parts(arrays, 7, 2)  # the parent's helpers now exist
+        assert arrays[0].tobytes() == want
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports by exit code
+            code = 1
+            try:
+                split, public = [np.empty(shape)], [np.empty(shape)]
+                arena._fill_parts(split, 7, 2)
+                arena.fill_seeded(public, 7)
+                code = 0 if (split[0].tobytes() == want
+                             and public[0].tobytes() == want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's fill hung")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestChecksumInPlace:

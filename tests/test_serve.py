@@ -750,6 +750,23 @@ class TestSigtermDrain:
 
 
 class TestLoadgen:
+    def test_reference_is_the_unfused_program(self, monkeypatch):
+        """The reference derives, plans, walks and emits nothing, and
+        still gives the benchmark's pinned checksum."""
+        from repro.core.execplan import ExecutionPlan
+        from repro.serve.loadgen import reference_checksum
+
+        def lowered(*_args, **_kwargs):
+            raise AssertionError("the reference ran a lowering")
+
+        monkeypatch.setattr("repro.runtime.execute.derive_shift_peel", lowered)
+        monkeypatch.setattr("repro.codegen.emitpy.compile_bodies", lowered)
+        monkeypatch.setattr(ExecutionPlan, "rows", lowered)
+        expected = json.loads((Path(SRC).parent / "benchmarks" / "e2e"
+                               / "expected.json").read_text())
+        assert (reference_checksum("jacobi", 65, 4)
+                == expected["jacobi|n=65|procs=4|seed=7"])
+
     def test_loadgen_records_service_telemetry(self, tmp_path):
         from repro.serve.loadgen import run_loadgen
 
